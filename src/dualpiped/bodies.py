@@ -6,6 +6,7 @@ Lattice bases are stored column-wise: the columns generate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -81,6 +82,9 @@ class Parallelepiped:
         if len(self.bounds) != d:
             raise ValueError("bounds length must match dimension")
         object.__setattr__(self, "bounds", _normalize_scalars(self.bounds, self.forms.kind))
+        if self.kind == "float":
+            if not all(math.isfinite(x) for x in self.bounds + sum(self.forms.rows, ())):
+                raise ValueError("float bounds and forms must be finite")
         if any(scalar_sign(e) <= 0 for e in self.bounds):
             raise ValueError("all bounds must be positive")
         if scalar_sign(self.forms.det()) == 0:
@@ -185,10 +189,6 @@ def pseudo_compound(piped: Parallelepiped) -> Parallelepiped:
 # plain-text document format
 
 
-def _kind_name(kind: str) -> str:
-    return kind
-
-
 def _format_matrix_block(m: Matrix) -> str:
     return "\n".join(",".join(format_scalar(x) for x in row) for row in m.rows)
 
@@ -196,7 +196,7 @@ def _format_matrix_block(m: Matrix) -> str:
 def format_parallelepiped(piped: Parallelepiped) -> str:
     lines = [
         f"dimension: {piped.dimension}",
-        f"scalar_kind: {_kind_name(piped.kind)}",
+        f"scalar_kind: {piped.kind}",
         "H:",
         _format_matrix_block(piped.forms),
         "eta: " + ",".join(format_scalar(e) for e in piped.bounds),
@@ -207,7 +207,7 @@ def format_parallelepiped(piped: Parallelepiped) -> str:
 def format_lattice(lat: Lattice) -> str:
     lines = [
         f"dimension: {lat.dimension}",
-        f"scalar_kind: {_kind_name(lat.kind)}",
+        f"scalar_kind: {lat.kind}",
         "basis:",
         _format_matrix_block(lat.basis),
     ]

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .bodies import parse_body_document
 from .harness import TrialConfig, VerificationReport, emit_report, run_suite
-from .minima import successive_minima
+from .minima import EnumerationBudgetError, successive_minima
 from .scalars import format_scalar
 from .sections import cube_section_volume, v_tau
 from .transference import ALL_CLAIMS, c_d
@@ -178,7 +178,9 @@ def main(argv=None) -> int:
     except CertificateError as err:
         print(f"certificate failure: {err}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError, OSError) as err:
+    except (
+        ValueError, ZeroDivisionError, OverflowError, OSError, EnumerationBudgetError
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

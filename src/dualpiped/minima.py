@@ -195,8 +195,9 @@ def _points_reduced(c_rows, mu, u, is_float: bool, node_cap: int) -> list:
     """Enumerate in reduced coordinates, then map points back through u.
 
     Exact rows keep exact gauges (the change of coordinates commutes with
-    the arithmetic); float rows recompute every surviving gauge against the
-    original rows so the reported values match the unreduced paths.
+    the arithmetic); float rows search a slightly wider capture radius and
+    recompute every surviving gauge against the original rows, so the
+    reported values match the unreduced paths.
     """
     d = len(c_rows)
     reduced = []
@@ -208,30 +209,19 @@ def _points_reduced(c_rows, mu, u, is_float: bool, node_cap: int) -> list:
                 acc = acc + row[j] * u[j][m]
             new_row.append(acc)
         reduced.append(tuple(new_row))
-    if is_float:
-        capture = float(mu) * (1.0 + 1e-7) + 1e-12
-        box = _dilate_box(Matrix(reduced).inverse(), capture, True)
-        if _cell_count(box) <= GRID_CELL_CAP:
-            return _reduced_grid_float(c_rows, reduced, float(mu), capture, box, u)
-        raw = _branch_points(reduced, capture, box, True, node_cap)
-        cutoff = float(mu) + FLOAT_SLACK * max(1.0, float(mu))
-        out = []
-        for _, kp in raw:
-            k = tuple(sum(u[j][m] * kp[m] for m in range(d)) for j in range(d))
-            gauge = max(abs(sum(row[j] * k[j] for j in range(d))) for row in c_rows)
-            if gauge > cutoff:
-                continue
-            lead = next((x for x in k if x != 0), 0)
-            if lead < 0:
-                k = tuple(-x for x in k)
-            out.append((gauge, k))
-        out.sort(key=lambda t: (t[0], t[1]))
-        return out
-    box = _dilate_box(Matrix(reduced).inverse(), mu, False)
-    raw = _branch_points(reduced, mu, box, False, node_cap)
+    radius = float(mu) * (1.0 + 1e-7) + 1e-12 if is_float else mu
+    box = _dilate_box(Matrix(reduced).inverse(), radius, is_float)
+    if is_float and _cell_count(box) <= GRID_CELL_CAP:
+        return _grid_points_float(c_rows, float(mu), box, (reduced, radius, u))
+    raw = _branch_points(reduced, radius, box, is_float, node_cap)
+    cutoff = float(mu) + FLOAT_SLACK * max(1.0, float(mu)) if is_float else None
     out = []
     for gauge, kp in raw:
         k = tuple(sum(u[j][m] * kp[m] for m in range(d)) for j in range(d))
+        if is_float:
+            gauge = max(abs(sum(row[j] * k[j] for j in range(d))) for row in c_rows)
+            if gauge > cutoff:
+                continue
         lead = next((x for x in k if x != 0), 0)
         if lead < 0:
             k = tuple(-x for x in k)
@@ -240,36 +230,23 @@ def _points_reduced(c_rows, mu, u, is_float: bool, node_cap: int) -> list:
     return out
 
 
-def _reduced_grid_float(c_rows, reduced, mu: float, capture: float, box, u) -> list:
-    c = np.array([[float(x) for x in row] for row in c_rows], dtype=float)
-    r = np.array([[float(x) for x in row] for row in reduced], dtype=float)
-    u_mat = np.array(u, dtype=np.int64)
-    axes = [np.arange(-b, b + 1, dtype=np.int64) for b in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    kp = np.stack([m.ravel() for m in mesh], axis=1)
-    coarse = np.abs(kp @ r.T).max(axis=1) <= capture + FLOAT_SLACK * max(1.0, capture)
-    kp = kp[coarse]
-    k = kp @ u_mat.T
-    g = np.abs(k @ c.T).max(axis=1)
-    keep = g <= mu + FLOAT_SLACK * max(1.0, mu)
-    k = k[keep]
-    g = g[keep]
-    nonzero = k != 0
-    lead = k[np.arange(len(k)), np.argmax(nonzero, axis=1)]
-    canonical = nonzero.any(axis=1) & (lead > 0)
-    out = [
-        (float(gv), tuple(int(x) for x in kv))
-        for gv, kv in zip(g[canonical], k[canonical])
-    ]
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out
+def _grid_points_float(c_rows, mu: float, box, reduction=None) -> list:
+    """Every point of the box with float gauge at most mu (plus slack).
 
-
-def _grid_points_float(c_rows, mu: float, box) -> list:
+    With a reduction (reduced rows, capture radius, u) the box is in reduced
+    coordinates: points outside the capture radius are dropped there and the
+    rest are mapped back through u before their gauges are taken. Without
+    one, the gauges come from a single matmul over the whole box.
+    """
     c = np.array([[float(x) for x in row] for row in c_rows], dtype=float)
     axes = [np.arange(-b, b + 1, dtype=np.int32) for b in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     k = np.stack([m.ravel() for m in mesh], axis=1)
+    if reduction is not None:
+        reduced, capture, u = reduction
+        r = np.array([[float(x) for x in row] for row in reduced], dtype=float)
+        coarse = np.abs(k @ r.T).max(axis=1) <= capture + FLOAT_SLACK * max(1.0, capture)
+        k = k[coarse] @ np.array(u, dtype=np.int64).T
     g = np.abs(k @ c.T).max(axis=1)
     keep = g <= mu + FLOAT_SLACK * max(1.0, mu)
     k = k[keep]

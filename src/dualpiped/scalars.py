@@ -76,6 +76,14 @@ class Quad3:
             return NotImplemented
         return o * self._inverse()
 
+    def __pow__(self, n: object) -> "Quad3":
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        out = Quad3(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
     def _inverse(self) -> "Quad3":
         # (a + b sqrt3)^-1 = (a - b sqrt3) / (a^2 - 3 b^2)
         norm = self.a * self.a - 3 * self.b * self.b
@@ -305,16 +313,6 @@ def format_scalar(x: Scalar) -> str:
         sign = "+" if x.b > 0 else "-"
         return f"{x.a}{sign}{sqrt_part}"
     return str(Fraction(x))
-
-
-def scalar_kind_of(x: Scalar) -> str:
-    if isinstance(x, float):
-        return "float"
-    if isinstance(x, Quad3):
-        return "quad3"
-    if isinstance(x, (int, Fraction)):
-        return "rational"
-    raise TypeError(f"not a scalar: {x!r}")
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,6 @@ from .scalars import Quad3, Scalar, scalar_sign, sqrt_exact
 _CANCELLATION_GUARD = 1e-7
 
 
-def _pow(x, n: int):
-    out = None
-    for _ in range(n):
-        out = x if out is None else out * x
-    return out if out is not None else 1
-
-
 def _signed_power_sum(parts, power: int):
     """S(a): alternating sum of positive parts raised to `power`."""
     total = 0
@@ -54,7 +47,7 @@ def _signed_power_sum(parts, power: int):
                 s = s - x
                 negatives += 1
         if scalar_sign(s) > 0:
-            term = _pow(s, power)
+            term = s**power
             total = total - term if negatives % 2 else total + term
     return total
 
@@ -62,42 +55,17 @@ def _signed_power_sum(parts, power: int):
 def _section_ratio(parts, is_float: bool):
     """S(a) / ((d'-1)! * prod a_i) for positive parts a; exact when possible.
 
-    The float path watches the alternating sum for cancellation and redoes
-    the ratio in exact dyadic rationals when it strikes; the ratio itself is
-    well conditioned, only the naive summation order is not.
+    Floats watch the alternating sum for cancellation against its largest
+    term, the all-plus one (rounding is monotone, so no other pattern's sum
+    exceeds it), and redo the ratio in exact dyadic rationals when it
+    strikes; the ratio itself is well conditioned, only the naive summation
+    order is not.
     """
     power = len(parts) - 1
-    fact = math.factorial(power)
-    if not is_float:
-        prod = parts[0]
-        for x in parts[1:]:
-            prod = prod * x
-        return _signed_power_sum(parts, power) / (fact * prod)
-    total = 0.0
-    biggest = 0.0
-    for signs in itertools.product((1, -1), repeat=len(parts)):
-        s = 0.0
-        negatives = 0
-        for x, sg in zip(parts, signs):
-            if sg > 0:
-                s += x
-            else:
-                s -= x
-                negatives += 1
-        if s > 0.0:
-            term = s**power
-            biggest = max(biggest, term)
-            total = total - term if negatives % 2 else total + term
-    if total <= biggest * _CANCELLATION_GUARD:
-        exact = [Fraction(x) for x in parts]
-        prod = Fraction(1)
-        for x in exact:
-            prod *= x
-        return float(_signed_power_sum(exact, power) / (fact * prod))
-    prod = 1.0
-    for x in parts:
-        prod *= x
-    return total / (fact * prod)
+    total = _signed_power_sum(parts, power)
+    if is_float and total <= sum(parts) ** power * _CANCELLATION_GUARD:
+        return float(_section_ratio([Fraction(x) for x in parts], False))
+    return total / (math.factorial(power) * math.prod(parts))
 
 
 def _split_direction(a, d: int):
@@ -109,12 +77,31 @@ def _split_direction(a, d: int):
     is_float = any(isinstance(x, float) for x in a)
     if is_float:
         entries = tuple(float(x) for x in a)
+        if not all(math.isfinite(x) for x in entries):
+            raise ValueError("direction must be finite")
     else:
         entries = tuple(Fraction(x) if isinstance(x, int) else x for x in a)
     parts = [abs(x) for x in entries if scalar_sign(x) != 0]
     if not parts:
         raise ValueError("direction must be nonzero")
     return entries, parts, is_float
+
+
+def _in_float_range(parts: list) -> list:
+    """Float parts, scaled by a power of two when the sums would leave the range.
+
+    With n parts, the largest of binary exponent e, every term and product of
+    the formula lies within 2^(+-n(|e| + log2 n + 1)). Directions inside the
+    room are left alone, since float powers need not scale exactly; parts
+    that underflow to zero after scaling are dropped like zero coordinates.
+    """
+    n = len(parts)
+    e = math.frexp(max(parts))[1]
+    # a room of 2^(+-1000) keeps the guard's 1e-7 above the smallest normal
+    if n * (abs(e) + n.bit_length() + 1) <= 1000:
+        return parts
+    scaled = (math.ldexp(x, -e) for x in parts)
+    return [x for x in scaled if x > 0.0]
 
 
 def _sqrt_exact_or_quad(x):
@@ -131,6 +118,8 @@ def cube_section_volume(a: Sequence[Scalar], d: int) -> Scalar:
     otherwise; invariant under permutations, sign flips, and positive scaling.
     """
     _, parts, is_float = _split_direction(a, d)
+    if is_float:
+        parts = _in_float_range(parts)
     zeros = d - len(parts)
     if len(parts) == 1:
         # the section is a facet-parallel slice

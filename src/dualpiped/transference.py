@@ -38,13 +38,6 @@ ALL_CLAIMS = ("T3", "T4", "MK2", "T5", "T6", "T7", "FAM", "FAMSHARP", "WM", "C12
 _MODES = ("plain", "sharp")
 
 
-def _int_pow(x, n: int):
-    out = None
-    for _ in range(n):
-        out = x if out is None else out * x
-    return out if out is not None else 1
-
-
 def khintchine_pair(theta: Sequence[Scalar]):
     """Dual form matrices (F, G) of the two classical approximation problems.
 
@@ -338,7 +331,7 @@ def check_claims(
             if is_float:
                 ok = tol.leq(as_float(mu[k - 1]), bound)
             else:
-                ok = _int_pow(mu[k - 1], exponent) <= d
+                ok = mu[k - 1] ** exponent <= d
             checks.append((bound, as_float(mu[k - 1]), ok))
         return finish(cid, hyp, checks)
 
@@ -355,7 +348,7 @@ def check_claims(
             ok = tol.leq(as_float(mu[1]), bound)
         else:
             s = mu[1] * mu[1]
-            ok = s <= 1 or scalar_sign(_int_pow(s, d - 1) - (d - 1) * s - 1) <= 0
+            ok = s <= 1 or scalar_sign(s ** (d - 1) - (d - 1) * s - 1) <= 0
         return finish("T7", hyp, [(bound, as_float(mu[1]), ok)],
                       witnesses=(profile.witnesses[1],))
 

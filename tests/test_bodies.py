@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -174,3 +175,8 @@ def test_parallelepiped_validation():
         Parallelepiped(Matrix([[1, 2], [2, 4]]), (Fraction(1), Fraction(1)))
     with pytest.raises(ValueError):
         Parallelepiped(Matrix.identity(2), (Fraction(1), Fraction(-1)))
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            Parallelepiped(Matrix.identity(2, kind="float"), (1.0, bad))
+        with pytest.raises(ValueError, match="finite"):
+            Parallelepiped(Matrix([[1.0, bad], [0.0, 1.0]]), (1.0, 1.0))

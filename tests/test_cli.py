@@ -10,10 +10,12 @@ from dualpiped.bodies import (
     format_lattice,
     format_parallelepiped,
 )
+from dualpiped import cli
 from dualpiped.cli import main
 from dualpiped.harness import ClaimSummary, TrialConfig, VerificationReport
 from dualpiped.cli import exit_code_for
 from dualpiped.linalg import Matrix
+from dualpiped.minima import EnumerationBudgetError
 
 
 def test_verify_json_stdout(capsys):
@@ -124,12 +126,16 @@ def test_section_command(capsys):
 
     assert main(["section", "--dim", "4", "--direction", "1,1,1"]) == 2
     assert main(["section", "--direction", "0,0"]) == 2
+    assert main(["section", "--direction", "1e999,1,1"]) == 2
 
 
 def test_section_float_direction(capsys):
     assert main(["section", "--direction", "0.8,1.0,1.0"]) == 0
     out = capsys.readouterr().out
     assert "section volume:" in out and "v_tau:" in out
+
+    assert main(["section", "--direction", "1e300,2e300,3e300,4e300,5e300,6e300"]) == 0
+    assert "v_tau: 1.31996782598" in capsys.readouterr().out
 
 
 def test_minima_command(tmp_path, capsys):
@@ -151,6 +157,22 @@ def test_minima_command(tmp_path, capsys):
     assert "mu_3 =" in capsys.readouterr().out
 
     assert main(["minima", "--body", str(tmp_path / "missing.txt")]) == 2
+
+    body_file.write_text("dimension: 2\nscalar_kind: float\nH:\n1.0,0.0\n0.0,1.0\neta: 1.0,inf\n")
+    assert main(["minima", "--body", str(body_file)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [EnumerationBudgetError("too many nodes"), OverflowError("too big")])
+def test_budget_and_overflow_errors_exit_two(monkeypatch, tmp_path, capsys, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "successive_minima", fail)
+    body_file = tmp_path / "body.txt"
+    body_file.write_text(format_parallelepiped(Parallelepiped.cube(2)))
+    assert main(["minima", "--body", str(body_file)]) == 2
+    assert str(error) in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_two():

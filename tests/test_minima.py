@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from dualpiped.bodies import Lattice, Parallelepiped
+from dualpiped import minima
+from dualpiped.bodies import Lattice, Parallelepiped, det_normalized, pseudo_compound
+from dualpiped.harness import gen_instance
 from dualpiped.linalg import Matrix
 from dualpiped.minima import (
     EnumerationBudgetError,
@@ -88,6 +90,22 @@ def test_float_mode_matches_exact_values():
     approx = successive_minima(piped.to_float(), Lattice.integers(3).to_float())
     for a, b in zip(exact.values, approx.values):
         assert float(a) == pytest.approx(b, rel=1e-12)
+
+
+def test_float_branch_search_matches_grid(monkeypatch):
+    bodies = []
+    for d in (3, 4):
+        for seed in range(8):
+            piped = gen_instance(d, seed, "random")
+            bodies += [det_normalized(piped), pseudo_compound(piped)]
+    grid = [successive_minima(body) for body in bodies]
+    # no box fits the grid, so every float search takes the branch path
+    monkeypatch.setattr(minima, "GRID_CELL_CAP", 0)
+    for body, expected in zip(bodies, grid):
+        profile = successive_minima(body)
+        assert profile.values == pytest.approx(expected.values, rel=1e-12)
+        for value, witness in zip(profile.values, profile.witnesses):
+            assert body.gauge(tuple(float(x) for x in witness)) == pytest.approx(value, rel=1e-12)
 
 
 def test_first_minimum_with_unit_start():

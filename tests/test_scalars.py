@@ -47,6 +47,7 @@ def test_quad3_arithmetic():
     y = Quad3(2, -1)
     assert x * y == Quad3(-1, 1)
     assert x * x == Quad3(4, 2)
+    assert x**3 == x * x * x and x**0 == Quad3(1)
     assert Quad3(1) / y == Quad3(2, 1)
     assert x - x == Quad3(0)
     assert -x == Quad3(-1, -1)

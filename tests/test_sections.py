@@ -97,6 +97,22 @@ def test_v_tau_frozen_and_scale_invariant():
     assert near_diag == pytest.approx(math.sqrt(2), abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "direction, unscaled",
+    [
+        ((1e-300,) * 3, (1.0,) * 3),
+        ((1e308, 1e308, 1.0), (1.0, 1.0, 1e-308)),
+        (tuple(i * 1e300 for i in range(1, 7)), tuple(float(i) for i in range(1, 7))),
+    ],
+)
+def test_float_sections_at_extreme_scales(direction, unscaled):
+    # the sums under- or overflow unless the direction is rescaled first
+    d = len(direction)
+    volume = cube_section_volume(direction, d)
+    assert volume == pytest.approx(cube_section_volume(unscaled, d), rel=1e-12)
+    assert v_tau(direction) == pytest.approx(v_tau(unscaled), rel=1e-12)
+
+
 def test_v_tau_at_degenerate_directions():
     # both extremal directions are reached exactly, not only in the limit
     assert v_tau((1, 0, 0)) == 1
