@@ -19,7 +19,7 @@ import numpy as np
 
 from .bodies import Lattice, Parallelepiped
 from .linalg import Matrix, RationalSpan
-from .scalars import Quad3, Scalar, as_float, scalar_ceil, scalar_floor, scalar_sign
+from .scalars import Scalar, as_float, scalar_ceil, scalar_floor, scalar_sign
 
 GRID_CELL_CAP = 2_000_000
 NODE_CAP = 3_000_000
@@ -28,7 +28,7 @@ REDUCTION_CELL_FLOOR = 4096
 
 
 class EnumerationBudgetError(RuntimeError):
-    """The search exceeded its node or round budget without an answer."""
+    """The search exceeded its node budget or ended without an answer."""
 
 
 def gauge_rows(piped: Parallelepiped, lattice: Lattice) -> tuple:
@@ -39,7 +39,7 @@ def gauge_rows(piped: Parallelepiped, lattice: Lattice) -> tuple:
     )
 
 
-def lattice_points_in_dilate(c_rows, mu, *, node_cap: int = NODE_CAP) -> list:
+def lattice_points_in_dilate(c_rows, mu) -> list:
     """All (gauge, k) with sup norm of (c_rows) k at most mu, k != 0.
 
     One representative per antipodal pair, sorted by (gauge, k). Exact
@@ -58,10 +58,10 @@ def lattice_points_in_dilate(c_rows, mu, *, node_cap: int = NODE_CAP) -> list:
     if _cell_count(box) > REDUCTION_CELL_FLOOR:
         u = _reduction_transform(c_rows)
         if u is not None:
-            return _points_reduced(c_rows, mu, u, is_float, node_cap)
+            return _points_reduced(c_rows, mu, u, is_float)
     if is_float and _cell_count(box) <= GRID_CELL_CAP:
         return _grid_points_float(c_rows, float(mu), box)
-    return _branch_points(c_rows, mu, box, is_float, node_cap)
+    return _branch_points(c_rows, mu, box, is_float)
 
 
 def _dilate_box(cinv: Matrix, mu, is_float: bool) -> list:
@@ -111,6 +111,25 @@ def _reduction_transform(c_rows):
     scale = 2.0 ** -math.floor(math.log2(largest))
     key = tuple(tuple(x * scale for x in row) for row in snapshot)
     return _cached_reduction(key)
+
+
+def reduced_basis(c_rows) -> list:
+    """d independent integer vectors k with short images (c_rows) k.
+
+    These are the columns of the reduction transform, or the unit vectors
+    when the rows need none; the j-th smallest gauge among them is an upper
+    bound for the j-th successive minimum.
+    """
+    d = len(c_rows)
+    u = _reduction_transform(c_rows)
+    if u is None:
+        return [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    return [tuple(u[i][j] for i in range(d)) for j in range(d)]
+
+
+def _gauge(c_rows, k) -> Scalar:
+    """Sup norm of (c_rows) k, summed left to right."""
+    return max(abs(sum(row[j] * k[j] for j in range(len(k)))) for row in c_rows)
 
 
 @lru_cache(maxsize=512)
@@ -191,7 +210,7 @@ def _lll_unimodular(cols, delta=Fraction(3, 4)):
     return u
 
 
-def _points_reduced(c_rows, mu, u, is_float: bool, node_cap: int) -> list:
+def _points_reduced(c_rows, mu, u, is_float: bool) -> list:
     """Enumerate in reduced coordinates, then map points back through u.
 
     Exact rows keep exact gauges (the change of coordinates commutes with
@@ -213,13 +232,13 @@ def _points_reduced(c_rows, mu, u, is_float: bool, node_cap: int) -> list:
     box = _dilate_box(Matrix(reduced).inverse(), radius, is_float)
     if is_float and _cell_count(box) <= GRID_CELL_CAP:
         return _grid_points_float(c_rows, float(mu), box, (reduced, radius, u))
-    raw = _branch_points(reduced, radius, box, is_float, node_cap)
+    raw = _branch_points(reduced, radius, box, is_float)
     cutoff = float(mu) + FLOAT_SLACK * max(1.0, float(mu)) if is_float else None
     out = []
     for gauge, kp in raw:
         k = tuple(sum(u[j][m] * kp[m] for m in range(d)) for j in range(d))
         if is_float:
-            gauge = max(abs(sum(row[j] * k[j] for j in range(d))) for row in c_rows)
+            gauge = _gauge(c_rows, k)
             if gauge > cutoff:
                 continue
         lead = next((x for x in k if x != 0), 0)
@@ -262,7 +281,7 @@ def _grid_points_float(c_rows, mu: float, box, reduction=None) -> list:
     return out
 
 
-def _branch_points(c_rows, mu, box, is_float: bool, node_cap: int) -> list:
+def _branch_points(c_rows, mu, box, is_float: bool) -> list:
     """Depth-first search with interval propagation; exact or float scalars."""
     d = len(c_rows)
     if is_float:
@@ -334,9 +353,9 @@ def _branch_points(c_rows, mu, box, is_float: bool, node_cap: int) -> list:
     def search(lo, hi, fixed, free) -> None:
         nonlocal nodes
         nodes += 1
-        if nodes > node_cap:
+        if nodes > NODE_CAP:
             raise EnumerationBudgetError(
-                f"enumeration exceeded {node_cap} nodes; the dilate is too large"
+                f"enumeration exceeded {NODE_CAP} nodes; the dilate is too large"
             )
         lo = list(lo)
         hi = list(hi)
@@ -388,28 +407,17 @@ class MinimaProfile:
                     raise ValueError("witnesses must be linearly independent")
 
 
-def _exact_radius(x) -> Scalar:
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (Fraction, Quad3)):
-        return x
-    raise TypeError("exact instances need an exact initial radius")
-
-
 def successive_minima(
     piped: Parallelepiped,
     lattice: Lattice | None = None,
     k_max: int | None = None,
-    *,
-    initial_radius=None,
-    max_rounds: int = 42,
-    node_cap: int = NODE_CAP,
 ) -> MinimaProfile:
     """First k_max successive minima of the lattice with respect to the body.
 
-    Enumerates a dilate, greedily extracts an independent subset in
-    (gauge, k) order, and doubles the dilate until k_max independent points
-    appear. The starting radius defaults to the Minkowski volume bound.
+    Any j independent lattice vectors bound the j-th minimum, so the k_max-th
+    smallest gauge among the reduced basis vectors sizes one dilate that holds
+    every witness. That dilate is enumerated once, and an independent subset
+    is extracted greedily in (gauge, k) order.
     """
     d = piped.dimension
     if lattice is None:
@@ -419,52 +427,27 @@ def successive_minima(
     if not 1 <= k_max <= d:
         raise ValueError("k_max must lie in 1..dimension")
     rows = gauge_rows(piped, lattice)
-    is_float = piped.kind == "float"
-    if initial_radius is None:
-        # mu_1^d vol(Pi) <= 2^d covol, so this dilate can already contain
-        # a first witness; doubling handles the rest
-        start = (
-            2**d * as_float(lattice.covolume()) / (math.factorial(d) * as_float(piped.volume()))
-        ) ** (1.0 / d)
-        radius = start if is_float else max(
-            Fraction(start).limit_denominator(1_000_000), Fraction(1, 1024)
-        )
-    else:
-        radius = float(initial_radius) if is_float else _exact_radius(initial_radius)
-    for _ in range(max_rounds):
-        points = lattice_points_in_dilate(rows, radius, node_cap=node_cap)
-        span = RationalSpan(d)
-        values = []
-        witnesses = []
-        for gauge, k in points:
-            if span.add(k):
-                values.append(gauge)
-                witnesses.append(k)
-                if len(values) == k_max:
-                    return MinimaProfile(tuple(values), tuple(witnesses))
-        radius = radius * 2
+    radius = sorted(_gauge(rows, k) for k in reduced_basis(rows))[k_max - 1]
+    if isinstance(radius, float):
+        # far inside the enumerator's slack; covers the rounding of this gauge
+        radius *= 1.0 + 1e-12
+    span = RationalSpan(d)
+    values = []
+    witnesses = []
+    for gauge, k in lattice_points_in_dilate(rows, radius):
+        if span.add(k):
+            values.append(gauge)
+            witnesses.append(k)
+            if len(values) == k_max:
+                return MinimaProfile(tuple(values), tuple(witnesses))
     raise EnumerationBudgetError(
-        f"fewer than {k_max} independent lattice points found in {max_rounds} rounds"
+        f"fewer than {k_max} independent lattice points found within the reduced-basis bound"
     )
 
 
-def first_minimum(
-    piped: Parallelepiped,
-    lattice: Lattice | None = None,
-    *,
-    initial_radius=None,
-    max_rounds: int = 42,
-    node_cap: int = NODE_CAP,
-):
+def first_minimum(piped: Parallelepiped, lattice: Lattice | None = None):
     """The first minimum and one witness coefficient vector."""
-    profile = successive_minima(
-        piped,
-        lattice,
-        1,
-        initial_radius=initial_radius,
-        max_rounds=max_rounds,
-        node_cap=node_cap,
-    )
+    profile = successive_minima(piped, lattice, 1)
     return profile.values[0], profile.witnesses[0]
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .bodies import Parallelepiped
 from .linalg import Matrix
-from .minima import EnumerationBudgetError, lattice_points_in_dilate
+from .minima import lattice_points_in_dilate, reduced_basis
 from .scalars import Quad3, Scalar, scalar_sign, sqrt_exact
 
 # relative size under which the alternating sum is recomputed exactly
@@ -87,21 +87,22 @@ def _split_direction(a, d: int):
     return entries, parts, is_float
 
 
-def _in_float_range(parts: list) -> list:
-    """Float parts, scaled by a power of two when the sums would leave the range.
+def _in_float_range(parts: list) -> tuple:
+    """Float parts scaled by 2^-e when the sums would leave the range, and e.
 
     With n parts, the largest of binary exponent e, every term and product of
     the formula lies within 2^(+-n(|e| + log2 n + 1)). Directions inside the
-    room are left alone, since float powers need not scale exactly; parts
-    that underflow to zero after scaling are dropped like zero coordinates.
+    room are left alone (e = 0), since float powers need not scale exactly;
+    parts that underflow to zero after scaling are dropped like zero
+    coordinates.
     """
     n = len(parts)
     e = math.frexp(max(parts))[1]
     # a room of 2^(+-1000) keeps the guard's 1e-7 above the smallest normal
     if n * (abs(e) + n.bit_length() + 1) <= 1000:
-        return parts
+        return parts, 0
     scaled = (math.ldexp(x, -e) for x in parts)
-    return [x for x in scaled if x > 0.0]
+    return [x for x in scaled if x > 0.0], e
 
 
 def _sqrt_exact_or_quad(x):
@@ -119,7 +120,7 @@ def cube_section_volume(a: Sequence[Scalar], d: int) -> Scalar:
     """
     _, parts, is_float = _split_direction(a, d)
     if is_float:
-        parts = _in_float_range(parts)
+        parts, _ = _in_float_range(parts)
     zeros = d - len(parts)
     if len(parts) == 1:
         # the section is a facet-parallel slice
@@ -192,19 +193,25 @@ def v_tau_squared(tau: Sequence[Scalar]) -> Scalar:
     return norm2 * ratio * ratio * Fraction(4**zeros, 4 ** (d - 1))
 
 
-def _wedge_gauge(w, d: int) -> Scalar:
-    """Gauge of the section-dual of the cube at w; rational in the entries."""
+def _wedge_gauge(w) -> Scalar:
+    """Gauge of the section-dual of the cube at w; rational in the entries.
+
+    The gauge is homogeneous of degree one, so a float direction rescaled
+    into range has its gauge scaled back by the same power of two.
+    """
     is_float = any(isinstance(x, float) for x in w)
     parts = [abs(x) for x in w if scalar_sign(x) != 0]
     if not parts:
         return 0.0 if is_float else Fraction(0)
-    if len(parts) == 1:
-        return parts[0]
-    zeros = d - len(parts)
-    ratio = _section_ratio(parts, is_float)
+    e = 0
     if is_float:
-        return 2.0 ** (d - 1 - zeros) / ratio
-    return Fraction(2 ** (d - 1 - zeros)) / ratio
+        parts, e = _in_float_range(parts)
+    if len(parts) == 1:
+        gauge = parts[0]
+    else:
+        two = 2.0 if is_float else Fraction(2)
+        gauge = two ** (len(parts) - 1) / _section_ratio(parts, is_float)
+    return math.ldexp(gauge, e) if e else gauge
 
 
 def section_dual_gauge(piped: Parallelepiped, z: Sequence[Scalar]) -> Scalar:
@@ -214,26 +221,21 @@ def section_dual_gauge(piped: Parallelepiped, z: Sequence[Scalar]) -> Scalar:
     w = A^T z / det A and measured against the section-dual of the cube.
     Exact kinds return exact values; membership in the body is gauge <= 1.
     """
-    d = piped.dimension
     a = piped.forms.inverse().matmul(Matrix.diagonal(piped.bounds))
     det = a.det()
     w = tuple(x / det for x in a.transpose().matvec(tuple(z)))
-    return _wedge_gauge(w, d)
+    return _wedge_gauge(w)
 
 
-def first_minimum_section_dual(
-    piped: Parallelepiped,
-    *,
-    max_rounds: int = 42,
-    node_cap: int = 3_000_000,
-) -> Scalar:
+def first_minimum_section_dual(piped: Parallelepiped) -> Scalar:
     """Minimum section-dual gauge over nonzero integer points; d <= 6.
 
-    Enumeration is complete because the gauge dominates the sup norm of
-    w = A^T z / det A (every central section is a graph over the facet
-    hyperplane of its largest coefficient, so the section volume is at most
-    2^{d-1} |w| / max|w_i|); a doubling sup-norm box finds a first candidate
-    and one final box of that gauge radius settles the minimum.
+    The gauge dominates the sup norm of w = A^T z / det A (every central
+    section is a graph over the facet hyperplane of its largest coefficient,
+    so the section volume is at most 2^{d-1} |w| / max|w_i|). Hence the
+    sup-norm box whose radius is the smallest gauge among the reduced basis
+    vectors holds every minimizer, and one enumeration of it settles the
+    minimum.
     """
     d = piped.dimension
     if not 2 <= d <= 6:
@@ -242,27 +244,9 @@ def first_minimum_section_dual(
     det = a.det()
     c_rows = tuple(tuple(x / det for x in row) for row in a.transpose().rows)
     cmat = Matrix(c_rows)
-    is_float = piped.kind == "float"
-    start = abs(float(det)) ** ((1 - d) / d)
-    if is_float:
-        radius = start
-    else:
-        radius = max(Fraction(start).limit_denominator(1_000_000), Fraction(1, 1024))
-    points: list = []
-    for _ in range(max_rounds):
-        points = lattice_points_in_dilate(c_rows, radius, node_cap=node_cap)
-        if points:
-            break
-        radius = radius * 2
-    if not points:
-        raise EnumerationBudgetError(
-            f"no integer point found within {max_rounds} doublings"
-        )
-    best = min(_wedge_gauge(cmat.matvec(k), d) for _, k in points)
-    if best > radius:
-        points = lattice_points_in_dilate(c_rows, best, node_cap=node_cap)
-        best = min(_wedge_gauge(cmat.matvec(k), d) for _, k in points)
-    return best
+    radius = min(_wedge_gauge(cmat.matvec(k)) for k in reduced_basis(c_rows))
+    points = lattice_points_in_dilate(c_rows, radius)
+    return min(_wedge_gauge(cmat.matvec(k)) for _, k in points)
 
 
 def monte_carlo_section_volume(

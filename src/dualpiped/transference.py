@@ -245,7 +245,6 @@ def check_claims(
     rng: random.Random | None = None,
     tau_samples: int = 8,
     directions: Sequence[Sequence[float]] | None = None,
-    node_cap: int = 3_000_000,
 ) -> list:
     """Evaluate the requested claims on one parallelepiped against Z^d.
 
@@ -268,8 +267,8 @@ def check_claims(
     body = det_normalized(piped)
     star = pseudo_compound(body)
     is_float = body.kind == "float"
-    profile = successive_minima(body, node_cap=node_cap)
-    profile_star = successive_minima(star, node_cap=node_cap)
+    profile = successive_minima(body)
+    profile_star = successive_minima(star)
     mu = profile.values
     mu_star = profile_star.values
     vol = body.volume()
@@ -376,7 +375,7 @@ def check_claims(
                 return ClaimReport(cid, "skip", None, None, None,
                                    "tau normalization left the float range", ())
             shifted = apply_hyperbolic(float_body, tau)
-            value, witness = first_minimum(shifted, initial_radius=1.0, node_cap=node_cap)
+            value, witness = first_minimum(shifted)
             ok = tol.leq(float(value), 1.0)
             checks.append((1.0, float(value), ok))
             if not ok:
@@ -400,7 +399,7 @@ def check_claims(
         if d > 6:
             return ClaimReport("WM", "skip", None, None, None,
                                "section-dual enumeration supports dimensions 2 through 6", ())
-        wedge_min = first_minimum_section_dual(body, node_cap=node_cap)
+        wedge_min = first_minimum_section_dual(body)
         hyp = leq(wedge_min, 1)
         product = Fraction(1)
         for value in mu[: d - 1]:

@@ -2,7 +2,18 @@
 import itertools
 from fractions import Fraction
 
-from dualpiped.linalg import RationalSpan
+from dualpiped.linalg import Matrix, RationalSpan
+
+
+def random_unimodular(rng, d, ops=None):
+    """Integer matrix of determinant one from `ops` random row additions."""
+    m = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    for _ in range(ops if ops is not None else 3 * d):
+        i, j = rng.sample(range(d), 2)
+        c = rng.randint(-2, 2)
+        for col in range(d):
+            m[i][col] += c * m[j][col]
+    return Matrix(m)
 
 
 def gauges_in_box(piped, lattice, box):

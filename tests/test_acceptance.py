@@ -25,17 +25,7 @@ from dualpiped.sections import (
 from dualpiped.transference import ALL_CLAIMS, c_d, hyperbolic_map, khintchine_pair, t2_root
 from dualpiped.witness import sharpness_report
 
-from oracle_utils import brute_force_minima
-
-
-def _random_unimodular(rng, d, ops=None):
-    m = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for _ in range(ops if ops is not None else 3 * d):
-        i, j = rng.sample(range(d), 2)
-        c = rng.randint(-2, 2)
-        for col in range(d):
-            m[i][col] += c * m[j][col]
-    return Matrix(m)
+from oracle_utils import brute_force_minima, random_unimodular
 
 
 def test_witness_minima_exact_at_one_half():
@@ -142,13 +132,13 @@ def test_structural_identities_exact():
     rng = random.Random(12321)
     for _ in range(100):
         d = rng.randint(2, 5)
-        lat = Lattice(_random_unimodular(rng, d))
+        lat = Lattice(random_unimodular(rng, d))
         assert dual_lattice(dual_lattice(lat)).basis == lat.basis
 
     for _ in range(100):
         d = rng.randint(3, 5)
         eta = tuple(Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(d))
-        piped = Parallelepiped(_random_unimodular(rng, d), eta)
+        piped = Parallelepiped(random_unimodular(rng, d), eta)
         twice = pseudo_compound(pseudo_compound(piped))
         factor = Fraction(1)
         for e in eta:
@@ -159,7 +149,7 @@ def test_structural_identities_exact():
 
     for _ in range(100):
         d = rng.randint(2, 5)
-        h = _random_unimodular(rng, d)
+        h = random_unimodular(rng, d)
         eta = tuple(Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(d))
         piped = Parallelepiped(h, eta)
         tau = tuple(Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(d))

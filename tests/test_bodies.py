@@ -17,15 +17,7 @@ from dualpiped.bodies import (
 from dualpiped.linalg import Matrix
 from dualpiped.scalars import Quad3, SQRT3
 
-
-def _random_unimodular(rng, d, ops=None):
-    m = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for _ in range(ops if ops is not None else 3 * d):
-        i, j = rng.sample(range(d), 2)
-        c = rng.randint(-2, 2)
-        for col in range(d):
-            m[i][col] += c * m[j][col]
-    return Matrix(m)
+from oracle_utils import random_unimodular
 
 
 def test_lattice_covolume_and_dual_of_integers():
@@ -38,7 +30,7 @@ def test_dual_lattice_gram_identity():
     rng = random.Random(5)
     for _ in range(20):
         d = rng.randint(2, 5)
-        lat = Lattice(_random_unimodular(rng, d))
+        lat = Lattice(random_unimodular(rng, d))
         dual = dual_lattice(lat)
         gram = lat.basis.transpose().matmul(dual.basis)
         assert gram == Matrix.identity(d)
@@ -48,7 +40,7 @@ def test_dual_lattice_involution():
     rng = random.Random(9)
     for _ in range(20):
         d = rng.randint(2, 4)
-        lat = Lattice(_random_unimodular(rng, d))
+        lat = Lattice(random_unimodular(rng, d))
         back = dual_lattice(dual_lattice(lat))
         assert back.basis == lat.basis
 
@@ -87,7 +79,7 @@ def test_volume():
     rng = random.Random(13)
     for _ in range(20):
         d = rng.randint(2, 4)
-        h = _random_unimodular(rng, d)
+        h = random_unimodular(rng, d)
         eta = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(d))
         piped = Parallelepiped(h, eta)
         # independent oracle: volume = |det| of the edge matrix 2 H^-1 diag(eta)
@@ -128,7 +120,7 @@ def test_pseudo_compound_scaled_involution():
     rng = random.Random(21)
     for _ in range(100):
         d = rng.randint(3, 5)
-        h = _random_unimodular(rng, d)
+        h = random_unimodular(rng, d)
         eta = tuple(Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(d))
         piped = Parallelepiped(h, eta)
         twice = pseudo_compound(pseudo_compound(piped))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dualpiped import minima
+from dualpiped import minima, sections
 from dualpiped.bodies import Lattice, Parallelepiped, det_normalized, pseudo_compound
 from dualpiped.harness import gen_instance
 from dualpiped.linalg import Matrix
@@ -15,6 +15,7 @@ from dualpiped.minima import (
     successive_minima,
 )
 from dualpiped.scalars import Quad3, SQRT3
+from dualpiped.witness import build_witness
 
 from oracle_utils import brute_force_minima
 
@@ -110,9 +111,48 @@ def test_float_branch_search_matches_grid(monkeypatch):
 
 def test_first_minimum_with_unit_start():
     piped = Parallelepiped.cube(3)
-    value, witness = first_minimum(piped, Lattice.integers(3), initial_radius=Fraction(1))
+    value, witness = first_minimum(piped, Lattice.integers(3))
     assert value == 1
     assert witness in {(0, 0, 1), (0, 1, 0), (1, 0, 0)}
+
+
+def test_each_search_enumerates_once(monkeypatch):
+    # the reduced basis sizes one dilate that already holds every witness
+    calls = []
+
+    def counting(c_rows, mu):
+        calls.append(mu)
+        return lattice_points_in_dilate(c_rows, mu)
+
+    monkeypatch.setattr(minima, "lattice_points_in_dilate", counting)
+    monkeypatch.setattr(sections, "lattice_points_in_dilate", counting)
+
+    def enumerations(search) -> int:
+        calls.clear()
+        search()
+        return len(calls)
+
+    bodies = []
+    for d, mode in ((3, "float"), (4, "float"), (5, "float"), (3, "exact")):
+        for seed in range(4):
+            piped = gen_instance(d, seed, "random", mode=mode)
+            bodies += [det_normalized(piped), pseudo_compound(piped)]
+    for body in bodies:
+        assert enumerations(lambda: successive_minima(body)) == 1
+    w = build_witness(Fraction(1, 2))
+    for body, lattice, k_max in (
+        (w.body, w.lattice1, 1),
+        (w.body, w.lattice2, 2),
+        (w.dual_body, w.dual_lattice1, 1),
+        (w.dual_body, w.dual_lattice2, 1),
+        (w.z3_body_1, None, 2),
+        (w.z3_body_2, None, 2),
+        (pseudo_compound(w.z3_body_1), None, 1),
+        (pseudo_compound(w.z3_body_2), None, 1),
+    ):
+        assert enumerations(lambda: successive_minima(body, lattice, k_max)) == 1
+    for body in bodies[::4] + [Parallelepiped.cube(3), w.z3_body_1]:
+        assert enumerations(lambda: sections.first_minimum_section_dual(body)) == 1
 
 
 def test_lattice_points_in_dilate_canonical_reps():
@@ -126,10 +166,13 @@ def test_lattice_points_in_dilate_canonical_reps():
         assert g <= 1
 
 
-def test_budget_error():
-    piped = Parallelepiped.cube(2)
-    with pytest.raises(EnumerationBudgetError):
-        successive_minima(piped, Lattice.integers(2), max_rounds=0)
+def test_budget_error(monkeypatch):
+    # no box fits the grid and the branch search may visit a single node
+    monkeypatch.setattr(minima, "GRID_CELL_CAP", 0)
+    monkeypatch.setattr(minima, "NODE_CAP", 1)
+    for piped in (Parallelepiped.cube(2), Parallelepiped.cube(2, kind="float")):
+        with pytest.raises(EnumerationBudgetError):
+            successive_minima(piped)
 
 
 def test_orthogonal_sublattice_frozen_cases():

@@ -17,15 +17,7 @@ from dualpiped.sections import (
 )
 from dualpiped.scalars import Quad3
 
-
-def _random_unimodular(rng, d, ops=None):
-    m = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for _ in range(ops if ops is not None else 3 * d):
-        i, j = rng.sample(range(d), 2)
-        c = rng.randint(-2, 2)
-        for col in range(d):
-            m[i][col] += c * m[j][col]
-    return Matrix(m)
+from oracle_utils import random_unimodular
 
 
 def test_cube_section_frozen_values():
@@ -103,6 +95,7 @@ def test_v_tau_frozen_and_scale_invariant():
         ((1e-300,) * 3, (1.0,) * 3),
         ((1e308, 1e308, 1.0), (1.0, 1.0, 1e-308)),
         (tuple(i * 1e300 for i in range(1, 7)), tuple(float(i) for i in range(1, 7))),
+        ((1e300,) * 6, (1.0,) * 6),
     ],
 )
 def test_float_sections_at_extreme_scales(direction, unscaled):
@@ -111,6 +104,12 @@ def test_float_sections_at_extreme_scales(direction, unscaled):
     volume = cube_section_volume(direction, d)
     assert volume == pytest.approx(cube_section_volume(unscaled, d), rel=1e-12)
     assert v_tau(direction) == pytest.approx(v_tau(unscaled), rel=1e-12)
+    # the section-dual gauge of the cube is homogeneous of degree one
+    cube = Parallelepiped.cube(d, kind="float")
+    gauge = section_dual_gauge(cube, direction)
+    assert math.isfinite(gauge)
+    scale = direction[0] / unscaled[0]
+    assert gauge == pytest.approx(section_dual_gauge(cube, unscaled) * scale, rel=1e-12)
 
 
 def test_v_tau_at_degenerate_directions():
@@ -171,10 +170,10 @@ def test_section_dual_gauge_transform_equivariance():
     rng = random.Random(29)
     for _ in range(20):
         d = rng.randint(2, 4)
-        h = _random_unimodular(rng, d)
+        h = random_unimodular(rng, d)
         eta = tuple(Fraction(rng.randint(1, 4), rng.randint(1, 3)) for _ in range(d))
         piped = Parallelepiped(h, eta)
-        u = _random_unimodular(rng, d)
+        u = random_unimodular(rng, d)
         z = tuple(Fraction(rng.randint(-5, 5)) for _ in range(d))
         moved = piped.apply_linear(u)
         z_moved = u.cofactor().matvec(z)
@@ -219,7 +218,7 @@ def test_first_minimum_section_dual_matches_brute_force():
 
     rng = random.Random(61)
     for _ in range(10):
-        h = _random_unimodular(rng, 3, ops=4)
+        h = random_unimodular(rng, 3, ops=4)
         eta = tuple(Fraction(rng.randint(2, 5), rng.randint(2, 4)) for _ in range(3))
         piped = Parallelepiped(h, eta)
         value = first_minimum_section_dual(piped)

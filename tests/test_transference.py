@@ -23,15 +23,7 @@ from dualpiped.transference import (
     tau_vertex,
 )
 
-
-def _random_unimodular(rng, d, ops=None):
-    m = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-    for _ in range(ops if ops is not None else 3 * d):
-        i, j = rng.sample(range(d), 2)
-        c = rng.randint(-2, 2)
-        for col in range(d):
-            m[i][col] += c * m[j][col]
-    return Matrix(m)
+from oracle_utils import random_unimodular
 
 
 def test_khintchine_pair_frozen():
@@ -79,7 +71,7 @@ def test_hyperbolic_map_frozen_and_conjugation():
     rng = random.Random(23)
     for _ in range(15):
         d = rng.randint(2, 4)
-        h = _random_unimodular(rng, d)
+        h = random_unimodular(rng, d)
         eta = tuple(Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(d))
         piped = Parallelepiped(h, eta)
         t = Fraction(rng.randint(1, 7), rng.randint(1, 3))
@@ -96,7 +88,7 @@ def test_apply_hyperbolic_matches_linear_action():
     rng = random.Random(37)
     for _ in range(10):
         d = rng.randint(2, 4)
-        h = _random_unimodular(rng, d)
+        h = random_unimodular(rng, d)
         eta = tuple(Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(d))
         piped = Parallelepiped(h, eta)
         tau = tuple(Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(d))
@@ -228,7 +220,7 @@ def test_check_claims_random_exact_instances():
     rng = random.Random(69)
     hypothesis_hits = 0
     for _ in range(12):
-        h = _random_unimodular(rng, 3, ops=5)
+        h = random_unimodular(rng, 3, ops=5)
         eta = tuple(Fraction(rng.randint(2, 6), rng.randint(1, 2)) for _ in range(3))
         piped = Parallelepiped(h, eta)
         reports = check_claims(
@@ -245,7 +237,7 @@ def test_implication_chain_consistency():
     checked = 0
     for _ in range(30):
         d = 3
-        h = _random_unimodular(rng, d, ops=5)
+        h = random_unimodular(rng, d, ops=5)
         eta = tuple(Fraction(rng.randint(2, 5)) for _ in range(d))
         piped = Parallelepiped(h, eta)
         star = pseudo_compound(piped)
