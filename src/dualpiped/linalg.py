@@ -1,10 +1,12 @@
 """Small dense matrices over one scalar kind, plus bracketed root finding.
 
 Exact kinds use fraction-free (Bareiss) elimination for determinants and
-plain field operations elsewhere; the float kind gets partial pivoting.
+in the rank tracker `RationalSpan`, which works in Python ints, and plain
+field operations for inverses; the float kind gets partial pivoting.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -230,7 +232,14 @@ def _gauss_jordan_float(m):
 
 
 class RationalSpan:
-    """Incremental exact rank tracker for vectors over Q or Q(sqrt3)."""
+    """Incremental exact rank tracker for rational vectors.
+
+    Each vector is scaled to integers on entry and reduced fraction-free
+    against the stored rows (Bareiss 1968): r <- p r - a row for the pivot p
+    of a row and the entry a of r under it, then r is divided by its gcd.
+    Every stored row is a nonzero multiple of the row that elimination over
+    the field would store, so the same vectors are accepted.
+    """
 
     def __init__(self, dim: int) -> None:
         self.dim = dim
@@ -240,17 +249,20 @@ class RationalSpan:
     def rank(self) -> int:
         return len(self._reduced)
 
-    def add(self, vec: Sequence[Scalar]) -> bool:
+    def add(self, vec: Sequence[int | Fraction]) -> bool:
         """Add vec if it enlarges the span; return whether it did."""
-        r = [_normalize_entry(x) for x in vec]
+        scale = math.lcm(*(x.denominator for x in vec))
+        r = [x.numerator * (scale // x.denominator) for x in vec]
         for piv, row in self._reduced:
-            if r[piv]:
-                f = r[piv] / row[piv]
-                r = [a - f * b for a, b in zip(r, row)]
+            a = r[piv]
+            if a:
+                p = row[piv]
+                r = [p * x - a * y for x, y in zip(r, row)]
         piv = next((i for i, x in enumerate(r) if x), None)
         if piv is None:
             return False
-        self._reduced.append((piv, r))
+        g = math.gcd(*r)
+        self._reduced.append((piv, [x // g for x in r]))
         return True
 
 

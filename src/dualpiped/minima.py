@@ -142,67 +142,74 @@ def _cached_reduction(snapshot):
     return _lll_unimodular(cols)
 
 
-def _lll_unimodular(cols, delta=Fraction(3, 4)):
+def _lll_unimodular(cols):
     """Track the column operations of an exact LLL pass over rational columns.
 
     Returns the transform as row-major integer tuples, or None when the
-    columns are degenerate or already reduced. Exact arithmetic guarantees
-    the swap condition never flip-flops on rounding noise; a wrong or weak
-    transform could only slow the search down, never change its answer,
-    because callers re-derive every box and gauge from the transformed rows.
+    columns are degenerate or already reduced. This is the integral LLL of
+    Cohen (A Course in Computational Algebraic Number Theory, Alg. 2.6.7)
+    with delta = 3/4, run in the order of the textbook rational pass: size
+    reduction from j = k - 1 down to 0 before each Lovasz test. Scaling
+    every column by the lcm D of the denominators is one positive factor: it
+    leaves every mu_ij as it is and multiplies both sides of every Lovasz
+    test by D^2. The Gram determinants d_i and the numerators
+    lambda_ij = d_(j+1) mu_ij are then exact integers (every division below
+    is exact), q rounds half to even as round() does on a Fraction, and each
+    test is the rational one with its denominators cleared. So the transform
+    is the one that the same pass in Fraction arithmetic computes, step for
+    step. A wrong or weak transform could only slow the search down, never
+    change its answer, because callers re-derive every box and gauge from
+    the transformed rows.
     """
     n = len(cols)
-    b = [list(c) for c in cols]
+    scale = math.lcm(*(x.denominator for c in cols for x in c))
+    b = [[x.numerator * (scale // x.denominator) for x in c] for c in cols]
     u_cols = [[int(i == j) for i in range(n)] for j in range(n)]
 
-    # one exact Gram-Schmidt pass; swaps later update it in place
-    bstar: list = []
-    mus = [[Fraction(0)] * n for _ in range(n)]
-    norms: list = []
-    for i in range(n):
-        v = list(b[i])
-        for j in range(i):
-            if norms[j] == 0:
+    # integral Gram-Schmidt; the basis itself is not read again
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            acc = sum(p * q for p, q in zip(b[k], b[j]))
+            for i in range(j):
+                acc = (d[i + 1] * acc - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = acc
+            elif acc == 0:
                 return None
-            m = sum(p * q for p, q in zip(b[i], bstar[j])) / norms[j]
-            mus[i][j] = m
-            v = [p - m * q for p, q in zip(v, bstar[j])]
-        bstar.append(v)
-        norms.append(sum(p * p for p in v))
-    if norms[-1] == 0:
-        return None
+            else:
+                d[k + 1] = acc
 
     k = 1
     steps = 0
     while k < n and steps < 10_000:
         steps += 1
+        row = lam[k]
         for j in range(k - 1, -1, -1):
-            q = round(mus[k][j])
+            # round(lam / d) with ties to even, as round() does on a Fraction
+            q, r = divmod(row[j], d[j + 1])
+            if 2 * r > d[j + 1] or (2 * r == d[j + 1] and q & 1):
+                q += 1
             if q:
-                b[k] = [p - q * r for p, r in zip(b[k], b[j])]
-                u_cols[k] = [p - q * r for p, r in zip(u_cols[k], u_cols[j])]
+                u_cols[k] = [p - q * s for p, s in zip(u_cols[k], u_cols[j])]
                 for i in range(j):
-                    mus[k][i] -= q * mus[j][i]
-                mus[k][j] -= q
-        if norms[k] >= (delta - mus[k][k - 1] ** 2) * norms[k - 1]:
+                    row[i] -= q * lam[j][i]
+                row[j] -= q * d[j + 1]
+        lk = row[k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lk * lk:
             k += 1
         else:
-            b[k], b[k - 1] = b[k - 1], b[k]
+            # the swap keeps lam[k][k - 1]; it moves d[k] and the later rows
             u_cols[k], u_cols[k - 1] = u_cols[k - 1], u_cols[k]
-            # constant-size update of the orthogonalization state
-            mu_old = mus[k][k - 1]
-            norm_up = norms[k] + mu_old * mu_old * norms[k - 1]
-            if norm_up == 0:
-                return None
-            mus[k][k - 1] = mu_old * norms[k - 1] / norm_up
-            norms[k] = norms[k - 1] * norms[k] / norm_up
-            norms[k - 1] = norm_up
             for j in range(k - 1):
-                mus[k][j], mus[k - 1][j] = mus[k - 1][j], mus[k][j]
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            swapped = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
             for i in range(k + 1, n):
-                t = mus[i][k]
-                mus[i][k] = mus[i][k - 1] - mu_old * t
-                mus[i][k - 1] = t + mus[k][k - 1] * mus[i][k]
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (swapped * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = swapped
             k = max(k - 1, 1)
     u = tuple(tuple(u_cols[m][j] for m in range(n)) for j in range(n))
     if all(u[i][j] == (i == j) for i in range(n) for j in range(n)):
@@ -403,7 +410,7 @@ class MinimaProfile:
         if self.witnesses:
             span = RationalSpan(len(self.witnesses[0]))
             for w in self.witnesses:
-                if not span.add([Fraction(x) for x in w]):
+                if not span.add(w):
                     raise ValueError("witnesses must be linearly independent")
 
 

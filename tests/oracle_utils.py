@@ -44,3 +44,91 @@ def brute_force_minima(piped, lattice, k_max, box=6):
             if len(values) == k_max:
                 break
     return values, witnesses
+
+
+def fraction_rank(rows):
+    """Rank of rational row vectors by plain Gauss-Jordan elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col] / m[rank][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def fraction_lll_unimodular(cols, delta=Fraction(3, 4)):
+    """Track the column operations of an exact LLL pass over rational columns.
+
+    The Fraction pass that the integral `minima._lll_unimodular` replaced,
+    its code unchanged, kept as the reference the integral pass must match.
+
+    Returns the transform as row-major integer tuples, or None when the
+    columns are degenerate or already reduced. Exact arithmetic guarantees
+    the swap condition never flip-flops on rounding noise; a wrong or weak
+    transform could only slow the search down, never change its answer,
+    because callers re-derive every box and gauge from the transformed rows.
+    """
+    n = len(cols)
+    b = [list(c) for c in cols]
+    u_cols = [[int(i == j) for i in range(n)] for j in range(n)]
+
+    # one exact Gram-Schmidt pass; swaps later update it in place
+    bstar: list = []
+    mus = [[Fraction(0)] * n for _ in range(n)]
+    norms: list = []
+    for i in range(n):
+        v = list(b[i])
+        for j in range(i):
+            if norms[j] == 0:
+                return None
+            m = sum(p * q for p, q in zip(b[i], bstar[j])) / norms[j]
+            mus[i][j] = m
+            v = [p - m * q for p, q in zip(v, bstar[j])]
+        bstar.append(v)
+        norms.append(sum(p * p for p in v))
+    if norms[-1] == 0:
+        return None
+
+    k = 1
+    steps = 0
+    while k < n and steps < 10_000:
+        steps += 1
+        for j in range(k - 1, -1, -1):
+            q = round(mus[k][j])
+            if q:
+                b[k] = [p - q * r for p, r in zip(b[k], b[j])]
+                u_cols[k] = [p - q * r for p, r in zip(u_cols[k], u_cols[j])]
+                for i in range(j):
+                    mus[k][i] -= q * mus[j][i]
+                mus[k][j] -= q
+        if norms[k] >= (delta - mus[k][k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            u_cols[k], u_cols[k - 1] = u_cols[k - 1], u_cols[k]
+            # constant-size update of the orthogonalization state
+            mu_old = mus[k][k - 1]
+            norm_up = norms[k] + mu_old * mu_old * norms[k - 1]
+            if norm_up == 0:
+                return None
+            mus[k][k - 1] = mu_old * norms[k - 1] / norm_up
+            norms[k] = norms[k - 1] * norms[k] / norm_up
+            norms[k - 1] = norm_up
+            for j in range(k - 1):
+                mus[k][j], mus[k - 1][j] = mus[k - 1][j], mus[k][j]
+            for i in range(k + 1, n):
+                t = mus[i][k]
+                mus[i][k] = mus[i][k - 1] - mu_old * t
+                mus[i][k - 1] = t + mus[k][k - 1] * mus[i][k]
+            k = max(k - 1, 1)
+    u = tuple(tuple(u_cols[m][j] for m in range(n)) for j in range(n))
+    if all(u[i][j] == (i == j) for i in range(n) for j in range(n)):
+        return None
+    return u

@@ -7,6 +7,8 @@ import pytest
 from dualpiped.linalg import Matrix, RationalSpan, monotone_root
 from dualpiped.scalars import Quad3, SQRT3
 
+from oracle_utils import fraction_rank
+
 
 def _random_exact_matrix(rng, d, lo=-5, hi=5):
     return Matrix([[Fraction(rng.randint(lo, hi)) for _ in range(d)] for _ in range(d)])
@@ -123,6 +125,36 @@ def test_rational_span_tracks_independence():
     assert not span.add((3, 5, 0))
     assert span.add((0, 0, -1))
     assert span.rank == 3
+
+
+def test_rational_span_matches_fraction_rank():
+    rng = random.Random(77)
+    for trial in range(300):
+        d = rng.randint(2, 6)
+        exact = trial % 2 == 1
+
+        def entry():
+            if exact:
+                return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+            return rng.randint(-4, 4)
+
+        span = RationalSpan(d)
+        kept = []
+        for _ in range(2 * d + 2):
+            roll = rng.random()
+            if kept and roll < 0.4:
+                # a combination of accepted vectors: dependent by construction
+                coeffs = [entry() for _ in kept]
+                vec = [sum(c * v[i] for c, v in zip(coeffs, kept)) for i in range(d)]
+            elif roll < 0.45:
+                vec = [0 * entry()] * d
+            else:
+                vec = [entry() for _ in range(d)]
+            expected = fraction_rank(kept + [vec]) > len(kept)
+            assert span.add(tuple(vec)) == expected
+            if expected:
+                kept.append(vec)
+            assert span.rank == len(kept)
 
 
 def test_monotone_root_float():

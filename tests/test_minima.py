@@ -17,7 +17,7 @@ from dualpiped.minima import (
 from dualpiped.scalars import Quad3, SQRT3
 from dualpiped.witness import build_witness
 
-from oracle_utils import brute_force_minima
+from oracle_utils import brute_force_minima, fraction_lll_unimodular
 
 
 def test_cube_minima_are_all_one():
@@ -153,6 +153,53 @@ def test_each_search_enumerates_once(monkeypatch):
         assert enumerations(lambda: successive_minima(body, lattice, k_max)) == 1
     for body in bodies[::4] + [Parallelepiped.cube(3), w.z3_body_1]:
         assert enumerations(lambda: sections.first_minimum_section_dual(body)) == 1
+
+
+def test_integral_lll_matches_fraction_reference(monkeypatch):
+    inputs = []
+
+    def recording(cols):
+        inputs.append(cols)
+        return lll(cols)
+
+    lll = minima._lll_unimodular
+    monkeypatch.setattr(minima, "_lll_unimodular", recording)
+    minima._cached_reduction.cache_clear()
+    searches = []
+    for d, mode, seeds in [(d, "float", range(6)) for d in (2, 3, 4, 5, 6)] + [(3, "exact", range(12))]:
+        lattice = Lattice.integers(d, kind="float" if mode == "float" else "rational")
+        for seed in seeds:
+            piped = gen_instance(d, seed, "random", mode=mode)
+            for body in (piped, det_normalized(piped)):
+                searches += [(body, lattice), (pseudo_compound(body), lattice)]
+    for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)):
+        w = build_witness(eps)
+        integers = Lattice.integers(3)
+        searches += [
+            (w.body, w.lattice1),
+            (w.body, w.lattice2),
+            (w.dual_body, w.dual_lattice1),
+            (w.dual_body, w.dual_lattice2),
+            (w.z3_body_1, integers),
+            (w.z3_body_2, integers),
+            (pseudo_compound(w.z3_body_1), integers),
+            (pseudo_compound(w.z3_body_2), integers),
+        ]
+    for body, lattice in searches:
+        minima.reduced_basis(minima.gauge_rows(body, lattice))
+    assert len(inputs) > 150
+    # small dyadic entries hit exact half-integer mu (round-half-even ties)
+    # and singular column sets
+    rng = random.Random(2026)
+    for _ in range(2400):
+        n = rng.randint(2, 5)
+        inputs.append(
+            [[Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4))) for _ in range(n)] for _ in range(n)]
+        )
+    results = [lll(cols) for cols in inputs]
+    assert results == [fraction_lll_unimodular(cols) for cols in inputs]
+    assert sum(u is None for u in results) > 50
+    assert sum(u is not None for u in results) > 1000
 
 
 def test_lattice_points_in_dilate_canonical_reps():
