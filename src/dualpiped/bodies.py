@@ -45,6 +45,8 @@ class Lattice:
 
     def __post_init__(self) -> None:
         self.basis.dim  # rejects non-square bases
+        if self.kind == "float" and not all(math.isfinite(x) for x in sum(self.basis.rows, ())):
+            raise ValueError("float lattice basis entries must be finite")
         if scalar_sign(self.basis.det()) == 0:
             raise ValueError("lattice basis is singular")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -33,20 +32,25 @@ class EnumerationBudgetError(RuntimeError):
 
 def gauge_rows(piped: Parallelepiped, lattice: Lattice) -> tuple:
     """Rows of diag(1/eta) H B; gauge of Bk is the sup norm of (rows) k."""
+    if (piped.kind == "float") != (lattice.kind == "float"):
+        raise ValueError(
+            f"a {piped.kind} body cannot be measured against a {lattice.kind} lattice"
+        )
     hb = piped.forms.matmul(lattice.basis)
     return tuple(
         tuple(x / e for x in row) for row, e in zip(hb.rows, piped.bounds)
     )
 
 
-def lattice_points_in_dilate(c_rows, mu) -> list:
+def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     """All (gauge, k) with sup norm of (c_rows) k at most mu, k != 0.
 
     One representative per antipodal pair, sorted by (gauge, k). Exact
     scalar rows decide boundary membership exactly; float rows include a
-    relative slack of 1e-9. Skewed rows are first straightened by a
-    unimodular change of coordinates, which shrinks the search box without
-    changing the reported points.
+    relative slack of 1e-9. `basis` is reduced_basis(c_rows), which the
+    caller has already used to size mu: when the search box is large and
+    the basis is not the unit vectors, the search runs in its coordinates,
+    which shrinks the box without changing the reported points.
     """
     d = len(c_rows)
     if any(len(row) != d for row in c_rows):
@@ -56,8 +60,8 @@ def lattice_points_in_dilate(c_rows, mu) -> list:
     is_float = isinstance(c_rows[0][0], float)
     box = _dilate_box(Matrix(c_rows).inverse(), mu, is_float)
     if _cell_count(box) > REDUCTION_CELL_FLOOR:
-        u = _reduction_transform(c_rows)
-        if u is not None:
+        u = tuple(zip(*basis))  # row-major, the basis vectors as columns
+        if any(u[i][j] != (i == j) for i in range(d) for j in range(d)):
             return _points_reduced(c_rows, mu, u, is_float)
     if is_float and _cell_count(box) <= GRID_CELL_CAP:
         return _grid_points_float(c_rows, float(mu), box)
@@ -88,29 +92,27 @@ def _reduction_transform(c_rows):
 
     The reduction runs on a rational snapshot of the rows, so it applies to
     float, rational, and quadratic entries alike; u is exactly unimodular in
-    every case, and None means the coordinates are already fine. The
-    transform depends on the rows but not on the dilate, so repeated calls
-    for the same body hit a cache.
+    every case, and None means the coordinates are already fine. The entries
+    are rounded to fractions after a power-of-two rescale that brings the
+    largest into [1, 2), so the rounding is relative to the rows' size. Each
+    search computes the transform once, through reduced_basis, and hands
+    that basis to the enumeration.
     """
     d = len(c_rows)
     if d < 2:
         return None
-    largest = 0.0
-    snapshot = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            x = as_float(c_rows[i][j])
-            if not math.isfinite(x):
-                return None
-            largest = max(largest, abs(x))
-            row.append(x)
-        snapshot.append(row)
+    snapshot = [[as_float(x) for x in row] for row in c_rows]
+    if not all(math.isfinite(x) for row in snapshot for x in row):
+        return None
+    largest = max(abs(x) for row in snapshot for x in row)
     if largest == 0.0:
         return None
     scale = 2.0 ** -math.floor(math.log2(largest))
-    key = tuple(tuple(x * scale for x in row) for row in snapshot)
-    return _cached_reduction(key)
+    cols = [
+        [Fraction(snapshot[i][j] * scale).limit_denominator(10**6) for i in range(d)]
+        for j in range(d)
+    ]
+    return _lll_unimodular(cols)
 
 
 def reduced_basis(c_rows) -> list:
@@ -130,16 +132,6 @@ def reduced_basis(c_rows) -> list:
 def _gauge(c_rows, k) -> Scalar:
     """Sup norm of (c_rows) k, summed left to right."""
     return max(abs(sum(row[j] * k[j] for j in range(len(k)))) for row in c_rows)
-
-
-@lru_cache(maxsize=512)
-def _cached_reduction(snapshot):
-    d = len(snapshot)
-    cols = [
-        [Fraction(snapshot[i][j]).limit_denominator(10**6) for i in range(d)]
-        for j in range(d)
-    ]
-    return _lll_unimodular(cols)
 
 
 def _lll_unimodular(cols):
@@ -434,14 +426,15 @@ def successive_minima(
     if not 1 <= k_max <= d:
         raise ValueError("k_max must lie in 1..dimension")
     rows = gauge_rows(piped, lattice)
-    radius = sorted(_gauge(rows, k) for k in reduced_basis(rows))[k_max - 1]
+    basis = reduced_basis(rows)
+    radius = sorted(_gauge(rows, k) for k in basis)[k_max - 1]
     if isinstance(radius, float):
         # far inside the enumerator's slack; covers the rounding of this gauge
         radius *= 1.0 + 1e-12
     span = RationalSpan(d)
     values = []
     witnesses = []
-    for gauge, k in lattice_points_in_dilate(rows, radius):
+    for gauge, k in lattice_points_in_dilate(rows, radius, basis):
         if span.add(k):
             values.append(gauge)
             witnesses.append(k)

@@ -23,8 +23,6 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .bodies import Parallelepiped
 from .linalg import Matrix
 from .minima import lattice_points_in_dilate, reduced_basis
@@ -137,26 +135,6 @@ def cube_section_volume(a: Sequence[Scalar], d: int) -> Scalar:
     return 2**zeros * root * ratio
 
 
-def section3_area(x: Scalar) -> Scalar:
-    """Area of the section of [-1,1]^3 orthogonal to (x, 1, 1): (4-x)sqrt(2+x^2).
-
-    An elementary cross-check for the general formula, valid on 0 <= x <= 1.
-    """
-    if isinstance(x, float):
-        if not 0.0 <= x <= 1.0:
-            raise ValueError("x must lie in [0, 1]")
-        return (4.0 - x) * math.sqrt(2.0 + x * x)
-    if isinstance(x, int):
-        x = Fraction(x)
-    if scalar_sign(x) < 0 or scalar_sign(1 - x) < 0:
-        raise ValueError("x must lie in [0, 1]")
-    inner = 2 + x * x
-    root = _sqrt_exact_or_quad(inner)
-    if root is None:
-        return float(4 - x) * math.sqrt(float(inner))
-    return (4 - x) * root
-
-
 def v_tau(tau: Sequence[Scalar]) -> Scalar:
     """Normalized section volume 2^{1-d} vol(section orthogonal to tau).
 
@@ -244,37 +222,7 @@ def first_minimum_section_dual(piped: Parallelepiped) -> Scalar:
     det = a.det()
     c_rows = tuple(tuple(x / det for x in row) for row in a.transpose().rows)
     cmat = Matrix(c_rows)
-    radius = min(_wedge_gauge(cmat.matvec(k)) for k in reduced_basis(c_rows))
-    points = lattice_points_in_dilate(c_rows, radius)
+    basis = reduced_basis(c_rows)
+    radius = min(_wedge_gauge(cmat.matvec(k)) for k in basis)
+    points = lattice_points_in_dilate(c_rows, radius, basis)
     return min(_wedge_gauge(cmat.matvec(k)) for _, k in points)
-
-
-def monte_carlo_section_volume(
-    a: Sequence[Scalar],
-    d: int,
-    *,
-    samples: int = 1_000_000,
-    seed: int = 0,
-    half_width: float = 1e-3,
-):
-    """Slab estimate of the central section volume and its standard error.
-
-    Counts uniform cube samples within distance half_width of the hyperplane;
-    a testing oracle only, deterministic for a given seed.
-    """
-    entries, _, _ = _split_direction(a, d)
-    unit = np.array([float(x) for x in entries])
-    unit /= math.sqrt(float(np.dot(unit, unit)))
-    rng = np.random.default_rng(seed)
-    hits = 0
-    remaining = samples
-    while remaining > 0:
-        n = min(remaining, 262_144)
-        x = rng.uniform(-1.0, 1.0, size=(n, d))
-        hits += int(np.count_nonzero(np.abs(x @ unit) <= half_width))
-        remaining -= n
-    p = hits / samples
-    scale = 2.0**d / (2.0 * half_width)
-    estimate = p * scale
-    sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / samples) * scale
-    return estimate, sigma

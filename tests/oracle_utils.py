@@ -1,8 +1,12 @@
 """Brute-force reference implementations used only by the test suite."""
 import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
+
 from dualpiped.linalg import Matrix, RationalSpan
+from dualpiped.scalars import Quad3, scalar_sign, sqrt_exact
 
 
 def random_unimodular(rng, d, ops=None):
@@ -132,3 +136,72 @@ def fraction_lll_unimodular(cols, delta=Fraction(3, 4)):
     if all(u[i][j] == (i == j) for i in range(n) for j in range(n)):
         return None
     return u
+
+
+def witness_sweep(body, basis, dilate, cap=3):
+    """Closed and interior coefficient sets of a dilate, swept over |k_i| <= cap.
+
+    The blanket cross-check for the witness certificates: every triple of
+    the cube is measured in exact arithmetic, with no box derivation at all.
+    """
+    coeff_forms = (
+        Matrix.diagonal(tuple(1 / e for e in body.bounds))
+        .matmul(body.forms)
+        .matmul(basis)
+    )
+    closed = []
+    interior = []
+    for k in itertools.product(range(-cap, cap + 1), repeat=3):
+        gauge = max(abs(x) for x in coeff_forms.matvec(k))
+        if gauge <= dilate:
+            closed.append(k)
+            if gauge < dilate:
+                interior.append(k)
+    return tuple(sorted(closed)), tuple(sorted(interior))
+
+
+def section3_area(x):
+    """Area of the section of [-1,1]^3 orthogonal to (x, 1, 1): (4-x)sqrt(2+x^2).
+
+    An elementary cross-check for the general formula, valid on 0 <= x <= 1.
+    """
+    if isinstance(x, float):
+        if not 0.0 <= x <= 1.0:
+            raise ValueError("x must lie in [0, 1]")
+        return (4.0 - x) * math.sqrt(2.0 + x * x)
+    if isinstance(x, int):
+        x = Fraction(x)
+    if scalar_sign(x) < 0 or scalar_sign(1 - x) < 0:
+        raise ValueError("x must lie in [0, 1]")
+    inner = 2 + x * x
+    root = sqrt_exact(inner)
+    if root is None and isinstance(inner, Fraction):
+        root = sqrt_exact(Quad3(inner))
+    if root is None:
+        return float(4 - x) * math.sqrt(float(inner))
+    return (4 - x) * root
+
+
+def monte_carlo_section_volume(a, d, *, samples=1_000_000, seed=0, half_width=1e-3):
+    """Slab estimate of the central section volume and its standard error.
+
+    Counts uniform cube samples within distance half_width of the hyperplane
+    orthogonal to a; deterministic for a given seed.
+    """
+    if len(a) != d:
+        raise ValueError("direction length must equal the dimension")
+    unit = np.array([float(x) for x in a])
+    unit /= math.sqrt(float(np.dot(unit, unit)))
+    rng = np.random.default_rng(seed)
+    hits = 0
+    remaining = samples
+    while remaining > 0:
+        n = min(remaining, 262_144)
+        x = rng.uniform(-1.0, 1.0, size=(n, d))
+        hits += int(np.count_nonzero(np.abs(x @ unit) <= half_width))
+        remaining -= n
+    p = hits / samples
+    scale = 2.0**d / (2.0 * half_width)
+    estimate = p * scale
+    sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / samples) * scale
+    return estimate, sigma

@@ -16,16 +16,16 @@ from dualpiped.harness import TrialConfig, run_suite
 from dualpiped.linalg import Matrix
 from dualpiped.minima import successive_minima
 from dualpiped.scalars import Quad3, ToleranceConfig
-from dualpiped.sections import (
-    cube_section_volume,
-    monte_carlo_section_volume,
-    section3_area,
-    v_tau,
-)
+from dualpiped.sections import cube_section_volume, v_tau
 from dualpiped.transference import ALL_CLAIMS, c_d, hyperbolic_map, khintchine_pair, t2_root
 from dualpiped.witness import sharpness_report
 
-from oracle_utils import brute_force_minima, random_unimodular
+from oracle_utils import (
+    brute_force_minima,
+    monte_carlo_section_volume,
+    random_unimodular,
+    section3_area,
+)
 
 
 def test_witness_minima_exact_at_one_half():

@@ -172,3 +172,5 @@ def test_parallelepiped_validation():
             Parallelepiped(Matrix.identity(2, kind="float"), (1.0, bad))
         with pytest.raises(ValueError, match="finite"):
             Parallelepiped(Matrix([[1.0, bad], [0.0, 1.0]]), (1.0, 1.0))
+        with pytest.raises(ValueError, match="finite"):
+            Lattice(Matrix([[1.0, bad], [0.0, 1.0]]))

@@ -162,6 +162,27 @@ def test_minima_command(tmp_path, capsys):
     assert main(["minima", "--body", str(body_file)]) == 2
     assert "finite" in capsys.readouterr().err
 
+    cubes = {}
+    for kind in ("float", "rational", "quad3"):
+        cubes[kind] = tmp_path / f"{kind}_cube.txt"
+        cubes[kind].write_text(format_parallelepiped(Parallelepiped.cube(2, kind=kind)))
+    lattice_file.write_text("dimension: 2\nscalar_kind: float\nbasis:\n1.0,0.0\n0.0,inf\n")
+    assert main(["minima", "--body", str(cubes["float"]), "--lattice", str(lattice_file)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+    # a float body against an exact lattice, and exact bodies against a float one
+    exact_lattice = tmp_path / "exact_lattice.txt"
+    exact_lattice.write_text(format_lattice(Lattice(Matrix([[1, 1], [0, 2]]))))
+    float_lattice = tmp_path / "float_lattice.txt"
+    float_lattice.write_text(format_lattice(Lattice.integers(2, kind="float")))
+    for body, lattice in (
+        (cubes["float"], exact_lattice),
+        (cubes["rational"], float_lattice),
+        (cubes["quad3"], float_lattice),
+    ):
+        assert main(["minima", "--body", str(body), "--lattice", str(lattice)]) == 2
+        assert "cannot be measured against" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("error", [EnumerationBudgetError("too many nodes"), OverflowError("too big")])
 def test_budget_and_overflow_errors_exit_two(monkeypatch, tmp_path, capsys, error):

@@ -117,19 +117,29 @@ def test_first_minimum_with_unit_start():
 
 
 def test_each_search_enumerates_once(monkeypatch):
-    # the reduced basis sizes one dilate that already holds every witness
+    # the reduced basis sizes one dilate that already holds every witness,
+    # and the same basis steers the enumeration, so each search reduces once
     calls = []
+    reductions = []
 
-    def counting(c_rows, mu):
+    def counting(c_rows, mu, basis):
         calls.append(mu)
-        return lattice_points_in_dilate(c_rows, mu)
+        return lattice_points_in_dilate(c_rows, mu, basis)
 
+    def counting_reduction(c_rows):
+        reductions.append(c_rows)
+        return reduction(c_rows)
+
+    reduction = minima._reduction_transform
     monkeypatch.setattr(minima, "lattice_points_in_dilate", counting)
     monkeypatch.setattr(sections, "lattice_points_in_dilate", counting)
+    monkeypatch.setattr(minima, "_reduction_transform", counting_reduction)
 
     def enumerations(search) -> int:
         calls.clear()
+        reductions.clear()
         search()
+        assert len(reductions) == 1
         return len(calls)
 
     bodies = []
@@ -164,7 +174,6 @@ def test_integral_lll_matches_fraction_reference(monkeypatch):
 
     lll = minima._lll_unimodular
     monkeypatch.setattr(minima, "_lll_unimodular", recording)
-    minima._cached_reduction.cache_clear()
     searches = []
     for d, mode, seeds in [(d, "float", range(6)) for d in (2, 3, 4, 5, 6)] + [(3, "exact", range(12))]:
         lattice = Lattice.integers(d, kind="float" if mode == "float" else "rational")
@@ -205,7 +214,7 @@ def test_integral_lll_matches_fraction_reference(monkeypatch):
 def test_lattice_points_in_dilate_canonical_reps():
     piped = Parallelepiped.cube(2)
     c_rows = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    pts = lattice_points_in_dilate(c_rows, Fraction(1))
+    pts = lattice_points_in_dilate(c_rows, Fraction(1), minima.reduced_basis(c_rows))
     ks = {k for _, k in pts}
     # one representative per +- pair, first nonzero entry positive
     assert ks == {(0, 1), (1, 0), (1, 1), (1, -1)}

@@ -10,10 +10,12 @@ change in CHANGES.md. The pins were taken with numpy 2.4 on x86-64; float
 bits may differ under another BLAS build.
 """
 import hashlib
+from fractions import Fraction
 
 import pytest
 
 from dualpiped.harness import TrialConfig, aggregate_outcomes, emit_report, evaluate_trial
+from dualpiped.witness import format_sharpness_report, sharpness_report
 
 PINS = [
     (3, "float", 42, "245131d3aa44038c0b932213a8cf87976574d1e652c2b9c10d4323bab5261429"),
@@ -30,4 +32,21 @@ def test_report_payload_digest(dimension, mode, seed, digest):
     config = TrialConfig(dimension=dimension, trials=8, seed=seed, mode=mode)
     outcomes = [evaluate_trial(config, index) for index in range(config.trials)]
     document = emit_report(aggregate_outcomes(config, outcomes, runtime_ms=0.0), "json")
+    assert hashlib.sha256(document.encode()).hexdigest() == digest
+
+
+# the sharpness witness report text, certified boxes and point sets included
+WITNESS_PINS = [
+    (Fraction(1, 2), "2c58f7eba5feddec0372652544555927573530e105e721b51339131518239714"),
+    (Fraction(1, 3), "04350821377bcea619823021dc1bca860cb99cff22fb5bd34ba333ccf6a7a060"),
+    (Fraction(2, 7), "a691dd4e26731df57e8ac0f25099de69ed017852007994655bc51e14e46b2330"),
+    (Fraction(1, 4), "ce1586de3c00abffe39121fa749ef4889628a164fe06638bcabc146aecefff61"),
+    (Fraction(3, 7), "5b94bcff5d769d94e64832d2325d6196eac1ecf9dbb363a3712ae652a5c090e9"),
+    (Fraction(5, 11), "ee14f4151a10e72bfa2cd2e38b1b83354749f878228d34eb7e5566265dfd7e59"),
+]
+
+
+@pytest.mark.parametrize("epsilon, digest", WITNESS_PINS)
+def test_witness_report_digest(epsilon, digest):
+    document = format_sharpness_report(sharpness_report(epsilon))
     assert hashlib.sha256(document.encode()).hexdigest() == digest

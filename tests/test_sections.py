@@ -9,15 +9,13 @@ from dualpiped.linalg import Matrix
 from dualpiped.sections import (
     cube_section_volume,
     first_minimum_section_dual,
-    monte_carlo_section_volume,
-    section3_area,
     section_dual_gauge,
     v_tau,
     v_tau_squared,
 )
 from dualpiped.scalars import Quad3
 
-from oracle_utils import random_unimodular
+from oracle_utils import monte_carlo_section_volume, random_unimodular, section3_area
 
 
 def test_cube_section_frozen_values():

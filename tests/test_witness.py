@@ -19,6 +19,8 @@ from dualpiped.witness import (
     verify_example_points,
 )
 
+from oracle_utils import witness_sweep
+
 NU1 = Quad3(0, Fraction(2, 3))
 NU2 = Fraction(5, 4)
 
@@ -130,14 +132,42 @@ def test_certificate_at_one_quarter():
     assert cert.identities[2].interior_points == FIRST_PAIR
 
 
-def test_certificate_random_epsilons():
+def random_epsilons():
     rng = random.Random(53)
     for _ in range(10):
         num = rng.randint(1, 30)
         den = num * rng.randint(2, 8) + rng.randint(0, 5)
-        eps = Fraction(num, den)
+        yield Fraction(num, den)
+
+
+def test_certificate_random_epsilons():
+    for eps in random_epsilons():
         cert = verify_example_points(build_witness(eps))
         assert len(cert.identities) == 5
+
+
+@pytest.mark.parametrize(
+    "eps",
+    [Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(1, 4), Fraction(3, 7), Fraction(5, 11)]
+    + list(random_epsilons()),
+)
+def test_certificate_matches_blanket_sweep(eps):
+    # the enumerator's boxes stay inside |k_i| <= 3, and a sweep of that
+    # whole cube finds exactly the certified closed and interior sets
+    w = build_witness(eps)
+    pairings = (
+        (w.body, w.basis_a),
+        (w.body, w.basis_b),
+        (w.body, w.basis_b),
+        (w.dual_body, w.dual_basis_a),
+        (w.dual_body, w.dual_basis_b),
+    )
+    cert = verify_example_points(w)
+    for identity, (body, basis) in zip(cert.identities, pairings, strict=True):
+        assert all(cap <= 3 for cap in identity.bounds)
+        closed, interior = witness_sweep(body, basis, identity.dilate)
+        assert identity.closed_points == closed
+        assert identity.interior_points == interior
 
 
 def test_certificate_rejects_tampered_basis():
