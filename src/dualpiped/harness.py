@@ -4,7 +4,8 @@ A suite evaluates the claim engine over seeded random instances. Per-trial
 seeds derive from the master seed and the trial index, so trials are
 independent of evaluation order and two runs with the same config produce
 the same report (wall-clock runtime aside, which tests normalize to zero
-before comparing emissions).
+before comparing emissions). Every instance is a random calibrated body, and
+the report records the one float tolerance policy of `scalars`.
 """
 from __future__ import annotations
 
@@ -20,12 +21,10 @@ from . import __version__
 from .bodies import Parallelepiped, pseudo_compound
 from .linalg import Matrix
 from .minima import first_minimum
-from .scalars import ToleranceConfig
+from .scalars import REL_SLACK, STRICT_DELTA
 from .sections import v_tau
 from .transference import ALL_CLAIMS, check_claims, sample_directions
-from .witness import build_witness
 
-_STYLES = ("random", "cube", "named-witness")
 _MODES = ("float", "exact")
 
 
@@ -39,7 +38,6 @@ class TrialConfig:
     mode: str = "float"
     claims: tuple = ALL_CLAIMS
     tau_samples: int = 8
-    tolerance: ToleranceConfig = ToleranceConfig()
 
     def __post_init__(self) -> None:
         if not 2 <= self.dimension <= 8:
@@ -71,29 +69,18 @@ def _random_unimodular(rng: random.Random, d: int) -> Matrix:
     return Matrix(rows)
 
 
-def gen_instance(d: int, seed: int, style: str, *, mode: str = "float") -> Parallelepiped:
-    """One test body: a random calibrated instance, the cube, or a named witness.
+def gen_instance(d: int, seed: int, *, mode: str = "float") -> Parallelepiped:
+    """One random calibrated test body.
 
-    Random instances use a unimodular form matrix from bounded elementary row
-    operations and log-uniform bounds in [1/2, 2], then rescale so the first
-    minimum of the pseudo-compound sits at 1: scaling the body by s scales the
-    compound by s^(d-1) and the minimum is inverse-homogeneous.
+    The form matrix is unimodular, from bounded elementary row operations,
+    and the bounds are log-uniform in [1/2, 2]. The body is then rescaled so
+    the first minimum of the pseudo-compound sits at 1: scaling the body by s
+    scales the compound by s^(d-1) and the minimum is inverse-homogeneous.
     """
     if d < 2:
         raise ValueError("dimension must be at least 2")
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    if style == "cube":
-        return Parallelepiped.cube(d, kind="float" if mode == "float" else "rational")
-    if style == "named-witness":
-        if d != 3:
-            raise ValueError("the named witnesses are three-dimensional")
-        witness = build_witness(Fraction(1, 2))
-        body = witness.z3_body_1 if seed % 2 == 0 else witness.z3_body_2
-        return body.to_float() if mode == "float" else body
-    if style != "random":
-        raise ValueError(f"unknown instance style {style!r}")
-
     rng = random.Random(seed)
     forms = _random_unimodular(rng, d)
     spread = math.log(2.0)
@@ -132,19 +119,10 @@ def evaluate_trial(config: TrialConfig, index: int) -> TrialOutcome:
     identifier = f"trial-{index}"
     rng = random.Random(trial_seed ^ 0x5DEECE66D)
     try:
-        piped = gen_instance(config.dimension, trial_seed, "random", mode=config.mode)
+        piped = gen_instance(config.dimension, trial_seed, mode=config.mode)
         directions = sample_directions(rng, config.dimension, config.tau_samples)
         v_values = tuple(float(v_tau(raw)) for raw in directions)
-        reports = tuple(
-            check_claims(
-                piped,
-                config.claims,
-                tolerance=config.tolerance,
-                rng=rng,
-                tau_samples=config.tau_samples,
-                directions=directions,
-            )
-        )
+        reports = tuple(check_claims(piped, config.claims, directions=directions))
         return TrialOutcome(index, identifier, reports, None, v_values)
     except (ValueError, RuntimeError) as exc:
         return TrialOutcome(index, identifier, None, str(exc), ())
@@ -234,10 +212,7 @@ def _report_payload(report: VerificationReport) -> dict:
             "mode": config.mode,
             "claims": list(config.claims),
             "tau_samples": config.tau_samples,
-            "tolerance": {
-                "rel_slack": config.tolerance.rel_slack,
-                "strict_delta": config.tolerance.strict_delta,
-            },
+            "tolerance": {"rel_slack": REL_SLACK, "strict_delta": STRICT_DELTA},
         },
         "claims": [
             {

@@ -137,13 +137,16 @@ class Matrix:
             out.append(row)
         return Matrix(out)
 
+    # 1.0 == Fraction(1), so a float matrix and its exact twin would compare
+    # and hash alike by entries alone; exact kinds still compare by value
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows
+        same_kind = (self.kind == "float") == (other.kind == "float")
+        return same_kind and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.kind == "float", self.rows))
 
     def __repr__(self) -> str:
         return f"Matrix({[list(r) for r in self.rows]!r})"
@@ -266,44 +269,26 @@ class RationalSpan:
         return True
 
 
-def monotone_root(
-    f: Callable[[Scalar], Scalar],
-    lo: Scalar,
-    hi: Scalar,
-    width: Scalar | None = None,
-    max_iter: int = 4096,
-):
-    """Root of a strictly monotone f on [lo, hi] by bisection.
+def monotone_root(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of a strictly monotone f on [lo, hi] by float bisection.
 
-    Float endpoints bisect to machine precision; exact endpoints require a
-    target interval `width` and return the midpoint of the final bracket.
+    Bisection stops when the midpoint no longer moves, at machine precision.
     """
-    flo, fhi = f(lo), f(hi)
-    slo, shi = scalar_sign(flo), scalar_sign(fhi)
+    slo, shi = scalar_sign(f(lo)), scalar_sign(f(hi))
     if slo == 0:
         return lo
     if shi == 0:
         return hi
     if slo == shi:
         raise ValueError("no sign change on the bracket")
-    exact = not isinstance(lo, float)
-    if exact and width is None:
-        raise ValueError("exact bisection needs a target width")
-    for _ in range(max_iter):
-        if exact:
-            if hi - lo <= width:
-                break
-            mid = (lo + hi) / 2
-        else:
-            mid = 0.5 * (lo + hi)
-            if not (lo < mid < hi):
-                break
-        fm = f(mid)
-        sm = scalar_sign(fm)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi):
+            return mid
+        sm = scalar_sign(f(mid))
         if sm == 0:
             return mid
         if sm == slo:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2 if exact else 0.5 * (lo + hi)

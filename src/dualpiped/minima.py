@@ -18,11 +18,10 @@ import numpy as np
 
 from .bodies import Lattice, Parallelepiped
 from .linalg import Matrix, RationalSpan
-from .scalars import Scalar, as_float, scalar_ceil, scalar_floor, scalar_sign
+from .scalars import Scalar, as_float, scalar_ceil, scalar_floor, scalar_sign, widen
 
 GRID_CELL_CAP = 2_000_000
 NODE_CAP = 3_000_000
-FLOAT_SLACK = 1e-9
 REDUCTION_CELL_FLOOR = 4096
 
 
@@ -46,11 +45,11 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     """All (gauge, k) with sup norm of (c_rows) k at most mu, k != 0.
 
     One representative per antipodal pair, sorted by (gauge, k). Exact
-    scalar rows decide boundary membership exactly; float rows include a
-    relative slack of 1e-9. `basis` is reduced_basis(c_rows), which the
-    caller has already used to size mu: when the search box is large and
-    the basis is not the unit vectors, the search runs in its coordinates,
-    which shrinks the box without changing the reported points.
+    scalar rows decide boundary membership exactly; float rows widen mu by
+    the relative slack scalars.REL_SLACK. `basis` is reduced_basis(c_rows),
+    which the caller has already used to size mu: when the search box is
+    large and the basis is not the unit vectors, the search runs in its
+    coordinates, which shrinks the box without changing the reported points.
     """
     d = len(c_rows)
     if any(len(row) != d for row in c_rows):
@@ -232,7 +231,7 @@ def _points_reduced(c_rows, mu, u, is_float: bool) -> list:
     if is_float and _cell_count(box) <= GRID_CELL_CAP:
         return _grid_points_float(c_rows, float(mu), box, (reduced, radius, u))
     raw = _branch_points(reduced, radius, box, is_float)
-    cutoff = float(mu) + FLOAT_SLACK * max(1.0, float(mu)) if is_float else None
+    cutoff = widen(float(mu)) if is_float else None
     out = []
     for gauge, kp in raw:
         k = tuple(sum(u[j][m] * kp[m] for m in range(d)) for j in range(d))
@@ -263,10 +262,10 @@ def _grid_points_float(c_rows, mu: float, box, reduction=None) -> list:
     if reduction is not None:
         reduced, capture, u = reduction
         r = np.array([[float(x) for x in row] for row in reduced], dtype=float)
-        coarse = np.abs(k @ r.T).max(axis=1) <= capture + FLOAT_SLACK * max(1.0, capture)
+        coarse = np.abs(k @ r.T).max(axis=1) <= widen(capture)
         k = k[coarse] @ np.array(u, dtype=np.int64).T
     g = np.abs(k @ c.T).max(axis=1)
-    keep = g <= mu + FLOAT_SLACK * max(1.0, mu)
+    keep = g <= widen(mu)
     k = k[keep]
     g = g[keep]
     nonzero = k != 0
@@ -284,7 +283,7 @@ def _branch_points(c_rows, mu, box, is_float: bool) -> list:
     """Depth-first search with interval propagation; exact or float scalars."""
     d = len(c_rows)
     if is_float:
-        mu_eff = float(mu) + FLOAT_SLACK * max(1.0, float(mu))
+        mu_eff = widen(float(mu))
 
         def int_floor(x):
             return math.floor(x + 1e-9)

@@ -1,9 +1,8 @@
-"""Scalar kinds: exact rationals, the quadratic field Q(sqrt3), and floats."""
+"""Scalar kinds (rationals, Q(sqrt3), floats) and the one float tolerance policy."""
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -315,25 +314,20 @@ def format_scalar(x: Scalar) -> str:
     return str(Fraction(x))
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Float comparison slack; exact kinds never consult it."""
+# The one float tolerance policy: float comparisons and float enumeration
+# radii allow a relative slack of REL_SLACK; exact kinds never consult it.
+REL_SLACK = 1e-9
+STRICT_DELTA = 1e-6
 
-    rel_slack: float = 1e-9
-    strict_delta: float = 1e-6
 
-    def __post_init__(self) -> None:
-        if self.rel_slack <= 0 or self.strict_delta <= 0:
-            raise ValueError("tolerances must be positive")
+def float_leq(a: float, b: float) -> bool:
+    return a <= b + REL_SLACK * max(1.0, abs(a), abs(b))
 
-    def leq(self, a: float, b: float) -> bool:
-        return a <= b + self.rel_slack * max(1.0, abs(a), abs(b))
 
-    def geq(self, a: float, b: float) -> bool:
-        return self.leq(b, a)
+def float_strictly_greater(a: float, b: float) -> bool:
+    return a > b + STRICT_DELTA * max(1.0, abs(b))
 
-    def close(self, a: float, b: float) -> bool:
-        return self.leq(a, b) and self.leq(b, a)
 
-    def strictly_greater(self, a: float, b: float) -> bool:
-        return a > b + self.strict_delta * max(1.0, abs(b))
+def widen(mu: float) -> float:
+    """A float search radius widened by the same relative slack."""
+    return mu + REL_SLACK * max(1.0, mu)

@@ -26,7 +26,7 @@ from typing import Sequence
 from .bodies import Parallelepiped
 from .linalg import Matrix
 from .minima import lattice_points_in_dilate, reduced_basis
-from .scalars import Quad3, Scalar, scalar_sign, sqrt_exact
+from .scalars import Scalar, exact_nth_root, scalar_sign
 
 # relative size under which the alternating sum is recomputed exactly
 _CANCELLATION_GUARD = 1e-7
@@ -103,13 +103,6 @@ def _in_float_range(parts: list) -> tuple:
     return [x for x in scaled if x > 0.0], e
 
 
-def _sqrt_exact_or_quad(x):
-    root = sqrt_exact(x)
-    if root is None and isinstance(x, (int, Fraction)):
-        root = sqrt_exact(Quad3(x))
-    return root
-
-
 def cube_section_volume(a: Sequence[Scalar], d: int) -> Scalar:
     """(d-1)-volume of the central section of [-1,1]^d orthogonal to a.
 
@@ -129,7 +122,7 @@ def cube_section_volume(a: Sequence[Scalar], d: int) -> Scalar:
         norm2 = norm2 + x * x
     if is_float:
         return 2.0**zeros * math.sqrt(norm2) * ratio
-    root = _sqrt_exact_or_quad(norm2)
+    root = exact_nth_root(norm2, 2)
     if root is None:
         return 2.0**zeros * math.sqrt(float(norm2)) * float(ratio)
     return 2**zeros * root * ratio
@@ -192,6 +185,12 @@ def _wedge_gauge(w) -> Scalar:
     return math.ldexp(gauge, e) if e else gauge
 
 
+def _pullback(piped: Parallelepiped) -> tuple:
+    """A = H^{-1} diag(eta), so that Pi = A B_d, and det A."""
+    a = piped.forms.inverse().matmul(Matrix.diagonal(piped.bounds))
+    return a, a.det()
+
+
 def section_dual_gauge(piped: Parallelepiped, z: Sequence[Scalar]) -> Scalar:
     """Gauge of the section-dual body of the parallelepiped at the point z.
 
@@ -199,8 +198,7 @@ def section_dual_gauge(piped: Parallelepiped, z: Sequence[Scalar]) -> Scalar:
     w = A^T z / det A and measured against the section-dual of the cube.
     Exact kinds return exact values; membership in the body is gauge <= 1.
     """
-    a = piped.forms.inverse().matmul(Matrix.diagonal(piped.bounds))
-    det = a.det()
+    a, det = _pullback(piped)
     w = tuple(x / det for x in a.transpose().matvec(tuple(z)))
     return _wedge_gauge(w)
 
@@ -218,8 +216,7 @@ def first_minimum_section_dual(piped: Parallelepiped) -> Scalar:
     d = piped.dimension
     if not 2 <= d <= 6:
         raise ValueError("section-dual minimum supports dimensions 2 through 6")
-    a = piped.forms.inverse().matmul(Matrix.diagonal(piped.bounds))
-    det = a.det()
+    a, det = _pullback(piped)
     c_rows = tuple(tuple(x / det for x in row) for row in a.transpose().rows)
     cmat = Matrix(c_rows)
     basis = reduced_basis(c_rows)

@@ -3,9 +3,10 @@
 Claim ids are stable strings used verbatim in reports and CLI filters:
 T3, T4, MK2, T5, T6, T7, FAM, FAMSHARP, WM, C12. Every claim is evaluated
 against the integer lattice; a claim whose hypothesis fails is reported as
-skipped, a conclusion failing beyond tolerance as a violation. Exact scalar
-kinds decide pass/fail exactly (irrational thresholds are compared through
-powers or polynomial signs); margins are always reported as floats.
+skipped, a conclusion failing beyond the float slack of `scalars` as a
+violation. Exact scalar kinds decide pass/fail exactly (irrational thresholds
+are compared through powers or polynomial signs); margins are always
+reported as floats.
 """
 from __future__ import annotations
 
@@ -22,9 +23,10 @@ from .minima import first_minimum, successive_minima
 from .scalars import (
     Quad3,
     Scalar,
-    ToleranceConfig,
     as_float,
     exact_nth_root,
+    float_leq,
+    float_strictly_greater,
     scalar_sign,
 )
 from .sections import (
@@ -149,21 +151,21 @@ def normalize_tau(tau: Sequence[Scalar], mode: str = "plain"):
     return tuple(lam * t for t in values)
 
 
-def on_surface(tau: Sequence[Scalar], mode: str = "plain", tol: ToleranceConfig | None = None) -> bool:
-    """Whether tau satisfies its surface identity, exactly or within tolerance."""
+def on_surface(tau: Sequence[Scalar], mode: str = "plain") -> bool:
+    """Whether tau satisfies its surface identity, exactly or within REL_SLACK."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
     if any(scalar_sign(t) <= 0 for t in tau):
         return False
     if any(isinstance(t, float) for t in tau):
-        tol = tol if tol is not None else ToleranceConfig()
         values = tuple(float(t) for t in tau)
         sum_sq = sum(t * t for t in values)
         prod = 1.0
         for t in values:
             prod *= t
         v2 = 1.0 if mode == "plain" else float(v_tau_squared(values))
-        return tol.close(sum_sq, v2 * prod * prod)
+        target = v2 * prod * prod
+        return float_leq(sum_sq, target) and float_leq(target, sum_sq)
     values = _exactify(tau)
     sum_sq = 0
     prod_sq = 1
@@ -241,28 +243,25 @@ def check_claims(
     piped: Parallelepiped,
     claims: Sequence[str] | None = None,
     *,
-    tolerance: ToleranceConfig | None = None,
-    rng: random.Random | None = None,
-    tau_samples: int = 8,
-    directions: Sequence[Sequence[float]] | None = None,
+    directions: Sequence[Sequence[float]],
 ) -> list:
     """Evaluate the requested claims on one parallelepiped against Z^d.
 
     The body is det-normalized first (same body, unit form determinant), so
     the pseudo-compound and its volume identities apply directly. Exact
-    scalar kinds are judged exactly; floats through the tolerance config.
+    scalar kinds are judged exactly; floats within scalars.REL_SLACK. The
+    family claims FAM and FAMSHARP run over the positive `directions`.
     """
     requested = tuple(claims) if claims is not None else ALL_CLAIMS
     unknown = [c for c in requested if c not in ALL_CLAIMS]
     if unknown:
         raise ValueError(f"unknown claim ids: {unknown}")
-    if tau_samples < 1:
-        raise ValueError("tau_samples must be positive")
     d = piped.dimension
     if not 2 <= d <= 8:
         raise ValueError("claim checking supports dimensions 2 through 8")
-    tol = tolerance if tolerance is not None else ToleranceConfig()
-    rng = rng if rng is not None else random.Random(0)
+    if any(len(raw) != d or min(raw) <= 0 for raw in directions):
+        raise ValueError("every supplied direction needs d positive entries")
+    directions = tuple(tuple(map(float, raw)) for raw in directions)
 
     body = det_normalized(piped)
     star = pseudo_compound(body)
@@ -276,12 +275,12 @@ def check_claims(
 
     def leq(a, b) -> bool:
         if is_float:
-            return tol.leq(as_float(a), as_float(b))
+            return float_leq(as_float(a), as_float(b))
         return a <= b
 
     def strictly_greater(a, b) -> bool:
         if is_float:
-            return tol.strictly_greater(as_float(a), as_float(b))
+            return float_strictly_greater(as_float(a), as_float(b))
         return a > b
 
     def finish(cid, hypothesis, checks, detail="", witnesses=()):
@@ -328,7 +327,7 @@ def check_claims(
             exponent = exponent_of(k)
             bound = d ** (1.0 / exponent)
             if is_float:
-                ok = tol.leq(as_float(mu[k - 1]), bound)
+                ok = float_leq(as_float(mu[k - 1]), bound)
             else:
                 ok = mu[k - 1] ** exponent <= d
             checks.append((bound, as_float(mu[k - 1]), ok))
@@ -341,27 +340,18 @@ def check_claims(
         return _power_claim("T6", lambda k: 2 * (d - k))
 
     def claim_t7():
+        if d < 3:
+            return ClaimReport("T7", "skip", None, None, None,
+                               "the two-minima constant c_d needs dimension 3 or more", ())
         hyp = leq(mu_star[0], 1) and strictly_greater(mu[0], 1)
         bound = c_d(d)
         if is_float:
-            ok = tol.leq(as_float(mu[1]), bound)
+            ok = float_leq(as_float(mu[1]), bound)
         else:
             s = mu[1] * mu[1]
             ok = s <= 1 or scalar_sign(s ** (d - 1) - (d - 1) * s - 1) <= 0
         return finish("T7", hyp, [(bound, as_float(mu[1]), ok)],
                       witnesses=(profile.witnesses[1],))
-
-    if directions is not None:
-        if any(len(raw) != d or min(raw) <= 0 for raw in directions):
-            raise ValueError("every supplied direction needs d positive entries")
-        directions_cache = [tuple(tuple(map(float, raw)) for raw in directions)]
-    else:
-        directions_cache = []
-
-    def sampled_directions():
-        if not directions_cache:
-            directions_cache.append(tuple(sample_directions(rng, d, tau_samples)))
-        return directions_cache[0]
 
     float_body = body.to_float() if not is_float else body
     float_cube = Parallelepiped.cube(d, kind="float")
@@ -369,24 +359,24 @@ def check_claims(
     def _family(cid, mode):
         checks = []
         witnesses = []
-        for raw in sampled_directions():
+        for raw in directions:
             tau = normalize_tau(raw, mode)
             if not all(math.isfinite(t) for t in tau):
                 return ClaimReport(cid, "skip", None, None, None,
                                    "tau normalization left the float range", ())
             shifted = apply_hyperbolic(float_body, tau)
             value, witness = first_minimum(shifted)
-            ok = tol.leq(float(value), 1.0)
+            ok = float_leq(float(value), 1.0)
             checks.append((1.0, float(value), ok))
             if not ok:
                 witnesses.append(tau)
             if mode == "sharp":
                 gauge = section_dual_gauge(float_cube, tau_vertex(tau))
-                ok_vertex = tol.leq(float(gauge), 1.0)
+                ok_vertex = float_leq(float(gauge), 1.0)
                 checks.append((1.0, float(gauge), ok_vertex))
                 if not ok_vertex:
                     witnesses.append(tau)
-        detail = f"{len(sampled_directions())} sampled surface directions"
+        detail = f"{len(directions)} sampled surface directions"
         return finish(cid, True, checks, detail=detail, witnesses=tuple(witnesses))
 
     def claim_fam():
@@ -417,7 +407,7 @@ def check_claims(
             vertex = vertex_map.matvec(sigma)
             gauge = section_dual_gauge(body, vertex)
             if is_float:
-                ok = tol.leq(float(gauge), bound)
+                ok = float_leq(float(gauge), bound)
             else:
                 ok = gauge * gauge <= d
             checks.append((bound, as_float(gauge), ok))

@@ -11,11 +11,13 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from dualpiped.bodies import Lattice, Parallelepiped, dual_lattice, pseudo_compound
 from dualpiped.harness import TrialConfig, run_suite
 from dualpiped.linalg import Matrix
 from dualpiped.minima import successive_minima
-from dualpiped.scalars import Quad3, ToleranceConfig
+from dualpiped.scalars import REL_SLACK, Quad3
 from dualpiped.sections import cube_section_volume, v_tau
 from dualpiped.transference import ALL_CLAIMS, c_d, hyperbolic_map, khintchine_pair, t2_root
 from dualpiped.witness import sharpness_report
@@ -85,7 +87,9 @@ def test_section_volumes_against_oracles_and_sharp_bounds():
         assert abs(v_tau(diagonal) - root2) <= 1e-9
 
 
+@pytest.mark.slow
 def test_randomized_claim_suite_zero_violations():
+    assert REL_SLACK == 1e-9
     for d in (3, 4, 5):
         config = TrialConfig(
             dimension=d,
@@ -93,7 +97,6 @@ def test_randomized_claim_suite_zero_violations():
             seed=42,
             mode="float",
             tau_samples=8,
-            tolerance=ToleranceConfig(rel_slack=1e-9),
         )
         report = run_suite(config)
         assert tuple(summary.claim for summary in report.claims) == ALL_CLAIMS

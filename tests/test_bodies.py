@@ -162,6 +162,22 @@ def test_document_round_trip_quad3():
     assert doc["lattice"] is None
 
 
+def test_float_and_exact_twins_are_distinct():
+    cube = Parallelepiped.cube(3)
+    float_cube = Parallelepiped.cube(3, kind="float")
+    assert cube != float_cube
+    assert hash(cube) != hash(float_cube)
+    assert float_cube == cube.to_float()
+    assert hash(float_cube) == hash(cube.to_float())
+    z3 = Lattice.integers(3)
+    assert z3 != Lattice.integers(3, kind="float")
+    assert hash(z3) != hash(Lattice.integers(3, kind="float"))
+    assert z3.to_float() == Lattice.integers(3, kind="float")
+    # exact kinds still compare by value
+    assert Matrix.identity(3, kind="quad3") == Matrix.identity(3)
+    assert hash(Matrix.identity(3, kind="quad3")) == hash(Matrix.identity(3))
+
+
 def test_parallelepiped_validation():
     with pytest.raises(ValueError):
         Parallelepiped(Matrix([[1, 2], [2, 4]]), (Fraction(1), Fraction(1)))

@@ -1,6 +1,7 @@
 """Tests for instance generation, suite orchestration, and report emission."""
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,8 @@ from dualpiped.harness import (
     run_suite,
 )
 from dualpiped.minima import first_minimum
-from dualpiped.scalars import Quad3
-from dualpiped.transference import check_claims
+from dualpiped.transference import check_claims, sample_directions
+from dualpiped.witness import build_witness
 
 
 def test_trial_config_validation():
@@ -35,34 +36,15 @@ def test_trial_config_validation():
         TrialConfig(dimension=3, trials=2, seed=0, tau_samples=0)
 
 
-def test_gen_instance_cube_and_errors():
-    cube = gen_instance(4, 0, "cube")
-    assert cube.kind == "float"
-    assert cube.bounds == (1.0,) * 4
-    exact_cube = gen_instance(3, 0, "cube", mode="exact")
-    assert exact_cube.kind == "rational"
+def test_gen_instance_errors():
     with pytest.raises(ValueError):
-        gen_instance(1, 0, "random")
+        gen_instance(1, 0)
     with pytest.raises(ValueError):
-        gen_instance(3, 0, "hexagonal")
-    with pytest.raises(ValueError):
-        gen_instance(4, 0, "named-witness")
-
-
-def test_gen_instance_named_witness():
-    first = gen_instance(3, 0, "named-witness", mode="exact")
-    second = gen_instance(3, 1, "named-witness", mode="exact")
-    assert first.kind == "quad3"
-    assert second.kind == "rational"
-    assert first_minimum(second)[0] == 1
-    value, _ = first_minimum(first)
-    assert value == Quad3(0, Fraction(2, 3))
-    floated = gen_instance(3, 1, "named-witness")
-    assert floated.kind == "float"
+        gen_instance(3, 0, mode="decimal")
 
 
 def test_gen_instance_seed42_calibration():
-    inst = gen_instance(3, 42, "random")
+    inst = gen_instance(3, 42)
     value, _ = first_minimum(pseudo_compound(inst))
     assert abs(value - 1.0) <= 1e-9
 
@@ -71,7 +53,7 @@ def test_gen_instance_calibration_sweep():
     checked = 0
     for d in (3, 4, 5):
         for seed in range(34 if d == 3 else 33):
-            inst = gen_instance(d, 1000 * d + seed, "random")
+            inst = gen_instance(d, 1000 * d + seed)
             value, _ = first_minimum(pseudo_compound(inst))
             assert abs(value - 1.0) <= 1e-9
             checked += 1
@@ -80,7 +62,7 @@ def test_gen_instance_calibration_sweep():
 
 def test_gen_instance_exact_mode_calibration():
     for seed in range(5):
-        inst = gen_instance(3, seed, "random", mode="exact")
+        inst = gen_instance(3, seed, mode="exact")
         assert inst.kind == "rational"
         value, _ = first_minimum(pseudo_compound(inst))
         assert value <= 1
@@ -106,6 +88,17 @@ def test_run_suite_zero_violations_and_determinism():
     assert emit_report(flat, "json") == emit_report(flat_again, "json")
 
 
+def test_dimension_two_suite_evaluates_every_claim_but_t7():
+    report = run_suite(TrialConfig(dimension=2, trials=6, seed=42))
+    for summary in report.claims:
+        assert summary.notes == ()
+        assert summary.violations == 0
+        if summary.claim == "T7":
+            assert summary.skips == 6
+        else:
+            assert summary.passes > 0, summary.claim
+
+
 def test_run_suite_empty():
     config = TrialConfig(dimension=3, trials=0, seed=1)
     report = run_suite(config)
@@ -129,8 +122,9 @@ def test_aggregation_is_order_insensitive():
 
 
 def test_t7_skips_on_second_witness_form():
-    piped = gen_instance(3, 1, "named-witness", mode="exact")
-    (report,) = check_claims(piped, ("T7",))
+    piped = build_witness(Fraction(1, 2)).z3_body_2
+    directions = sample_directions(random.Random(0), 3, 8)
+    (report,) = check_claims(piped, ("T7",), directions=directions)
     assert report.status == "skip"
     assert report.hypothesis is False
 

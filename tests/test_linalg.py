@@ -170,11 +170,3 @@ def test_monotone_root_float():
     assert root == 5.0
     with pytest.raises(ValueError):
         monotone_root(lambda s: s * s + 1.0, 0.0, 1.0)
-
-
-def test_monotone_root_exact_bisection():
-    root = monotone_root(
-        lambda s: s * s - 2, Fraction(1), Fraction(2), width=Fraction(1, 2**20)
-    )
-    assert isinstance(root, Fraction)
-    assert abs(float(root) - math.sqrt(2.0)) <= 2.0 / 2**20

@@ -97,7 +97,7 @@ def test_float_branch_search_matches_grid(monkeypatch):
     bodies = []
     for d in (3, 4):
         for seed in range(8):
-            piped = gen_instance(d, seed, "random")
+            piped = gen_instance(d, seed)
             bodies += [det_normalized(piped), pseudo_compound(piped)]
     grid = [successive_minima(body) for body in bodies]
     # no box fits the grid, so every float search takes the branch path
@@ -145,7 +145,7 @@ def test_each_search_enumerates_once(monkeypatch):
     bodies = []
     for d, mode in ((3, "float"), (4, "float"), (5, "float"), (3, "exact")):
         for seed in range(4):
-            piped = gen_instance(d, seed, "random", mode=mode)
+            piped = gen_instance(d, seed, mode=mode)
             bodies += [det_normalized(piped), pseudo_compound(piped)]
     for body in bodies:
         assert enumerations(lambda: successive_minima(body)) == 1
@@ -178,7 +178,7 @@ def test_integral_lll_matches_fraction_reference(monkeypatch):
     for d, mode, seeds in [(d, "float", range(6)) for d in (2, 3, 4, 5, 6)] + [(3, "exact", range(12))]:
         lattice = Lattice.integers(d, kind="float" if mode == "float" else "rational")
         for seed in seeds:
-            piped = gen_instance(d, seed, "random", mode=mode)
+            piped = gen_instance(d, seed, mode=mode)
             for body in (piped, det_normalized(piped)):
                 searches += [(body, lattice), (pseudo_compound(body), lattice)]
     for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7), Fraction(5, 11)):

@@ -5,16 +5,20 @@ from fractions import Fraction
 import pytest
 
 from dualpiped.scalars import (
-    Quad3,
+    REL_SLACK,
     SQRT3,
-    ToleranceConfig,
+    STRICT_DELTA,
+    Quad3,
     as_float,
     exact_nth_root,
+    float_leq,
+    float_strictly_greater,
     format_scalar,
     parse_scalar,
     quad_sign,
     scalar_floor,
     sqrt_exact,
+    widen,
 )
 
 
@@ -155,14 +159,15 @@ def test_exact_nth_root():
     assert exact_nth_root(Quad3(2), 6) is None
 
 
-def test_tolerance_config_defaults():
-    tol = ToleranceConfig()
-    assert tol.rel_slack == 1e-9
-    assert tol.strict_delta == 1e-6
-    assert tol.leq(1.0, 1.0)
-    assert tol.leq(1.0 + 1e-10, 1.0)
-    assert not tol.leq(1.0 + 1e-6, 1.0)
-    assert tol.strictly_greater(1.0 + 1e-3, 1.0)
-    assert not tol.strictly_greater(1.0 + 1e-9, 1.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(rel_slack=-1.0)
+def test_float_tolerance_policy():
+    assert REL_SLACK == 1e-9
+    assert STRICT_DELTA == 1e-6
+    assert float_leq(1.0, 1.0)
+    assert float_leq(1.0 + 1e-10, 1.0)
+    assert not float_leq(1.0 + 1e-6, 1.0)
+    assert float_strictly_greater(1.0 + 1e-3, 1.0)
+    assert not float_strictly_greater(1.0 + 1e-9, 1.0)
+    # enumeration widens a radius by the same relative slack
+    assert widen(0.5) == 0.5 + 1e-9
+    assert widen(4.0) == 4.0 + 4e-9
+    assert float_leq(widen(4.0), 4.0)

@@ -211,6 +211,7 @@ def test_first_minimum_section_dual_frozen():
         first_minimum_section_dual(Parallelepiped.cube(7))
 
 
+@pytest.mark.slow
 def test_first_minimum_section_dual_matches_brute_force():
     import itertools
 

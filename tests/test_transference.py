@@ -7,7 +7,7 @@ import pytest
 from dualpiped.bodies import Lattice, Parallelepiped, pseudo_compound
 from dualpiped.linalg import Matrix
 from dualpiped.minima import successive_minima
-from dualpiped.scalars import Quad3, ToleranceConfig
+from dualpiped.scalars import Quad3
 from dualpiped.transference import (
     ALL_CLAIMS,
     ClaimReport,
@@ -19,6 +19,7 @@ from dualpiped.transference import (
     mahler_dual_box,
     normalize_tau,
     on_surface,
+    sample_directions,
     t2_root,
     tau_vertex,
 )
@@ -184,7 +185,8 @@ def test_tau_vertex_frozen():
 
 def test_check_claims_on_cube():
     for d in (3, 4):
-        reports = check_claims(Parallelepiped.cube(d), rng=random.Random(1))
+        directions = sample_directions(random.Random(1), d, 8)
+        reports = check_claims(Parallelepiped.cube(d), directions=directions)
         by_id = {r.claim: r for r in reports}
         assert set(by_id) == set(ALL_CLAIMS)
         assert all(r.status != "violation" for r in reports)
@@ -206,8 +208,9 @@ def test_check_claims_deterministic_and_filterable():
         Matrix([[1.0, 0.25, 0.0], [0.0, 1.0, -0.5], [0.25, 0.0, 1.0]]),
         (1.1, 0.8, 1.3),
     )
-    first = check_claims(piped, ("FAM", "FAMSHARP", "C12"), rng=random.Random(9))
-    second = check_claims(piped, ("FAM", "FAMSHARP", "C12"), rng=random.Random(9))
+    directions = sample_directions(random.Random(9), 3, 8)
+    first = check_claims(piped, ("FAM", "FAMSHARP", "C12"), directions=directions)
+    second = check_claims(piped, ("FAM", "FAMSHARP", "C12"), directions=directions)
     assert [r.claim for r in first] == ["FAM", "FAMSHARP", "C12"]
     for a, b in zip(first, second):
         assert a.claim == b.claim
@@ -224,7 +227,8 @@ def test_check_claims_random_exact_instances():
         eta = tuple(Fraction(rng.randint(2, 6), rng.randint(1, 2)) for _ in range(3))
         piped = Parallelepiped(h, eta)
         reports = check_claims(
-            piped, ("T3", "T4", "MK2", "T5", "T6", "WM", "C12"), rng=random.Random(2)
+            piped, ("T3", "T4", "MK2", "T5", "T6", "WM", "C12"),
+            directions=sample_directions(random.Random(2), 3, 8),
         )
         assert all(r.status != "violation" for r in reports)
         if any(r.claim == "T3" and r.status == "pass" for r in reports):

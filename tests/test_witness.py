@@ -7,7 +7,7 @@ import pytest
 
 from dualpiped.bodies import Lattice, Parallelepiped, pseudo_compound
 from dualpiped.linalg import Matrix
-from dualpiped.minima import successive_minima
+from dualpiped.minima import first_minimum, successive_minima
 from dualpiped.scalars import Quad3
 from dualpiped.sections import section_dual_gauge
 from dualpiped.transference import on_surface, tau_vertex
@@ -209,6 +209,16 @@ def test_sharpness_report_text():
     assert "5/4" in text
     assert "epsilon = 1/2" in text
     assert "closed:" in text and "interior:" in text
+
+
+def test_z3_bodies_at_one_half_kinds_and_first_minima():
+    w = build_witness(Fraction(1, 2))
+    assert w.z3_body_1.kind == "quad3"
+    assert w.z3_body_2.kind == "rational"
+    assert first_minimum(w.z3_body_2)[0] == 1
+    value, _ = first_minimum(w.z3_body_1)
+    assert value == Quad3(0, Fraction(2, 3))
+    assert w.z3_body_2.to_float().kind == "float"
 
 
 def test_integer_reformulation_matches_lattice_minima():
