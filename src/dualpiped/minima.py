@@ -5,24 +5,27 @@ the gauge of the lattice point Bk under a parallelepiped (H, eta) is the sup
 norm of C k where C = diag(1/eta) H B. Enumeration reports one canonical
 representative per antipodal pair (first nonzero coordinate positive) and
 never reports the origin. Points are ordered by (gauge, coefficient vector),
-with exact lexicographic tie-breaking, so results are deterministic.
+with exact lexicographic tie-breaking, so results are deterministic. Float
+gauges are exact dyadic gauges rounded once, so no reported bit depends on
+the search that found the point.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 from typing import Sequence
 
 import numpy as np
 
 from .bodies import Lattice, Parallelepiped
 from .linalg import Matrix, RationalSpan
-from .scalars import Scalar, as_float, scalar_ceil, scalar_floor, scalar_sign, widen
+from .scalars import as_float, scalar_ceil, scalar_floor, scalar_sign, widen
 
 GRID_CELL_CAP = 2_000_000
 NODE_CAP = 3_000_000
-REDUCTION_CELL_FLOOR = 4096
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -44,12 +47,16 @@ def gauge_rows(piped: Parallelepiped, lattice: Lattice) -> tuple:
 def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     """All (gauge, k) with sup norm of (c_rows) k at most mu, k != 0.
 
-    One representative per antipodal pair, sorted by (gauge, k). Exact
-    scalar rows decide boundary membership exactly; float rows widen mu by
-    the relative slack scalars.REL_SLACK. `basis` is reduced_basis(c_rows),
-    which the caller has already used to size mu: when the search box is
-    large and the basis is not the unit vectors, the search runs in its
-    coordinates, which shrinks the box without changing the reported points.
+    One representative per antipodal pair, sorted by (gauge, k). The search
+    runs in the coordinates of `basis`, the reduced_basis(c_rows) that the
+    caller has already used to size mu (the unit vectors when the rows need
+    no reduction): the numpy grid when the box is small enough, else the
+    branch-and-bound. Either search only proposes candidates; one loop then
+    maps them back and decides them. Exact rows keep the exact leaf gauge.
+    Float rows are a filter only: the search runs a little wider than mu,
+    and each candidate's gauge is taken exactly (see _gauge_of) and kept when
+    it is at most widen(mu), so the points and their bits do not depend on
+    the path that found them.
     """
     d = len(c_rows)
     if any(len(row) != d for row in c_rows):
@@ -57,14 +64,32 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     if scalar_sign(mu) <= 0:
         return []
     is_float = isinstance(c_rows[0][0], float)
-    box = _dilate_box(Matrix(c_rows).inverse(), mu, is_float)
-    if _cell_count(box) > REDUCTION_CELL_FLOOR:
-        u = tuple(zip(*basis))  # row-major, the basis vectors as columns
-        if any(u[i][j] != (i == j) for i in range(d) for j in range(d)):
-            return _points_reduced(c_rows, mu, u, is_float)
+    rows = tuple(tuple(_dot(row, b) for b in basis) for row in c_rows)
+    # searching this much wider than the decision, rounding can add
+    # candidates but never lose one
+    radius = widen(float(mu)) * (1.0 + 1e-7) if is_float else mu
+    box = _dilate_box(Matrix(rows).inverse(), radius, is_float)
     if is_float and _cell_count(box) <= GRID_CELL_CAP:
-        return _grid_points_float(c_rows, float(mu), box)
-    return _branch_points(c_rows, mu, box, is_float)
+        candidates = _grid_points_float(rows, radius, box)
+    else:
+        candidates = _branch_points(rows, radius, box, is_float)
+    if is_float:
+        gauge_of = _gauge_of(c_rows)
+        limit = widen(float(mu))
+    u = tuple(zip(*basis))  # row-major, the basis vectors as columns
+    points = []
+    for gauge, kp in candidates:
+        k = [sum(map(mul, row, kp)) for row in u]
+        if next(filter(None, k)) < 0:
+            k = [-x for x in k]
+        k = tuple(k)
+        if is_float:
+            gauge = gauge_of(k)
+            if gauge > limit:
+                continue
+        points.append((gauge, k))
+    points.sort()
+    return points
 
 
 def _dilate_box(cinv: Matrix, mu, is_float: bool) -> list:
@@ -128,9 +153,28 @@ def reduced_basis(c_rows) -> list:
     return [tuple(u[i][j] for i in range(d)) for j in range(d)]
 
 
-def _gauge(c_rows, k) -> Scalar:
-    """Sup norm of (c_rows) k, summed left to right."""
-    return max(abs(sum(row[j] * k[j] for j in range(len(k)))) for row in c_rows)
+def _dot(row, k):
+    """row . k for an integer vector k != 0, skipping its zero entries.
+
+    Multiplying a quadratic scalar by 0 is not free.
+    """
+    return reduce(add, (x * y for x, y in zip(row, k) if y))
+
+
+def _gauge_of(c_rows):
+    """The gauge k -> sup norm of (c_rows) k, exact on every scalar kind.
+
+    Float entries are dyadic rationals, so float rows are scaled once to
+    integer rows n_i over one power-of-two denominator D. The gauge of k is
+    then max_i |n_i . k| / D: an exact integer maximum and one correctly
+    rounded int / int division, whatever the order of the sums.
+    """
+    if not isinstance(c_rows[0][0], float):
+        return lambda k: max(abs(_dot(row, k)) for row in c_rows)
+    ratios = [[x.as_integer_ratio() for x in row] for row in c_rows]
+    den = max(q for row in ratios for _, q in row)
+    ints = [[p * (den // q) for p, q in row] for row in ratios]
+    return lambda k: max([abs(sum(map(mul, n, k))) for n in ints]) / den
 
 
 def _lll_unimodular(cols):
@@ -208,82 +252,22 @@ def _lll_unimodular(cols):
     return u
 
 
-def _points_reduced(c_rows, mu, u, is_float: bool) -> list:
-    """Enumerate in reduced coordinates, then map points back through u.
-
-    Exact rows keep exact gauges (the change of coordinates commutes with
-    the arithmetic); float rows search a slightly wider capture radius and
-    recompute every surviving gauge against the original rows, so the
-    reported values match the unreduced paths.
-    """
-    d = len(c_rows)
-    reduced = []
-    for row in c_rows:
-        new_row = []
-        for m in range(d):
-            acc = row[0] * u[0][m]
-            for j in range(1, d):
-                acc = acc + row[j] * u[j][m]
-            new_row.append(acc)
-        reduced.append(tuple(new_row))
-    radius = float(mu) * (1.0 + 1e-7) + 1e-12 if is_float else mu
-    box = _dilate_box(Matrix(reduced).inverse(), radius, is_float)
-    if is_float and _cell_count(box) <= GRID_CELL_CAP:
-        return _grid_points_float(c_rows, float(mu), box, (reduced, radius, u))
-    raw = _branch_points(reduced, radius, box, is_float)
-    cutoff = widen(float(mu)) if is_float else None
-    out = []
-    for gauge, kp in raw:
-        k = tuple(sum(u[j][m] * kp[m] for m in range(d)) for j in range(d))
-        if is_float:
-            gauge = _gauge(c_rows, k)
-            if gauge > cutoff:
-                continue
-        lead = next((x for x in k if x != 0), 0)
-        if lead < 0:
-            k = tuple(-x for x in k)
-        out.append((gauge, k))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out
-
-
-def _grid_points_float(c_rows, mu: float, box, reduction=None) -> list:
-    """Every point of the box with float gauge at most mu (plus slack).
-
-    With a reduction (reduced rows, capture radius, u) the box is in reduced
-    coordinates: points outside the capture radius are dropped there and the
-    rest are mapped back through u before their gauges are taken. Without
-    one, the gauges come from a single matmul over the whole box.
-    """
-    c = np.array([[float(x) for x in row] for row in c_rows], dtype=float)
+def _grid_points_float(rows, radius: float, box) -> list:
+    """Canonical points of the box with float gauge (one matmul) at most radius."""
+    c = np.array(rows, dtype=float)
     axes = [np.arange(-b, b + 1, dtype=np.int32) for b in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     k = np.stack([m.ravel() for m in mesh], axis=1)
-    if reduction is not None:
-        reduced, capture, u = reduction
-        r = np.array([[float(x) for x in row] for row in reduced], dtype=float)
-        coarse = np.abs(k @ r.T).max(axis=1) <= widen(capture)
-        k = k[coarse] @ np.array(u, dtype=np.int64).T
     g = np.abs(k @ c.T).max(axis=1)
-    keep = g <= widen(mu)
-    k = k[keep]
-    g = g[keep]
-    nonzero = k != 0
-    lead = k[np.arange(len(k)), np.argmax(nonzero, axis=1)]
-    canonical = nonzero.any(axis=1) & (lead > 0)
-    out = [
-        (float(gv), tuple(int(x) for x in kv))
-        for gv, kv in zip(g[canonical], k[canonical])
-    ]
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out
+    lead = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
+    keep = (g <= radius) & (lead > 0)
+    return list(zip(g[keep].tolist(), map(tuple, k[keep].tolist())))
 
 
-def _branch_points(c_rows, mu, box, is_float: bool) -> list:
-    """Depth-first search with interval propagation; exact or float scalars."""
+def _branch_points(c_rows, radius, box, is_float: bool) -> list:
+    """Canonical points with gauge at most radius; exact or float scalars."""
     d = len(c_rows)
     if is_float:
-        mu_eff = widen(float(mu))
 
         def int_floor(x):
             return math.floor(x + 1e-9)
@@ -292,7 +276,6 @@ def _branch_points(c_rows, mu, box, is_float: bool) -> list:
             return math.ceil(x - 1e-9)
 
     else:
-        mu_eff = mu
         int_floor = scalar_floor
         int_ceil = scalar_ceil
 
@@ -302,8 +285,8 @@ def _branch_points(c_rows, mu, box, is_float: bool) -> list:
 
     def propagate(lo, hi, fixed, free) -> bool:
         # tighten: for each form i, fixed_i + sum_j c_ij k_j must lie in
-        # [-mu, mu]; a few passes are enough, correctness never depends on
-        # reaching a fixpoint because leaves recheck the true gauge
+        # [-radius, radius]; a few passes are enough, correctness never
+        # depends on reaching a fixpoint because leaves recheck the gauge
         for _ in range(3):
             changed = False
             for i in range(d):
@@ -322,14 +305,14 @@ def _branch_points(c_rows, mu, box, is_float: bool) -> list:
                     total_min = total_min + t1
                     total_max = total_max + t2
                 base = fixed[i]
-                if base + total_min > mu_eff or base + total_max < -mu_eff:
+                if base + total_min > radius or base + total_max < -radius:
                     return False
                 for j in free:
                     cij = row[j]
                     if scalar_sign(cij) == 0:
                         continue
-                    low_target = -mu_eff - base - (total_max - maxs[j])
-                    high_target = mu_eff - base - (total_min - mins[j])
+                    low_target = -radius - base - (total_max - maxs[j])
+                    high_target = radius - base - (total_min - mins[j])
                     if scalar_sign(cij) > 0:
                         new_lo = int_ceil(low_target / cij)
                         new_hi = int_floor(high_target / cij)
@@ -360,12 +343,8 @@ def _branch_points(c_rows, mu, box, is_float: bool) -> list:
         if not propagate(lo, hi, fixed, free):
             return
         if not free:
-            gauge = abs(fixed[0])
-            for f in fixed[1:]:
-                af = abs(f)
-                if af > gauge:
-                    gauge = af
-            if gauge <= mu_eff:
+            gauge = max(abs(f) for f in fixed)
+            if gauge <= radius and next((x for x in assignment if x), 0) > 0:
                 results.append((gauge, tuple(assignment)))
             return
         j = min(free, key=lambda jj: hi[jj] - lo[jj])
@@ -376,13 +355,7 @@ def _branch_points(c_rows, mu, box, is_float: bool) -> list:
         assignment[j] = 0
 
     search([-b for b in box], list(box), [0] * d, list(range(d)))
-    out = []
-    for gauge, k in results:
-        lead = next((x for x in k if x != 0), 0)
-        if lead > 0:
-            out.append((gauge, k))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out
+    return results
 
 
 @dataclass(frozen=True)
@@ -426,10 +399,7 @@ def successive_minima(
         raise ValueError("k_max must lie in 1..dimension")
     rows = gauge_rows(piped, lattice)
     basis = reduced_basis(rows)
-    radius = sorted(_gauge(rows, k) for k in basis)[k_max - 1]
-    if isinstance(radius, float):
-        # far inside the enumerator's slack; covers the rounding of this gauge
-        radius *= 1.0 + 1e-12
+    radius = sorted(map(_gauge_of(rows), basis))[k_max - 1]
     span = RationalSpan(d)
     values = []
     witnesses = []

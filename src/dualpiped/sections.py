@@ -18,6 +18,7 @@ irrational |w| cancels, so exact scalar kinds stay exact.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -186,7 +187,13 @@ def _wedge_gauge(w) -> Scalar:
 
 
 def _pullback(piped: Parallelepiped) -> tuple:
-    """A = H^{-1} diag(eta), so that Pi = A B_d, and det A."""
+    """A = H^{-1} diag(eta), so that Pi = A B_d, and det A; once per body."""
+    return _pullback_of(piped, piped.kind)
+
+
+@functools.lru_cache(maxsize=256)
+def _pullback_of(piped: Parallelepiped, kind: str) -> tuple:
+    # the kind is part of the key: a Quad3 body equals its rational twin
     a = piped.forms.inverse().matmul(Matrix.diagonal(piped.bounds))
     return a, a.det()
 

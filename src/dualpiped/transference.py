@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,7 +21,6 @@ from .bodies import Parallelepiped, det_normalized, pseudo_compound
 from .linalg import Matrix, monotone_root
 from .minima import first_minimum, successive_minima
 from .scalars import (
-    Quad3,
     Scalar,
     as_float,
     exact_nth_root,

@@ -100,13 +100,41 @@ def test_float_branch_search_matches_grid(monkeypatch):
             piped = gen_instance(d, seed)
             bodies += [det_normalized(piped), pseudo_compound(piped)]
     grid = [successive_minima(body) for body in bodies]
-    # no box fits the grid, so every float search takes the branch path
+    # no box fits the grid, so every float search takes the branch path; the
+    # searches only propose points, so both report the same bits
     monkeypatch.setattr(minima, "GRID_CELL_CAP", 0)
     for body, expected in zip(bodies, grid):
         profile = successive_minima(body)
-        assert profile.values == pytest.approx(expected.values, rel=1e-12)
+        assert profile.values == expected.values
+        assert profile.witnesses == expected.witnesses
         for value, witness in zip(profile.values, profile.witnesses):
             assert body.gauge(tuple(float(x) for x in witness)) == pytest.approx(value, rel=1e-12)
+
+
+def test_float_gauges_are_correctly_rounded(monkeypatch):
+    # every reported float gauge is the exact gauge of the dyadic rows,
+    # rounded once
+    searches = []
+
+    def recording(c_rows, mu, basis):
+        points = lattice_points_in_dilate(c_rows, mu, basis)
+        searches.append((c_rows, points))
+        return points
+
+    monkeypatch.setattr(minima, "lattice_points_in_dilate", recording)
+    for d, seeds in ((3, 6), (4, 5), (5, 5)):
+        for seed in range(seeds):
+            piped = gen_instance(d, seed)
+            for body in (det_normalized(piped), pseudo_compound(piped)):
+                successive_minima(body)
+    checked = 0
+    for c_rows, points in searches:
+        exact_rows = [[Fraction(x) for x in row] for row in c_rows]
+        for gauge, k in points:
+            exact = max(abs(sum(c * x for c, x in zip(row, k))) for row in exact_rows)
+            assert gauge == float(exact)
+            checked += 1
+    assert checked > 1000
 
 
 def test_first_minimum_with_unit_start():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dualpiped.bodies import Lattice, Parallelepiped
+from dualpiped.bodies import Parallelepiped
 from dualpiped.linalg import Matrix
 from dualpiped.sections import (
     cube_section_volume,

@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from dualpiped.bodies import Lattice, Parallelepiped, pseudo_compound
+from dualpiped.bodies import Parallelepiped, pseudo_compound
 from dualpiped.linalg import Matrix
 from dualpiped.minima import successive_minima
 from dualpiped.scalars import Quad3
 from dualpiped.transference import (
     ALL_CLAIMS,
-    ClaimReport,
     apply_hyperbolic,
     c_d,
     check_claims,

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dualpiped.bodies import Lattice, Parallelepiped, pseudo_compound
+from dualpiped.bodies import Parallelepiped, pseudo_compound
 from dualpiped.linalg import Matrix
 from dualpiped.minima import first_minimum, successive_minima
 from dualpiped.scalars import Quad3
