@@ -12,8 +12,6 @@ from typing import Callable, Iterable, Sequence
 
 from .scalars import Quad3, Scalar, scalar_sign
 
-_EXACT_KINDS = ("rational", "quad3")
-
 
 def _normalize_entry(x):
     if isinstance(x, int):

@@ -114,13 +114,13 @@ def _cell_count(box) -> int:
 def _reduction_transform(c_rows):
     """Integer unimodular u such that the columns of (c_rows) u are short.
 
-    The reduction runs on a rational snapshot of the rows, so it applies to
+    The reduction runs on a float snapshot of the rows, so it applies to
     float, rational, and quadratic entries alike; u is exactly unimodular in
-    every case, and None means the coordinates are already fine. The entries
-    are rounded to fractions after a power-of-two rescale that brings the
-    largest into [1, 2), so the rounding is relative to the rows' size. Each
-    search computes the transform once, through reduced_basis, and hands
-    that basis to the enumeration.
+    every case, and None means the coordinates are already fine. The LLL
+    reads each snapshot entry as the exact dyadic rational it is: it is
+    scale invariant and clears the denominators itself, so nothing is
+    rounded or rescaled. Each search computes the transform once, through
+    reduced_basis, and hands that basis to the enumeration.
     """
     d = len(c_rows)
     if d < 2:
@@ -128,15 +128,7 @@ def _reduction_transform(c_rows):
     snapshot = [[as_float(x) for x in row] for row in c_rows]
     if not all(math.isfinite(x) for row in snapshot for x in row):
         return None
-    largest = max(abs(x) for row in snapshot for x in row)
-    if largest == 0.0:
-        return None
-    scale = 2.0 ** -math.floor(math.log2(largest))
-    cols = [
-        [Fraction(snapshot[i][j] * scale).limit_denominator(10**6) for i in range(d)]
-        for j in range(d)
-    ]
-    return _lll_unimodular(cols)
+    return _lll_unimodular([[Fraction(row[j]) for row in snapshot] for j in range(d)])
 
 
 def reduced_basis(c_rows) -> list:

@@ -9,7 +9,6 @@ from typing import Union
 RationalLike = Union[int, Fraction]
 Scalar = Union[int, Fraction, "Quad3", float]
 
-_RAT = r"-?\d+(?:/\d+)?"
 _QUAD_RE = re.compile(
     rf"(?:(?P<a>[+-]?\d+(?:/\d+)?)(?=[+-]))?(?P<bs>[+-]?)(?:(?P<b>\d+(?:/\d+)?)\*)?sqrt3"
 )

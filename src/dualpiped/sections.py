@@ -11,6 +11,16 @@ divided-difference form it has no singular denominators, so repeated
 coefficients need no perturbation. Zero coordinates factor out of the section
 as whole cube edges, contributing 2 each.
 
+Every sum is exact. Floats are read as the dyadic rationals they are, and
+rational coordinates are scaled to integers over one common denominator: the
+ratio S(a) / ((d-1)! prod a_i) is homogeneous of degree -1, so the sum runs
+on Python ints whatever the scale of a. Q(sqrt3) coordinates run the same sum
+in their own arithmetic. Each volume derives from its exact square: exact
+kinds take the root when it lies in Q(sqrt3), and floats (or a root outside
+the field) round the square once and take math.sqrt. The sum has 2^n terms
+for n nonzero coordinates, so directions with more than 18 of them are
+refused before any work starts.
+
 The section-dual body of Pi = A B_d collects the points A'z whose defining
 hyperplane cuts a unit-volume section out of Pi; its gauge at z works out to
 |w| / (2^{1-d} vol(w-section)) with w = A^T z / det A, a ratio in which the
@@ -27,10 +37,11 @@ from typing import Sequence
 from .bodies import Parallelepiped
 from .linalg import Matrix
 from .minima import lattice_points_in_dilate, reduced_basis
-from .scalars import Scalar, exact_nth_root, scalar_sign
+from .scalars import Quad3, Scalar, exact_nth_root, scalar_sign
 
-# relative size under which the alternating sum is recomputed exactly
-_CANCELLATION_GUARD = 1e-7
+# nonzero coordinates a direction may have: 2^18 sign patterns of
+# coordinates of one scale take under a second
+_MAX_PARTS = 18
 
 
 def _signed_power_sum(parts, power: int):
@@ -51,82 +62,72 @@ def _signed_power_sum(parts, power: int):
     return total
 
 
-def _section_ratio(parts, is_float: bool):
-    """S(a) / ((d'-1)! * prod a_i) for positive parts a; exact when possible.
+def _section_ratio(parts):
+    """S(a) / ((n-1)! * prod a_i) for n positive exact parts a, exactly.
 
-    Floats watch the alternating sum for cancellation against its largest
-    term, the all-plus one (rounding is monotone, so no other pattern's sum
-    exceeds it), and redo the ratio in exact dyadic rationals when it
-    strikes; the ratio itself is well conditioned, only the naive summation
-    order is not.
+    Rational parts are scaled to integers k = D a / g, with D the lcm of their
+    denominators and g the gcd of the scaled parts; the ratio is homogeneous
+    of degree -1, so it equals D S(k) / (g (n-1)! prod k).
     """
-    power = len(parts) - 1
-    total = _signed_power_sum(parts, power)
-    if is_float and total <= sum(parts) ** power * _CANCELLATION_GUARD:
-        return float(_section_ratio([Fraction(x) for x in parts], False))
-    return total / (math.factorial(power) * math.prod(parts))
+    n = len(parts)
+    if any(isinstance(x, Quad3) for x in parts):
+        return _signed_power_sum(parts, n - 1) / (math.factorial(n - 1) * math.prod(parts))
+    ratios = [x.as_integer_ratio() for x in parts]
+    den = math.lcm(*(q for _, q in ratios))
+    ints = [p * (den // q) for p, q in ratios]
+    g = math.gcd(*ints)
+    ints = [k // g for k in ints]
+    return Fraction(
+        den * _signed_power_sum(ints, n - 1), g * math.factorial(n - 1) * math.prod(ints)
+    )
 
 
-def _split_direction(a, d: int):
+def _exact_parts(a) -> tuple:
+    """|a_i| of the nonzero coordinates, floats read exactly, and whether a has a float."""
+    is_float = any(isinstance(x, float) for x in a)
+    parts = [abs(x if isinstance(x, Quad3) else Fraction(x)) for x in a if x]
+    return parts, is_float
+
+
+def _split_direction(a, d: int) -> tuple:
     a = tuple(a)
     if len(a) != d:
         raise ValueError("direction length must equal the dimension")
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    is_float = any(isinstance(x, float) for x in a)
-    if is_float:
-        entries = tuple(float(x) for x in a)
-        if not all(math.isfinite(x) for x in entries):
-            raise ValueError("direction must be finite")
-    else:
-        entries = tuple(Fraction(x) if isinstance(x, int) else x for x in a)
-    parts = [abs(x) for x in entries if scalar_sign(x) != 0]
+    if not all(math.isfinite(x) for x in a if isinstance(x, float)):
+        raise ValueError("direction must be finite")
+    parts, is_float = _exact_parts(a)
     if not parts:
         raise ValueError("direction must be nonzero")
-    return entries, parts, is_float
+    if len(parts) > _MAX_PARTS:
+        raise ValueError(
+            f"direction has {len(parts)} nonzero coordinates; the sign-pattern"
+            f" sum supports at most {_MAX_PARTS}"
+        )
+    return parts, is_float
 
 
-def _in_float_range(parts: list) -> tuple:
-    """Float parts scaled by 2^-e when the sums would leave the range, and e.
+def _squared_volume(a, d: int) -> tuple:
+    """Exact square 4^zeros |a|^2 ratio^2 of the section volume, and is_float."""
+    parts, is_float = _split_direction(a, d)
+    ratio = _section_ratio(parts)
+    return 4 ** (d - len(parts)) * sum(x * x for x in parts) * ratio * ratio, is_float
 
-    With n parts, the largest of binary exponent e, every term and product of
-    the formula lies within 2^(+-n(|e| + log2 n + 1)). Directions inside the
-    room are left alone (e = 0), since float powers need not scale exactly;
-    parts that underflow to zero after scaling are dropped like zero
-    coordinates.
-    """
-    n = len(parts)
-    e = math.frexp(max(parts))[1]
-    # a room of 2^(+-1000) keeps the guard's 1e-7 above the smallest normal
-    if n * (abs(e) + n.bit_length() + 1) <= 1000:
-        return parts, 0
-    scaled = (math.ldexp(x, -e) for x in parts)
-    return [x for x in scaled if x > 0.0], e
+
+def _root(square, is_float: bool) -> Scalar:
+    root = None if is_float else exact_nth_root(square, 2)
+    return math.sqrt(square) if root is None else root
 
 
 def cube_section_volume(a: Sequence[Scalar], d: int) -> Scalar:
     """(d-1)-volume of the central section of [-1,1]^d orthogonal to a.
 
     Exact inputs give an exact value whenever |a| lies in Q(sqrt3), a float
-    otherwise; invariant under permutations, sign flips, and positive scaling.
+    otherwise; float values are the exact volume rounded once. Invariant under
+    permutations, sign flips, and positive scaling.
     """
-    _, parts, is_float = _split_direction(a, d)
-    if is_float:
-        parts, _ = _in_float_range(parts)
-    zeros = d - len(parts)
-    if len(parts) == 1:
-        # the section is a facet-parallel slice
-        return 2.0 ** (d - 1) if is_float else Fraction(2 ** (d - 1))
-    ratio = _section_ratio(parts, is_float)
-    norm2 = 0
-    for x in parts:
-        norm2 = norm2 + x * x
-    if is_float:
-        return 2.0**zeros * math.sqrt(norm2) * ratio
-    root = exact_nth_root(norm2, 2)
-    if root is None:
-        return 2.0**zeros * math.sqrt(float(norm2)) * float(ratio)
-    return 2**zeros * root * ratio
+    return _root(*_squared_volume(a, d))
 
 
 def v_tau(tau: Sequence[Scalar]) -> Scalar:
@@ -135,11 +136,8 @@ def v_tau(tau: Sequence[Scalar]) -> Scalar:
     Defined for every nonzero direction, invariant under signs and positive
     scaling; Vaaler's and Ball's theorems pin it into [1, sqrt(2)].
     """
-    d = len(tau)
-    vol = cube_section_volume(tau, d)
-    if isinstance(vol, float):
-        return vol * 2.0 ** (1 - d)
-    return vol * Fraction(1, 2 ** (d - 1))
+    square, is_float = _squared_volume(tau, len(tau))
+    return _root(square / 4 ** (len(tau) - 1), is_float)
 
 
 def v_tau_squared(tau: Sequence[Scalar]) -> Scalar:
@@ -148,42 +146,18 @@ def v_tau_squared(tau: Sequence[Scalar]) -> Scalar:
     The square drops the lone square root in v_tau, so comparisons against
     rational thresholds can be decided exactly.
     """
-    d = len(tau)
-    if d < 2:
-        raise ValueError("dimension must be at least 2")
-    exact = [Fraction(t) if isinstance(t, (int, float)) else t for t in tau]
-    parts = [abs(t) for t in exact if scalar_sign(t) != 0]
-    if not parts:
-        raise ValueError("the direction must have a nonzero coordinate")
-    if len(parts) == 1:
-        return Fraction(1)
-    zeros = d - len(parts)
-    ratio = _section_ratio(parts, False)
-    norm2 = 0
-    for t in parts:
-        norm2 = norm2 + t * t
-    return norm2 * ratio * ratio * Fraction(4**zeros, 4 ** (d - 1))
+    return _squared_volume(tau, len(tau))[0] / 4 ** (len(tau) - 1)
 
 
 def _wedge_gauge(w) -> Scalar:
-    """Gauge of the section-dual of the cube at w; rational in the entries.
+    """Gauge of the section-dual of the cube at w: 2^(n-1) / ratio, exactly.
 
-    The gauge is homogeneous of degree one, so a float direction rescaled
-    into range has its gauge scaled back by the same power of two.
+    The ratio runs over the n nonzero |w_i|; float entries get the exact
+    gauge rounded once.
     """
-    is_float = any(isinstance(x, float) for x in w)
-    parts = [abs(x) for x in w if scalar_sign(x) != 0]
-    if not parts:
-        return 0.0 if is_float else Fraction(0)
-    e = 0
-    if is_float:
-        parts, e = _in_float_range(parts)
-    if len(parts) == 1:
-        gauge = parts[0]
-    else:
-        two = 2.0 if is_float else Fraction(2)
-        gauge = two ** (len(parts) - 1) / _section_ratio(parts, is_float)
-    return math.ldexp(gauge, e) if e else gauge
+    parts, is_float = _exact_parts(w)
+    gauge = 2 ** (len(parts) - 1) / _section_ratio(parts) if parts else Fraction(0)
+    return float(gauge) if is_float else gauge
 
 
 def _pullback(piped: Parallelepiped) -> tuple:

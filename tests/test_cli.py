@@ -127,6 +127,8 @@ def test_section_command(capsys):
     assert main(["section", "--dim", "4", "--direction", "1,1,1"]) == 2
     assert main(["section", "--direction", "0,0"]) == 2
     assert main(["section", "--direction", "1e999,1,1"]) == 2
+    # 2^40 sign patterns: refused before any work starts
+    assert main(["section", "--direction", ",".join(["1"] * 40)]) == 2
 
 
 def test_section_float_direction(capsys):

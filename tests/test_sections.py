@@ -97,7 +97,7 @@ def test_v_tau_frozen_and_scale_invariant():
     ],
 )
 def test_float_sections_at_extreme_scales(direction, unscaled):
-    # the sums under- or overflow unless the direction is rescaled first
+    # float powers of these coordinates under- or overflow; the exact sums do not
     d = len(direction)
     volume = cube_section_volume(direction, d)
     assert volume == pytest.approx(cube_section_volume(unscaled, d), rel=1e-12)
@@ -108,6 +108,30 @@ def test_float_sections_at_extreme_scales(direction, unscaled):
     assert math.isfinite(gauge)
     scale = direction[0] / unscaled[0]
     assert gauge == pytest.approx(section_dual_gauge(cube, unscaled) * scale, rel=1e-12)
+
+
+def test_float_sections_are_the_exact_value_rounded_once():
+    rng = random.Random(59)
+    for d in range(2, 13):
+        cube = Parallelepiped.cube(d, kind="float")
+        for _ in range(3):
+            a = [rng.uniform(0.05, 1.0) for _ in range(d)]
+            v = v_tau(tuple(a))
+            exact = v_tau_squared(tuple(map(Fraction, a)))
+            assert abs(Fraction(v) ** 2 - exact) <= exact * Fraction(1, 2**50)
+            volume = cube_section_volume(tuple(a), d)
+            gauge = section_dual_gauge(cube, tuple(a))
+            # one rounding of a permutation- and scale-invariant exact value
+            shuffled = a[:]
+            rng.shuffle(shuffled)
+            assert v_tau(tuple(shuffled)) == v
+            assert cube_section_volume(tuple(shuffled), d) == volume
+            assert section_dual_gauge(cube, tuple(shuffled)) == gauge
+            for k in (-40, -3, 5, 37):
+                scaled = tuple(math.ldexp(x, k) for x in a)
+                assert v_tau(scaled) == v
+                assert cube_section_volume(scaled, d) == volume
+                assert section_dual_gauge(cube, scaled) == math.ldexp(gauge, k)
 
 
 def test_v_tau_at_degenerate_directions():
