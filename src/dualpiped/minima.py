@@ -5,9 +5,10 @@ the gauge of the lattice point Bk under a parallelepiped (H, eta) is the sup
 norm of C k where C = diag(1/eta) H B. Enumeration reports one canonical
 representative per antipodal pair (first nonzero coordinate positive) and
 never reports the origin. Points are ordered by (gauge, coefficient vector),
-with exact lexicographic tie-breaking, so results are deterministic. Float
-gauges are exact dyadic gauges rounded once, so no reported bit depends on
-the search that found the point.
+with exact lexicographic tie-breaking, so results are deterministic. One
+float search serves every scalar kind and only proposes points; each is
+decided by its exact gauge, and float gauges are exact dyadic gauges rounded
+once, so no reported point or bit depends on the search that found it.
 """
 from __future__ import annotations
 
@@ -16,13 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
-from typing import Sequence
 
 import numpy as np
 
 from .bodies import Lattice, Parallelepiped
 from .linalg import Matrix, RationalSpan
-from .scalars import as_float, scalar_ceil, scalar_floor, scalar_sign, widen
+from .scalars import Quad3, as_float, scalar_floor, scalar_sign, widen
 
 GRID_CELL_CAP = 2_000_000
 NODE_CAP = 3_000_000
@@ -50,13 +50,26 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     One representative per antipodal pair, sorted by (gauge, k). The search
     runs in the coordinates of `basis`, the reduced_basis(c_rows) that the
     caller has already used to size mu (the unit vectors when the rows need
-    no reduction): the numpy grid when the box is small enough, else the
-    branch-and-bound. Either search only proposes candidates; one loop then
-    maps them back and decides them. Exact rows keep the exact leaf gauge.
-    Float rows are a filter only: the search runs a little wider than mu,
-    and each candidate's gauge is taken exactly (see _gauge_of) and kept when
-    it is at most widen(mu), so the points and their bits do not depend on
-    the path that found them.
+    no reduction), on a float snapshot of the reduced rows of any kind: the
+    numpy grid when the box is small enough, else the branch-and-bound.
+    Either only proposes candidates. Each is kept iff its exact gauge (see
+    _gauge_of) is at most the limit, mu for exact rows and widen(mu) for
+    float rows, and then mapped back, so no point or bit depends on the path.
+
+    The candidates hold every point within the limit. Rows of every kind
+    are taken exactly (a float is dyadic; see _integer_rows), so such a
+    point has |k_j| <= b_j, the box of their exact inverse at the limit.
+    The snapshot is of the reduced rows times the power of two that brings
+    the largest entry near 1, so none overflows. A snapshot entry s of a
+    scaled entry x is off by at most 2^-53 w: w = |s| for a rational x,
+    rounded once, and w = 4 (|a| + 2|b|) for x = a + b sqrt3, as
+    float(a) + float(b) * sqrt(3) can cancel; w also carries 2^-1020 for up
+    to four roundings in the subnormal range. A float row times k adds at
+    most gamma_d sum_j |s_ij| b_j: products by integers, and sums that land
+    in the subnormal range, are exact. The search radius adds twice both
+    bounds, and twice the rounding of the limit itself, to the scaled
+    limit; the second half covers the rounding of the interval sums on
+    which the branch search prunes.
     """
     d = len(c_rows)
     if any(len(row) != d for row in c_rows):
@@ -64,51 +77,69 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     if scalar_sign(mu) <= 0:
         return []
     is_float = isinstance(c_rows[0][0], float)
-    rows = tuple(tuple(_dot(row, b) for b in basis) for row in c_rows)
-    # searching this much wider than the decision, rounding can add
-    # candidates but never lose one
-    radius = widen(float(mu)) * (1.0 + 1e-7) if is_float else mu
-    box = _dilate_box(Matrix(rows).inverse(), radius, is_float)
-    if is_float and _cell_count(box) <= GRID_CELL_CAP:
-        candidates = _grid_points_float(rows, radius, box)
-    else:
-        candidates = _branch_points(rows, radius, box, is_float)
-    if is_float:
-        gauge_of = _gauge_of(c_rows)
-        limit = widen(float(mu))
+    limit = widen(float(mu)) if is_float else mu
+    n, den = _integer_rows(c_rows)
+    exact = [[sum(map(mul, row, b)) for b in basis] for row in n]
+    box = _dilate_box(exact, _exact(limit) * den)
+    top = Fraction(max(_magnitude(x) for row in exact for x in row), den)
+    shift = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
+    scale = shift / den
+    # int / int rounds correctly, and so does float of a Fraction or of the
+    # exact Q(sqrt3) entry, which the error weight reads
+    rows = [[x * scale.numerator / scale.denominator for x in row] for row in exact]
+    snapshot = [[float(x) for x in row] for row in rows]
+    spread = max(
+        sum((_error_weight(x, s) + (d + 1) * abs(s)) * b for x, s, b in zip(xs, ss, box))
+        for xs, ss in zip(rows, snapshot)
+    )
+    scaled_limit = _exact(limit) * shift
+    radius = float(scaled_limit) + 2.0**-52 * (
+        spread + _error_weight(scaled_limit, float(scaled_limit))
+    )
+    search = _grid_points if math.prod(2 * b + 1 for b in box) <= GRID_CELL_CAP else _branch_points
+    gauge_of = _gauge_of(exact, den, is_float)
     u = tuple(zip(*basis))  # row-major, the basis vectors as columns
     points = []
-    for gauge, kp in candidates:
-        k = [sum(map(mul, row, kp)) for row in u]
-        if next(filter(None, k)) < 0:
-            k = [-x for x in k]
-        k = tuple(k)
-        if is_float:
-            gauge = gauge_of(k)
-            if gauge > limit:
-                continue
-        points.append((gauge, k))
+    for kp in search(snapshot, radius, box):
+        gauge = gauge_of(kp)
+        if gauge <= limit:
+            k = [sum(map(mul, row, kp)) for row in u]
+            if next(filter(None, k)) < 0:
+                k = [-x for x in k]
+            points.append((gauge, tuple(k)))
     points.sort()
     return points
 
 
-def _dilate_box(cinv: Matrix, mu, is_float: bool) -> list:
-    """Per-coordinate bound floor(mu * l1 norm of each inverse row)."""
-    box = []
-    for row in cinv.rows:
-        width = abs(row[0])
-        for x in row[1:]:
-            width = width + abs(x)
-        width = mu * width
-        box.append(math.floor(width + 1e-9) if is_float else scalar_floor(width))
-    return box
+def _dilate_box(rows, mu) -> list:
+    """Per-coordinate bound floor(mu * l1 norm of each row of rows^-1), exact.
 
-
-def _cell_count(box) -> int:
-    cells = 1
-    for b in box:
-        cells *= 2 * b + 1
-    return cells
+    Integer rows stay in integers: Montante's fraction-free Gauss-Jordan,
+    dividing exactly by the previous pivot as Bareiss (1968) does, turns
+    (rows | I) into (c I | c rows^-1). Other rows are inverted in their field.
+    """
+    if not all(isinstance(x, int) for row in rows for x in row):
+        cinv = Matrix(rows).inverse().rows
+        return [scalar_floor(mu * reduce(add, map(abs, row))) for row in cinv]
+    d = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(d):
+        piv = next((r for r in range(k, d) if aug[r][k]), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        aug[k], aug[piv] = aug[piv], aug[k]
+        pivot = aug[k]
+        p = pivot[k]
+        tail = pivot[k + 1:]
+        # columns up to k are c I already, so only the rest is updated
+        for row in aug:
+            if row is not pivot:
+                a = row[k]
+                row[k + 1:] = [(p * x - a * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = p
+    mu = _exact(mu) / abs(prev)
+    return [scalar_floor(mu * sum(map(abs, row[d:]))) for row in aug]
 
 
 def _reduction_transform(c_rows):
@@ -153,20 +184,48 @@ def _dot(row, k):
     return reduce(add, (x * y for x, y in zip(row, k) if y))
 
 
-def _gauge_of(c_rows):
-    """The gauge k -> sup norm of (c_rows) k, exact on every scalar kind.
+def _integer_rows(c_rows):
+    """Rows n and a divisor D with c_rows = n / D, exactly.
 
-    Float entries are dyadic rationals, so float rows are scaled once to
-    integer rows n_i over one power-of-two denominator D. The gauge of k is
-    then max_i |n_i . k| / D: an exact integer maximum and one correctly
-    rounded int / int division, whatever the order of the sums.
+    Rational and float entries are scaled to integers over the lcm D of
+    their denominators (a power of two for floats). Rows with a Q(sqrt3)
+    entry are kept as they are, over D = 1.
     """
-    if not isinstance(c_rows[0][0], float):
-        return lambda k: max(abs(_dot(row, k)) for row in c_rows)
+    if any(isinstance(x, Quad3) for row in c_rows for x in row):
+        return c_rows, 1
     ratios = [[x.as_integer_ratio() for x in row] for row in c_rows]
-    den = max(q for row in ratios for _, q in row)
-    ints = [[p * (den // q) for p, q in row] for row in ratios]
-    return lambda k: max([abs(sum(map(mul, n, k))) for n in ints]) / den
+    den = math.lcm(*(q for row in ratios for _, q in row))
+    return [[p * (den // q) for p, q in row] for row in ratios], den
+
+
+def _gauge_of(rows, den, rounded: bool):
+    """The exact gauge k -> max_i |rows_i . k| / den of rows from _integer_rows.
+
+    An exact maximum, divided once into a Fraction, or when rounded, as for
+    float rows, into one correctly rounded float, whatever the order of the
+    sums. Q(sqrt3) rows, over den 1, keep their field gauge.
+    """
+    if rounded:
+        return lambda k: max([abs(sum(map(mul, row, k))) for row in rows]) / den
+    if any(isinstance(x, Quad3) for row in rows for x in row):
+        return lambda k: max(abs(_dot(row, k)) for row in rows)
+    return lambda k: Fraction(max([abs(sum(map(mul, row, k))) for row in rows]), den)
+
+
+def _exact(x):
+    """x as an exact scalar; a float is the dyadic rational it stores."""
+    return Fraction(x) if isinstance(x, (int, float)) else x
+
+
+def _magnitude(x):
+    """An exact upper bound on |x|; a + b sqrt3 counts |a| + 2|b|."""
+    return abs(x.a) + 2 * abs(x.b) if isinstance(x, Quad3) else abs(x)
+
+
+def _error_weight(x, s: float) -> float:
+    """w with |s - x| <= 2^-53 w for the snapshot s of x; see lattice_points_in_dilate."""
+    w = 4.0 * float(_magnitude(x)) if isinstance(x, Quad3) else abs(s)
+    return w + 2.0**-1020
 
 
 def _lll_unimodular(cols):
@@ -244,7 +303,7 @@ def _lll_unimodular(cols):
     return u
 
 
-def _grid_points_float(rows, radius: float, box) -> list:
+def _grid_points(rows, radius: float, box) -> list:
     """Canonical points of the box with float gauge (one matmul) at most radius."""
     c = np.array(rows, dtype=float)
     axes = [np.arange(-b, b + 1, dtype=np.int32) for b in box]
@@ -252,25 +311,12 @@ def _grid_points_float(rows, radius: float, box) -> list:
     k = np.stack([m.ravel() for m in mesh], axis=1)
     g = np.abs(k @ c.T).max(axis=1)
     lead = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
-    keep = (g <= radius) & (lead > 0)
-    return list(zip(g[keep].tolist(), map(tuple, k[keep].tolist())))
+    return list(map(tuple, k[(g <= radius) & (lead > 0)].tolist()))
 
 
-def _branch_points(c_rows, radius, box, is_float: bool) -> list:
-    """Canonical points with gauge at most radius; exact or float scalars."""
+def _branch_points(c_rows, radius: float, box) -> list:
+    """Canonical points of the box with float gauge at most radius."""
     d = len(c_rows)
-    if is_float:
-
-        def int_floor(x):
-            return math.floor(x + 1e-9)
-
-        def int_ceil(x):
-            return math.ceil(x - 1e-9)
-
-    else:
-        int_floor = scalar_floor
-        int_ceil = scalar_ceil
-
     results: list = []
     assignment = [0] * d
     nodes = 0
@@ -301,16 +347,16 @@ def _branch_points(c_rows, radius, box, is_float: bool) -> list:
                     return False
                 for j in free:
                     cij = row[j]
-                    if scalar_sign(cij) == 0:
+                    if cij == 0.0:
                         continue
                     low_target = -radius - base - (total_max - maxs[j])
                     high_target = radius - base - (total_min - mins[j])
-                    if scalar_sign(cij) > 0:
-                        new_lo = int_ceil(low_target / cij)
-                        new_hi = int_floor(high_target / cij)
+                    if cij > 0.0:
+                        new_lo = math.ceil(low_target / cij - 1e-9)
+                        new_hi = math.floor(high_target / cij + 1e-9)
                     else:
-                        new_lo = int_ceil(high_target / cij)
-                        new_hi = int_floor(low_target / cij)
+                        new_lo = math.ceil(high_target / cij - 1e-9)
+                        new_hi = math.floor(low_target / cij + 1e-9)
                     if new_lo > lo[j]:
                         lo[j] = new_lo
                         changed = True
@@ -335,9 +381,8 @@ def _branch_points(c_rows, radius, box, is_float: bool) -> list:
         if not propagate(lo, hi, fixed, free):
             return
         if not free:
-            gauge = max(abs(f) for f in fixed)
-            if gauge <= radius and next((x for x in assignment if x), 0) > 0:
-                results.append((gauge, tuple(assignment)))
+            if max(map(abs, fixed)) <= radius and next(filter(None, assignment), 0) > 0:
+                results.append(tuple(assignment))
             return
         j = min(free, key=lambda jj: hi[jj] - lo[jj])
         rest = [jj for jj in free if jj != j]
@@ -391,7 +436,8 @@ def successive_minima(
         raise ValueError("k_max must lie in 1..dimension")
     rows = gauge_rows(piped, lattice)
     basis = reduced_basis(rows)
-    radius = sorted(map(_gauge_of(rows), basis))[k_max - 1]
+    gauge_of = _gauge_of(*_integer_rows(rows), lattice.kind == "float")
+    radius = sorted(map(gauge_of, basis))[k_max - 1]
     span = RationalSpan(d)
     values = []
     witnesses = []
@@ -410,91 +456,3 @@ def first_minimum(piped: Parallelepiped, lattice: Lattice | None = None):
     """The first minimum and one witness coefficient vector."""
     profile = successive_minima(piped, lattice, 1)
     return profile.values[0], profile.witnesses[0]
-
-
-@dataclass(frozen=True)
-class OrthogonalSublattice:
-    """Integer points orthogonal to a primitive vector, with exact covolume."""
-
-    vector: tuple
-    basis_columns: tuple
-    covolume_squared: int
-
-    def covolume(self) -> float:
-        return math.sqrt(self.covolume_squared)
-
-
-def orthogonal_sublattice(v: Sequence[int]) -> OrthogonalSublattice:
-    """Basis of {k in Z^d : <v, k> = 0} for primitive integer v.
-
-    Column reduction of v with a tracked unimodular matrix yields the kernel
-    columns; a column Hermite normal form makes the basis canonical. The
-    squared covolume (Gram determinant) always equals |v|^2.
-    """
-    if not all(isinstance(x, int) for x in v):
-        raise TypeError("vector entries must be integers")
-    t = list(v)
-    d = len(t)
-    if d == 0 or math.gcd(*(abs(x) for x in t)) != 1:
-        raise ValueError("vector must be primitive (nonzero, gcd 1)")
-    u_cols = [[int(i == j) for i in range(d)] for j in range(d)]
-    while True:
-        support = [j for j in range(d) if t[j] != 0]
-        if len(support) == 1:
-            break
-        p = min(support, key=lambda j: abs(t[j]))
-        for j in support:
-            if j == p:
-                continue
-            q = t[j] // t[p]
-            if q:
-                t[j] -= q * t[p]
-                u_cols[j] = [a - q * b for a, b in zip(u_cols[j], u_cols[p])]
-    pivot = support[0]
-    kernel = [u_cols[j] for j in range(d) if j != pivot]
-    basis = _column_hnf(kernel, d)
-    if basis:
-        gram = Matrix(
-            [
-                [Fraction(sum(a * b for a, b in zip(c1, c2))) for c2 in basis]
-                for c1 in basis
-            ]
-        )
-        covol2 = int(gram.det())
-    else:
-        covol2 = 1
-    return OrthogonalSublattice(tuple(v), tuple(basis), covol2)
-
-
-def _column_hnf(cols, d: int) -> tuple:
-    """Canonical column form: positive pivots, earlier columns reduced mod pivot."""
-    cols = [list(c) for c in cols]
-    n = len(cols)
-    placed = 0
-    for row in range(d):
-        if placed == n:
-            break
-        while True:
-            active = [j for j in range(placed, n) if cols[j][row] != 0]
-            if len(active) <= 1:
-                break
-            p = min(active, key=lambda j: abs(cols[j][row]))
-            for j in active:
-                if j == p:
-                    continue
-                q = cols[j][row] // cols[p][row]
-                if q:
-                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[p])]
-        if not active:
-            continue
-        j0 = active[0]
-        cols[placed], cols[j0] = cols[j0], cols[placed]
-        if cols[placed][row] < 0:
-            cols[placed] = [-x for x in cols[placed]]
-        pivot_value = cols[placed][row]
-        for j in range(placed):
-            q = cols[j][row] // pivot_value
-            if q:
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[placed])]
-        placed += 1
-    return tuple(tuple(c) for c in cols)

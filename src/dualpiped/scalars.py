@@ -63,6 +63,8 @@ class Quad3:
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "Quad3":
+        if isinstance(other, (int, Fraction)):
+            return Quad3(self.a / other, self.b / other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -186,10 +188,6 @@ def scalar_floor(x: Scalar) -> int:
             n += 1
         return n
     return math.floor(x)
-
-
-def scalar_ceil(x: Scalar) -> int:
-    return -scalar_floor(-x)
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:

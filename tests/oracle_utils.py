@@ -1,7 +1,9 @@
 """Brute-force reference implementations used only by the test suite."""
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -205,3 +207,91 @@ def monte_carlo_section_volume(a, d, *, samples=1_000_000, seed=0, half_width=1e
     estimate = p * scale
     sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / samples) * scale
     return estimate, sigma
+
+
+@dataclass(frozen=True)
+class OrthogonalSublattice:
+    """Integer points orthogonal to a primitive vector, with exact covolume."""
+
+    vector: tuple
+    basis_columns: tuple
+    covolume_squared: int
+
+    def covolume(self) -> float:
+        return math.sqrt(self.covolume_squared)
+
+
+def orthogonal_sublattice(v: Sequence[int]) -> OrthogonalSublattice:
+    """Basis of {k in Z^d : <v, k> = 0} for primitive integer v.
+
+    Column reduction of v with a tracked unimodular matrix yields the kernel
+    columns; a column Hermite normal form makes the basis canonical. The
+    squared covolume (Gram determinant) always equals |v|^2.
+    """
+    if not all(isinstance(x, int) for x in v):
+        raise TypeError("vector entries must be integers")
+    t = list(v)
+    d = len(t)
+    if d == 0 or math.gcd(*(abs(x) for x in t)) != 1:
+        raise ValueError("vector must be primitive (nonzero, gcd 1)")
+    u_cols = [[int(i == j) for i in range(d)] for j in range(d)]
+    while True:
+        support = [j for j in range(d) if t[j] != 0]
+        if len(support) == 1:
+            break
+        p = min(support, key=lambda j: abs(t[j]))
+        for j in support:
+            if j == p:
+                continue
+            q = t[j] // t[p]
+            if q:
+                t[j] -= q * t[p]
+                u_cols[j] = [a - q * b for a, b in zip(u_cols[j], u_cols[p])]
+    pivot = support[0]
+    kernel = [u_cols[j] for j in range(d) if j != pivot]
+    basis = _column_hnf(kernel, d)
+    if basis:
+        gram = Matrix(
+            [
+                [Fraction(sum(a * b for a, b in zip(c1, c2))) for c2 in basis]
+                for c1 in basis
+            ]
+        )
+        covol2 = int(gram.det())
+    else:
+        covol2 = 1
+    return OrthogonalSublattice(tuple(v), tuple(basis), covol2)
+
+
+def _column_hnf(cols, d: int) -> tuple:
+    """Canonical column form: positive pivots, earlier columns reduced mod pivot."""
+    cols = [list(c) for c in cols]
+    n = len(cols)
+    placed = 0
+    for row in range(d):
+        if placed == n:
+            break
+        while True:
+            active = [j for j in range(placed, n) if cols[j][row] != 0]
+            if len(active) <= 1:
+                break
+            p = min(active, key=lambda j: abs(cols[j][row]))
+            for j in active:
+                if j == p:
+                    continue
+                q = cols[j][row] // cols[p][row]
+                if q:
+                    cols[j] = [a - q * b for a, b in zip(cols[j], cols[p])]
+        if not active:
+            continue
+        j0 = active[0]
+        cols[placed], cols[j0] = cols[j0], cols[placed]
+        if cols[placed][row] < 0:
+            cols[placed] = [-x for x in cols[placed]]
+        pivot_value = cols[placed][row]
+        for j in range(placed):
+            q = cols[j][row] // pivot_value
+            if q:
+                cols[j] = [a - q * b for a, b in zip(cols[j], cols[placed])]
+        placed += 1
+    return tuple(tuple(c) for c in cols)

@@ -1,7 +1,9 @@
 """Static checks on the source tree.
 
-No module imports a name it never reads, and no library module keeps a
-private top-level name that it never reads itself.
+No module imports a name it never reads, no library module keeps a private
+top-level name that it never reads itself, and every public top-level name
+of the library is read by the library or the benchmark, unless it is
+allowlisted below with its reason.
 """
 import ast
 from pathlib import Path
@@ -11,6 +13,22 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
 MODULES = SOURCES + sorted((ROOT / "tests").rglob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").rglob("*.py"))
+
+# public names that only the tests read, each with its reason
+TEST_ONLY_NAMES = {
+    # the instance file format that README documents for `dualpiped minima`
+    "format_parallelepiped": "file format",
+    "format_lattice": "file format",
+    # paper constructions that the tests check; ROADMAP item 6 moves them
+    "dual_lattice": "paper construction",
+    "SQRT3": "paper construction",
+    "hyperbolic_map": "paper construction",
+    "khintchine_pair": "paper construction",
+    "mahler_dual_box": "paper construction",
+    "on_surface": "paper construction",
+    "t2_root": "paper construction",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -45,9 +63,8 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_private_names(source: str) -> list:
-    """Private names bound at the module's top level that the module never loads."""
-    tree = ast.parse(source)
+def top_level_names(tree) -> dict:
+    """Names bound at the module's top level, with their line numbers."""
     bound = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -58,6 +75,13 @@ def unread_private_names(source: str) -> list:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         bound[name.id] = node.lineno
+    return bound
+
+
+def unread_private_names(source: str) -> list:
+    """Private names bound at the module's top level that the module never loads."""
+    tree = ast.parse(source)
+    bound = top_level_names(tree)
     read = {
         node.id for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
@@ -79,3 +103,37 @@ def test_the_checker_sees_unread_private_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_private_name_is_read(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def names_read(source: str) -> set:
+    """Names a module loads, reads as an attribute, or imports from a module."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_the_checker_sees_names_read():
+    source = "from m import a\nimport n\nb = n.c(d)\n"
+    assert names_read(source) == {"a", "n", "c", "d"}
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    read = set()
+    for path in SOURCES + BENCHMARK:
+        read |= names_read(path.read_text())
+    unread = [
+        f"{path.relative_to(ROOT)} line {line}: {name}"
+        for path in SOURCES
+        for name, line in top_level_names(ast.parse(path.read_text())).items()
+        if not name.startswith("_") and name not in read and name not in TEST_ONLY_NAMES
+    ]
+    assert unread == []
+    # an allowlisted name that the library or the benchmark reads again is
+    # dropped from the list
+    assert sorted(read & set(TEST_ONLY_NAMES)) == []

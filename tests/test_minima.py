@@ -1,6 +1,9 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dualpiped import minima, sections
@@ -8,16 +11,16 @@ from dualpiped.bodies import Lattice, Parallelepiped, det_normalized, pseudo_com
 from dualpiped.harness import gen_instance
 from dualpiped.linalg import Matrix
 from dualpiped.minima import (
+    GRID_CELL_CAP,
     EnumerationBudgetError,
     first_minimum,
     lattice_points_in_dilate,
-    orthogonal_sublattice,
     successive_minima,
 )
 from dualpiped.scalars import Quad3, SQRT3
-from dualpiped.witness import build_witness
+from dualpiped.witness import FIRST_DILATE, SECOND_DILATE, build_witness
 
-from oracle_utils import brute_force_minima, fraction_lll_unimodular
+from oracle_utils import brute_force_minima, fraction_lll_unimodular, orthogonal_sublattice
 
 
 def test_cube_minima_are_all_one():
@@ -248,6 +251,138 @@ def test_lattice_points_in_dilate_canonical_reps():
     assert ks == {(0, 1), (1, 0), (1, 1), (1, -1)}
     for g, k in pts:
         assert g <= 1
+
+
+def _exact_gauge(c_rows, k):
+    return max(abs(sum((c * x for c, x in zip(row, k) if x), Fraction(0))) for row in c_rows)
+
+
+def _box_sweep(c_rows, mu):
+    """Every canonical (gauge, k) of the unreduced box, by exact gauges."""
+    box = minima._dilate_box(c_rows, mu)
+    points = []
+    for k in itertools.product(*(range(-b, b + 1) for b in box)):
+        if next(filter(None, k), 0) > 0:
+            gauge = _exact_gauge(c_rows, k)
+            if gauge <= mu:
+                points.append((gauge, k))
+    return sorted(points)
+
+
+def _boundary_cases():
+    """Exact rows with mu the exact gauge of a lattice point, boxes kept small."""
+    rng = random.Random(16)
+    cases = []
+
+    def add(c_rows, k, cap):
+        if Matrix(c_rows).det() == 0 or not any(k):
+            return
+        mu = _exact_gauge(c_rows, k)
+        if math.prod(2 * b + 1 for b in minima._dilate_box(c_rows, mu)) <= cap:
+            cases.append((c_rows, mu))
+
+    while len(cases) < 150:
+        d = rng.randint(2, 4)
+        c_rows = tuple(
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)) for _ in range(d)
+        )
+        add(c_rows, tuple(rng.randint(-2, 2) for _ in range(d)), 3000)
+    while len(cases) < 180:
+        d = rng.randint(2, 3)
+        c_rows = tuple(
+            tuple(
+                Quad3(Fraction(rng.randint(-6, 6), rng.randint(1, 4)), Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+                for _ in range(d)
+            )
+            for _ in range(d)
+        )
+        add(c_rows, tuple(rng.randint(-2, 2) for _ in range(d)), 600)
+    for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 7)):
+        w = build_witness(eps)
+        integers = Lattice.integers(3)
+        for body, lattice, mu in (
+            (w.body, w.lattice1, FIRST_DILATE),
+            (w.body, w.lattice2, Fraction(1)),
+            (w.body, w.lattice2, SECOND_DILATE),
+            (w.dual_body, w.dual_lattice1, Fraction(1)),
+            (w.dual_body, w.dual_lattice2, Fraction(1)),
+            (w.z3_body_1, integers, FIRST_DILATE),
+            (w.z3_body_2, integers, SECOND_DILATE),
+        ):
+            cases.append((minima.gauge_rows(body, lattice), mu))
+    return cases
+
+
+def test_exact_rows_on_the_boundary_match_the_box_sweep(monkeypatch):
+    # the float search must keep every point whose exact gauge equals mu,
+    # including those whose float gauge on the snapshot lands above mu; the
+    # grid and then the branch search (no box fits the grid) are both checked
+    above = 0
+    for c_rows, mu in _boundary_cases():
+        expected = _box_sweep(c_rows, mu)
+        basis = minima.reduced_basis(c_rows)
+        for cap in (GRID_CELL_CAP, 0):
+            monkeypatch.setattr(minima, "GRID_CELL_CAP", cap)
+            assert lattice_points_in_dilate(c_rows, mu, basis) == expected
+        u = Matrix(list(zip(*basis)))
+        snapshot = np.array([[float(x) for x in row] for row in Matrix(c_rows).matmul(u).rows])
+        back = u.inverse()
+        for gauge, k in expected:
+            if gauge == mu:
+                kp = np.array([float(x) for x in back.matvec(k)])
+                above += float(np.abs(snapshot @ kp).max()) > float(mu)
+    assert above > 0
+
+
+def test_integer_box_matches_the_field_inverse():
+    # the fraction-free elimination of integer rows, row swaps included,
+    # gives the box that inverting the same rows over Q gives
+    rng = random.Random(9)
+    checked = 0
+    while checked < 300:
+        d = rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, rng.randint(-9, 9) * rng.choice((1, 10**20)))) for _ in range(d)] for _ in range(d)]
+        if Matrix(rows).det() == 0:
+            continue
+        mu = Fraction(rng.randint(1, 10**21), rng.randint(1, 7))
+        field = [[Fraction(x) for x in row] for row in rows]
+        assert minima._dilate_box(rows, mu) == minima._dilate_box(field, mu)
+        checked += 1
+
+
+def test_boundary_points_survive_subnormal_scales(monkeypatch):
+    # the gauge is homogeneous, so rows and mu shrunk by 10^-310 keep the
+    # points of the unit scale; every entry is then subnormal as a float
+    tiny = Fraction(1, 10**310)
+    cases = _boundary_cases()
+    for c_rows, mu in cases[:30] + cases[150:160]:
+        expected = [(gauge * tiny, k) for gauge, k in _box_sweep(c_rows, mu)]
+        scaled = tuple(tuple(x * tiny for x in row) for row in c_rows)
+        basis = minima.reduced_basis(c_rows)
+        for cap in (GRID_CELL_CAP, 0):
+            monkeypatch.setattr(minima, "GRID_CELL_CAP", cap)
+            assert lattice_points_in_dilate(scaled, mu * tiny, basis) == expected
+    forms = Matrix([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]])
+    unit = successive_minima(Parallelepiped(forms, (Fraction(1),) * 2))
+    assert unit.values == (Fraction(2), Fraction(2))
+    far = successive_minima(Parallelepiped(forms, (1 / tiny,) * 2))
+    assert far.values == tuple(x * tiny for x in unit.values)
+    assert far.witnesses == unit.witnesses
+
+
+def test_rational_forms_with_a_quad3_bound():
+    # a Q(sqrt3) bound over rational forms gives rows that mix both kinds
+    piped = Parallelepiped(Matrix.identity(2), (Fraction(1), SQRT3))
+    assert successive_minima(piped).values == (Quad3(0, Fraction(1, 3)), Fraction(1))
+    rng = random.Random(5)
+    for _ in range(10):
+        h = Matrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)])
+        if h.det() == 0:
+            continue
+        eta = (Fraction(rng.randint(1, 3)), SQRT3, Quad3(1, Fraction(1, 2)))
+        # the twin with Q(sqrt3) forms has rows of one kind and the same gauge
+        twin = Parallelepiped(Matrix([[Quad3(x) for x in row] for row in h.rows]), eta)
+        assert successive_minima(Parallelepiped(h, eta)) == successive_minima(twin)
 
 
 def test_budget_error(monkeypatch):

@@ -60,9 +60,13 @@ def test_witness_report_digest(epsilon, digest):
     assert hashlib.sha256(document.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("dimension", [3, 4, 5])
-def test_report_payload_does_not_depend_on_the_search_path(monkeypatch, dimension):
-    grid = payload(dimension, "float", 42)
-    # no box fits the grid, so every float search takes the branch path
+@pytest.mark.parametrize(
+    "dimension, mode, seed",
+    [(3, "float", 42), (4, "float", 42), (5, "float", 42), (3, "exact", 7)],
+    ids=["3", "4", "5", "3-exact-7"],
+)
+def test_report_payload_does_not_depend_on_the_search_path(monkeypatch, dimension, mode, seed):
+    grid = payload(dimension, mode, seed)
+    # no box fits the grid, so every search takes the branch path
     monkeypatch.setattr(minima, "GRID_CELL_CAP", 0)
-    assert payload(dimension, "float", 42) == grid
+    assert payload(dimension, mode, seed) == grid

@@ -53,6 +53,11 @@ def test_quad3_arithmetic():
     assert x * x == Quad3(4, 2)
     assert x**3 == x * x * x and x**0 == Quad3(1)
     assert Quad3(1) / y == Quad3(2, 1)
+    # a rational divisor divides coefficient-wise, as its field inverse would
+    assert x / 2 == x * Quad3(2)._inverse() == Quad3(Fraction(1, 2), Fraction(1, 2))
+    assert x / Fraction(-2, 3) == Quad3(Fraction(-3, 2), Fraction(-3, 2))
+    with pytest.raises(ZeroDivisionError):
+        x / 0
     assert x - x == Quad3(0)
     assert -x == Quad3(-1, -1)
     assert x + Fraction(1, 2) == Quad3(Fraction(3, 2), 1)
