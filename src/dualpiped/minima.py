@@ -32,13 +32,13 @@ class EnumerationBudgetError(RuntimeError):
     """The search exceeded its node budget or ended without an answer."""
 
 
-def gauge_rows(piped: Parallelepiped, lattice: Lattice) -> tuple:
-    """Rows of diag(1/eta) H B; gauge of Bk is the sup norm of (rows) k."""
-    if (piped.kind == "float") != (lattice.kind == "float"):
+def gauge_rows(piped: Parallelepiped, lattice: Lattice | None = None) -> tuple:
+    """Rows of diag(1/eta) H B, B = I without a lattice; gauge of Bk is the sup norm of (rows) k."""
+    if lattice is not None and (piped.kind == "float") != (lattice.kind == "float"):
         raise ValueError(
             f"a {piped.kind} body cannot be measured against a {lattice.kind} lattice"
         )
-    hb = piped.forms.matmul(lattice.basis)
+    hb = piped.forms if lattice is None else piped.forms.matmul(lattice.basis)
     return tuple(
         tuple(x / e for x in row) for row, e in zip(hb.rows, piped.bounds)
     )
@@ -428,15 +428,13 @@ def successive_minima(
     is extracted greedily in (gauge, k) order.
     """
     d = piped.dimension
-    if lattice is None:
-        lattice = Lattice.integers(d, kind=piped.kind if piped.kind == "float" else "rational")
     if k_max is None:
         k_max = d
     if not 1 <= k_max <= d:
         raise ValueError("k_max must lie in 1..dimension")
     rows = gauge_rows(piped, lattice)
     basis = reduced_basis(rows)
-    gauge_of = _gauge_of(*_integer_rows(rows), lattice.kind == "float")
+    gauge_of = _gauge_of(*_integer_rows(rows), piped.kind == "float")
     radius = sorted(map(gauge_of, basis))[k_max - 1]
     span = RationalSpan(d)
     values = []

@@ -10,6 +10,7 @@ reported as floats.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -113,6 +114,17 @@ def _exactify(tau):
     return [Fraction(t) if isinstance(t, int) else t for t in tau]
 
 
+def _surface_terms(tau, mode: str) -> tuple:
+    """sum tau^2, prod tau^2 and v^2 (v = 1, or v_tau when sharp); floats if tau has one."""
+    if any(isinstance(t, float) for t in tau):
+        tau = tuple(float(t) for t in tau)
+        v2 = 1.0 if mode == "plain" else float(v_tau_squared(tau))
+    else:
+        tau = _exactify(tau)
+        v2 = 1 if mode == "plain" else v_tau_squared(tau)
+    return sum(t * t for t in tau), math.prod(tau) ** 2, v2
+
+
 def normalize_tau(tau: Sequence[Scalar], mode: str = "plain"):
     """Scale tau onto its surface: sum tau^2 = v^2 prod tau^2, v = 1 or v_tau.
 
@@ -126,28 +138,13 @@ def normalize_tau(tau: Sequence[Scalar], mode: str = "plain"):
         raise ValueError("need at least two weights")
     if any(scalar_sign(t) <= 0 for t in tau):
         raise ValueError("all weights must be positive")
-    if any(isinstance(t, float) for t in tau):
-        values = tuple(float(t) for t in tau)
-        sum_sq = sum(t * t for t in values)
-        prod = 1.0
-        for t in values:
-            prod *= t
-        v2 = 1.0 if mode == "plain" else float(v_tau_squared(values))
-        lam = (sum_sq / (v2 * prod * prod)) ** (1.0 / (2 * (d - 1)))
-        return tuple(lam * t for t in values)
-    values = _exactify(tau)
-    sum_sq = 0
-    prod_sq = 1
-    for t in values:
-        sum_sq = sum_sq + t * t
-        prod_sq = prod_sq * t * t
-    v2 = 1 if mode == "plain" else v_tau_squared(values)
+    sum_sq, prod_sq, v2 = _surface_terms(tau, mode)
     ratio = sum_sq / (v2 * prod_sq)
-    lam = exact_nth_root(ratio, 2 * (d - 1))
+    lam = None if isinstance(ratio, float) else exact_nth_root(ratio, 2 * (d - 1))
     if lam is None:
-        lam_f = float(ratio) ** (1.0 / (2 * (d - 1)))
-        return tuple(lam_f * float(t) for t in values)
-    return tuple(lam * t for t in values)
+        lam = float(ratio) ** (1.0 / (2 * (d - 1)))
+        return tuple(lam * float(t) for t in tau)
+    return tuple(lam * t for t in _exactify(tau))
 
 
 def on_surface(tau: Sequence[Scalar], mode: str = "plain") -> bool:
@@ -156,23 +153,11 @@ def on_surface(tau: Sequence[Scalar], mode: str = "plain") -> bool:
         raise ValueError(f"mode must be one of {_MODES}")
     if any(scalar_sign(t) <= 0 for t in tau):
         return False
-    if any(isinstance(t, float) for t in tau):
-        values = tuple(float(t) for t in tau)
-        sum_sq = sum(t * t for t in values)
-        prod = 1.0
-        for t in values:
-            prod *= t
-        v2 = 1.0 if mode == "plain" else float(v_tau_squared(values))
-        target = v2 * prod * prod
+    sum_sq, prod_sq, v2 = _surface_terms(tau, mode)
+    target = v2 * prod_sq
+    if isinstance(target, float):
         return float_leq(sum_sq, target) and float_leq(target, sum_sq)
-    values = _exactify(tau)
-    sum_sq = 0
-    prod_sq = 1
-    for t in values:
-        sum_sq = sum_sq + t * t
-        prod_sq = prod_sq * t * t
-    v2 = 1 if mode == "plain" else v_tau_squared(values)
-    return sum_sq == v2 * prod_sq
+    return sum_sq == target
 
 
 def c_d(d: int) -> float:
@@ -200,16 +185,6 @@ def t2_root(t1: float, d: int) -> float:
         lambda s: t1_sq * s ** (d - 1) - (d - 1) * s - t1_sq, 1.0, hi
     )
     return math.sqrt(root)
-
-
-def tau_vertex(tau: Sequence[Scalar]):
-    """The distinguished corner (prod tau)^{-1} (tau_1, ..., tau_d)."""
-    if any(scalar_sign(t) <= 0 for t in tau):
-        raise ValueError("all weights must be positive")
-    prod = tau[0]
-    for t in tau[1:]:
-        prod = prod * t
-    return tuple(t / prod for t in tau)
 
 
 @dataclass(frozen=True)
@@ -250,6 +225,13 @@ def check_claims(
     the pseudo-compound and its volume identities apply directly. Exact
     scalar kinds are judged exactly; floats within scalars.REL_SLACK. The
     family claims FAM and FAMSHARP run over the positive `directions`.
+
+    FAM and FAMSHARP never normalize tau. The first minimum is homogeneous,
+    so on the surface tau = lam raw it is mu_1(raw shift) / lam, with
+    lam^(2(d-1)) = sum raw^2 / (v^2 prod raw^2). One search per direction
+    serves both claims, each decided as mu_1^(2(d-1)) v^2 prod raw^2 <=
+    sum raw^2 on the dyadic directions, exactly for exact kinds. The sharp
+    vertex identity gauge(raw)^2 v^2 = sum raw^2 is decided exactly.
     """
     requested = tuple(claims) if claims is not None else ALL_CLAIMS
     unknown = [c for c in requested if c not in ALL_CLAIMS]
@@ -258,9 +240,9 @@ def check_claims(
     d = piped.dimension
     if not 2 <= d <= 8:
         raise ValueError("claim checking supports dimensions 2 through 8")
-    if any(len(raw) != d or min(raw) <= 0 for raw in directions):
-        raise ValueError("every supplied direction needs d positive entries")
     directions = tuple(tuple(map(float, raw)) for raw in directions)
+    if any(len(raw) != d or not all(0 < t < math.inf for t in raw) for raw in directions):
+        raise ValueError("every supplied direction needs d finite positive entries")
 
     body = det_normalized(piped)
     star = pseudo_compound(body)
@@ -352,29 +334,33 @@ def check_claims(
         return finish("T7", hyp, [(bound, as_float(mu[1]), ok)],
                       witnesses=(profile.witnesses[1],))
 
-    float_body = body.to_float() if not is_float else body
-    float_cube = Parallelepiped.cube(d, kind="float")
+    @functools.cache
+    def family_minima():
+        # the raw shifts, in the body's own kind, serve FAM and FAMSHARP
+        exact = [tuple(map(Fraction, raw)) for raw in directions]
+        shifts = directions if is_float else exact
+        values = [first_minimum(apply_hyperbolic(body, raw))[0] for raw in shifts]
+        return [(raw, Fraction(v) if is_float else v) for raw, v in zip(exact, values)]
+
+    cube = Parallelepiped.cube(d)
 
     def _family(cid, mode):
+        power = 2 * (d - 1)
         checks = []
         witnesses = []
-        for raw in directions:
-            tau = normalize_tau(raw, mode)
-            if not all(math.isfinite(t) for t in tau):
-                return ClaimReport(cid, "skip", None, None, None,
-                                   "tau normalization left the float range", ())
-            shifted = apply_hyperbolic(float_body, tau)
-            value, witness = first_minimum(shifted)
-            ok = float_leq(float(value), 1.0)
-            checks.append((1.0, float(value), ok))
-            if not ok:
-                witnesses.append(tau)
+        for raw, value in family_minima():
+            sum_sq, prod_sq, v2 = _surface_terms(raw, mode)
+            # mu_1 of the shift on the surface, to the power 2(d-1)
+            ratio = value**power * v2 * prod_sq / sum_sq
+            ok = leq(ratio, 1)
+            checks.append((1.0, as_float(ratio) ** (1 / power), ok))
             if mode == "sharp":
-                gauge = section_dual_gauge(float_cube, tau_vertex(tau))
-                ok_vertex = float_leq(float(gauge), 1.0)
-                checks.append((1.0, float(gauge), ok_vertex))
-                if not ok_vertex:
-                    witnesses.append(tau)
+                vertex_sq = section_dual_gauge(cube, raw) ** 2 * v2 / sum_sq
+                on_vertex = vertex_sq == 1
+                checks.append((1.0, as_float(vertex_sq) ** 0.5, on_vertex))
+                ok = ok and on_vertex
+            if not ok:
+                witnesses.append(raw)
         detail = f"{len(directions)} sampled surface directions"
         return finish(cid, True, checks, detail=detail, witnesses=tuple(witnesses))
 

@@ -209,6 +209,16 @@ def monte_carlo_section_volume(a, d, *, samples=1_000_000, seed=0, half_width=1e
     return estimate, sigma
 
 
+def tau_vertex(tau: Sequence):
+    """The distinguished corner (prod tau)^{-1} (tau_1, ..., tau_d)."""
+    if any(scalar_sign(t) <= 0 for t in tau):
+        raise ValueError("all weights must be positive")
+    prod = tau[0]
+    for t in tau[1:]:
+        prod = prod * t
+    return tuple(t / prod for t in tau)
+
+
 @dataclass(frozen=True)
 class OrthogonalSublattice:
     """Integer points orthogonal to a primitive vector, with exact covolume."""

@@ -22,13 +22,13 @@ from dualpiped.harness import TrialConfig, aggregate_outcomes, emit_report, eval
 from dualpiped.witness import format_sharpness_report, sharpness_report
 
 PINS = [
-    (3, "float", 42, "27940c848a715881c27f466d1ddde138f49fd96848f2430d02225caa43ac287a"),
-    (4, "float", 42, "99e796f3f42841ff53236c53cc43e96ee9bd6c62187c1244cbe3b15262d9feb8"),
-    (5, "float", 42, "097367562b2da1f9f08cdb64e7f201ddb2be6254cf815290cd30110947edb585"),
-    (3, "exact", 7, "4da789848af7f2c5b720bc04fc9f6bdc07d1f8fcd2b1d1197f3ceffc484c9bef"),
-    (5, "float", 1, "2472c3852599baacba714ffb74bf59324f063bf93eaf4aa336679873d9fab947"),
-    (3, "exact", 1, "898e9acd1c7eb90180dcda436f582882b8bb3bb26f99df3507565f294a0358d8"),
-    (2, "float", 42, "324f21e67ed0bba224e4015a12c58093214e7bb533041db0234f6b28297fd2ef"),
+    (3, "float", 42, "2510f579aaaf7b3b90536dae48eeff42415a997ac596f6f817a5ccd905f591b6"),
+    (4, "float", 42, "5d9316ef9eaba1120d0665d506acd926787ea57c3881e795041d3bdab8b8600c"),
+    (5, "float", 42, "8f39771fac1c37decd64035c1617ae2521c580b27ef20cfbe1a65758351c5233"),
+    (3, "exact", 7, "2623d00f3cf533c110068e07abe44b351500744f4549a3230fa0174bc6b50f28"),
+    (5, "float", 1, "3f5e83e91e311450876fdc31da5b4aeb3426a3871b7582ec12f8fe831e7b9326"),
+    (3, "exact", 1, "33706c2592c433730f3351e2280e5b69834f9cf50fc8b65738b9576a42b5062f"),
+    (2, "float", 42, "49729492d26ca866a1637138350c60cdebd8d5e238a2251f76b8d1f09e0bc760"),
 ]
 
 

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from dualpiped.bodies import Parallelepiped, pseudo_compound
+from dualpiped import transference
+from dualpiped.bodies import Parallelepiped, det_normalized, pseudo_compound
 from dualpiped.linalg import Matrix
-from dualpiped.minima import successive_minima
-from dualpiped.scalars import Quad3
+from dualpiped.minima import first_minimum, successive_minima
+from dualpiped.scalars import Quad3, float_leq
+from dualpiped.sections import section_dual_gauge
 from dualpiped.transference import (
     ALL_CLAIMS,
     apply_hyperbolic,
@@ -20,10 +22,9 @@ from dualpiped.transference import (
     on_surface,
     sample_directions,
     t2_root,
-    tau_vertex,
 )
 
-from oracle_utils import random_unimodular
+from oracle_utils import random_unimodular, tau_vertex
 
 
 def test_khintchine_pair_frozen():
@@ -253,3 +254,83 @@ def test_implication_chain_consistency():
         assert product * product <= d
         checked += 1
     assert checked >= 5
+
+
+def normalized_family(piped, directions, mode):
+    """FAM or FAMSHARP on each surface tau itself: (status, margin), in floats."""
+    d = piped.dimension
+    body = det_normalized(piped).to_float()
+    cube = Parallelepiped.cube(d, kind="float")
+    checks = []
+    for raw in directions:
+        tau = normalize_tau(raw, mode)
+        value = float(first_minimum(apply_hyperbolic(body, tau))[0])
+        checks.append((1.0 - value, float_leq(value, 1.0)))
+        if mode == "sharp":
+            gauge = float(section_dual_gauge(cube, tau_vertex(tau)))
+            checks.append((1.0 - gauge, float_leq(gauge, 1.0)))
+    status = "pass" if all(ok for _, ok in checks) else "violation"
+    return status, min(margin for margin, _ in checks)
+
+
+def failing_to_float(self):
+    raise AssertionError("exact family claims must not convert the body to floats")
+
+
+@pytest.mark.parametrize("kind", ["float", "exact"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_family_claims_by_homogeneity_match_the_normalized_shift(monkeypatch, d, kind):
+    rng = random.Random(f"family-{d}-{kind}")
+    for _ in range(3):
+        forms = random_unimodular(rng, d, ops=2 * d)
+        eta = tuple(Fraction(rng.randint(2, 9), rng.randint(1, 4)) for _ in range(d))
+        piped = Parallelepiped(forms, eta)
+        if kind == "float":
+            piped = piped.to_float()
+        directions = sample_directions(rng, d, 6)
+        expected = [normalized_family(piped, directions, mode) for mode in ("plain", "sharp")]
+        calls = []
+
+        def counted(shifted):
+            calls.append(shifted.kind)
+            return first_minimum(shifted)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(transference, "first_minimum", counted)
+            if kind == "exact":
+                patch.setattr(Parallelepiped, "to_float", failing_to_float)
+            reports = check_claims(piped, ("FAM", "FAMSHARP"), directions=directions)
+        # one search per direction serves both claims, in the body's kind
+        assert calls == [piped.kind] * len(directions)
+        for report, (status, margin) in zip(reports, expected):
+            assert report.status == status
+            assert abs(report.margin - margin) <= 1e-12
+        # on the sharp surface the vertex has gauge exactly 1
+        assert reports[1].margin == 0.0
+
+
+def test_family_directions_must_be_finite():
+    cube = Parallelepiped.cube(3, kind="float")
+    for bad in ((math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="finite positive"):
+            check_claims(cube, ("FAM",), directions=[bad])
+    # prod tau^2 underflows in a float normalization; the exact ratio does not
+    fam, famsharp = check_claims(cube, ("FAM", "FAMSHARP"), directions=[(1e-200, 1.0, 1.0)])
+    assert (fam.status, fam.margin) == ("pass", 1.0)
+    assert famsharp.status == "pass"
+
+
+@pytest.mark.parametrize("kind", ["float", "rational"])
+def test_family_vertex_check_is_exact(monkeypatch, kind):
+    cube = Parallelepiped.cube(3, kind=kind)
+    directions = sample_directions(random.Random(5), 3, 4)
+    (report,) = check_claims(cube, ("FAMSHARP",), directions=directions)
+    assert report.status == "pass" and report.margin == 0.0
+    # a v_tau^2 off by 2^-60 breaks the identity, far inside the float slack
+    v_tau_squared = transference.v_tau_squared
+    monkeypatch.setattr(
+        transference, "v_tau_squared", lambda raw: v_tau_squared(raw) * (1 + Fraction(1, 2**60))
+    )
+    (report,) = check_claims(cube, ("FAMSHARP",), directions=directions)
+    assert report.status == "violation"
+    assert len(report.witnesses) == len(directions)

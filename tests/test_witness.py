@@ -11,7 +11,7 @@ from dualpiped.linalg import Matrix
 from dualpiped.minima import first_minimum, successive_minima
 from dualpiped.scalars import Quad3
 from dualpiped.sections import section_dual_gauge
-from dualpiped.transference import on_surface, tau_vertex
+from dualpiped.transference import on_surface
 from dualpiped.witness import (
     CertificateError,
     build_witness,
@@ -20,7 +20,7 @@ from dualpiped.witness import (
     verify_example_points,
 )
 
-from oracle_utils import witness_sweep
+from oracle_utils import tau_vertex, witness_sweep
 
 NU1 = Quad3(0, Fraction(2, 3))
 NU2 = Fraction(5, 4)
