@@ -1,8 +1,10 @@
 """Small dense matrices over one scalar kind, plus bracketed root finding.
 
-Exact kinds use fraction-free (Bareiss) elimination for determinants and
-in the rank tracker `RationalSpan`, which works in Python ints, and plain
-field operations for inverses; the float kind gets partial pivoting.
+Exact kinds clear their denominators once and eliminate fraction-free
+(Bareiss) in Python ints: determinants over Z[sqrt3] (`zsqrt3_det`, which
+Q(sqrt3) rows in `minima` share) and the rank tracker `RationalSpan`;
+inverses use plain field operations, and the float kind gets partial
+pivoting.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .scalars import Quad3, Scalar, scalar_sign
+from .scalars import Quad3, Scalar, scalar_sign, zsqrt3_parts
 
 
 def _normalize_entry(x):
@@ -101,10 +103,8 @@ class Matrix:
         return Matrix([[float(x) for x in row] for row in self.rows])
 
     def det(self) -> Scalar:
-        d = self.dim
-        if self.kind == "float":
-            return _det_float([list(r) for r in self.rows])
-        return _det_bareiss([list(r) for r in self.rows])
+        self.dim  # rejects non-square matrices
+        return _det(self.rows, self.kind)
 
     def inverse(self) -> "Matrix":
         d = self.dim
@@ -130,7 +130,7 @@ class Matrix:
                     for r in range(d)
                     if r != i
                 ]
-                sub = _det_float(minor) if self.kind == "float" else _det_bareiss(minor)
+                sub = _det(minor, self.kind)
                 row.append(sub if (i + j) % 2 == 0 else -sub)
             out.append(row)
         return Matrix(out)
@@ -158,26 +158,16 @@ def _dot(a, b):
     return total
 
 
-def _det_bareiss(m) -> Scalar:
-    d = len(m)
-    if d == 1:
-        return m[0][0]
-    sign = 1
-    prev = 1
-    for k in range(d - 1):
-        if not m[k][k]:
-            for r in range(k + 1, d):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return m[0][0] * 0  # zero of the right kind
-        for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-        prev = m[k][k]
-    return m[d - 1][d - 1] if sign > 0 else -m[d - 1][d - 1]
+def _det(rows, kind: str) -> Scalar:
+    if kind == "float":
+        return _det_float([list(r) for r in rows])
+    # det (A + B sqrt3) / D^d: one elimination in ints, B = 0 for rationals
+    a, b, den = zsqrt3_rows(rows)
+    p, q = zsqrt3_det(a, b)
+    scale = den ** len(rows)
+    if kind == "quad3":
+        return Quad3(Fraction(p, scale), Fraction(q, scale))
+    return Fraction(p, scale)
 
 
 def _det_float(m) -> float:
@@ -206,7 +196,7 @@ def _gauss_jordan_exact(m):
         if piv is None:
             raise ZeroDivisionError("matrix is singular")
         aug[k], aug[piv] = aug[piv], aug[k]
-        inv_p = 1 / aug[k][k] if not isinstance(aug[k][k], Quad3) else Quad3(1) / aug[k][k]
+        inv_p = 1 / aug[k][k]
         aug[k] = [x * inv_p for x in aug[k]]
         for r in range(d):
             if r != k and aug[r][k]:
@@ -265,6 +255,55 @@ class RationalSpan:
         g = math.gcd(*r)
         self._reduced.append((piv, [x // g for x in r]))
         return True
+
+
+def zsqrt3_rows(rows) -> tuple:
+    """Integer matrices A, B and a divisor D > 0 with rows = (A + B sqrt3) / D.
+
+    Entries are Quad3, Fraction or int; D is the lcm of every denominator.
+    """
+    parts = [[zsqrt3_parts(x) for x in row] for row in rows]
+    den = math.lcm(*(r for row in parts for _, _, r in row))
+    a = [[p * (den // r) for p, _, r in row] for row in parts]
+    b = [[q * (den // r) for _, q, r in row] for row in parts]
+    return a, b, den
+
+
+def zsqrt3_det(a, b) -> tuple:
+    """det(A + B sqrt3) = p + q sqrt3 for square integer matrices A, B, as (p, q).
+
+    Bareiss's fraction-free elimination over the ring Z[sqrt3]: each entry
+    under pivot k becomes (p r - a y) / prev for the pivot p, the entry a
+    of its row in the pivot column, the pivot row's entry y and the
+    previous pivot prev. Bareiss divisions are exact in any integral
+    domain, so each is a product by the conjugate of prev followed by an
+    exact // by its norm, a nonzero integer because sqrt3 is irrational.
+    """
+    rows = [list(zip(ra, rb)) for ra, rb in zip(a, b)]
+    d = len(rows)
+    sign = 1
+    prev_a, prev_b, norm = 1, 0, 1
+    for k in range(d):
+        piv = next((r for r in range(k, d) if rows[r][k] != (0, 0)), None)
+        if piv is None:
+            return 0, 0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        pivot = rows[k]
+        pa, pb = pivot[k]
+        tail = pivot[k + 1:]
+        for row in rows[k + 1:]:
+            ca, cb = row[k]
+            new = []
+            for (xa, xb), (ya, yb) in zip(row[k + 1:], tail):
+                ta = pa * xa + 3 * (pb * xb - cb * yb) - ca * ya
+                tb = pa * xb + pb * xa - ca * yb - cb * ya
+                # (ta + tb sqrt3) / prev, exactly
+                new.append(((ta * prev_a - 3 * tb * prev_b) // norm, (tb * prev_a - ta * prev_b) // norm))
+            row[k + 1:] = new
+        prev_a, prev_b, norm = pa, pb, pa * pa - 3 * pb * pb
+    return sign * prev_a, sign * prev_b
 
 
 def monotone_root(f: Callable[[float], float], lo: float, hi: float) -> float:

@@ -15,15 +15,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cmp_to_key, reduce
 from operator import add, mul
 
 import numpy as np
 
 from .bodies import Lattice, Parallelepiped
-from .linalg import Matrix, RationalSpan
-from .scalars import Quad3, as_float, scalar_floor, scalar_sign, widen
+from .linalg import Matrix, RationalSpan, zsqrt3_rows
+from .scalars import Quad3, as_float, scalar_floor, scalar_sign, widen, zsqrt3_parts, zsqrt3_sign
 
+_SQRT3 = math.sqrt(3.0)
 GRID_CELL_CAP = 2_000_000
 NODE_CAP = 3_000_000
 
@@ -55,6 +56,9 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     Either only proposes candidates. Each is kept iff its exact gauge (see
     _gauge_of) is at most the limit, mu for exact rows and widen(mu) for
     float rows, and then mapped back, so no point or bit depends on the path.
+    The reduced rows and the gauges are exact Python ints: integer rows
+    over one denominator, or for Q(sqrt3) rows pairs of integer rows in
+    Z[sqrt3]; only the box of Q(sqrt3) rows is still a field inverse.
 
     The candidates hold every point within the limit. Rows of every kind
     are taken exactly (a float is dyadic; see _integer_rows), so such a
@@ -78,51 +82,63 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
         return []
     is_float = isinstance(c_rows[0][0], float)
     limit = widen(float(mu)) if is_float else mu
-    n, den = _integer_rows(c_rows)
-    exact = [[sum(map(mul, row, b)) for b in basis] for row in n]
-    box = _dilate_box(exact, _exact(limit) * den)
-    top = Fraction(max(_magnitude(x) for row in exact for x in row), den)
+    a, b, den = _integer_rows(c_rows)
+    a = _times(a, basis)
+    b = None if b is None else _times(b, basis)
+    scaled_mu = _exact(limit) * den
+    box = _box(a, b, scaled_mu)
+    if b is None:
+        magnitudes = [[abs(x) for x in row] for row in a]
+    else:
+        magnitudes = [[abs(x) + 2 * abs(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    top = Fraction(max(map(max, magnitudes)), den)
     shift = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
-    scale = shift / den
-    # int / int rounds correctly, and so does float of a Fraction or of the
-    # exact Q(sqrt3) entry, which the error weight reads
-    rows = [[x * scale.numerator / scale.denominator for x in row] for row in exact]
-    snapshot = [[float(x) for x in row] for row in rows]
+    num, div = (shift / den).as_integer_ratio()
+    # int / int rounds correctly, as float of a Fraction does, so the snapshot
+    # of a Q(sqrt3) entry is float(a) + float(b) * sqrt(3) of its scaled parts
+    if b is None:
+        snapshot = [[x * num / div for x in row] for row in a]
+        weights = [[abs(s) for s in row] for row in snapshot]
+    else:
+        snapshot = [[x * num / div + y * num / div * _SQRT3 for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        weights = [[4.0 * (m * num / div) for m in row] for row in magnitudes]
     spread = max(
-        sum((_error_weight(x, s) + (d + 1) * abs(s)) * b for x, s, b in zip(xs, ss, box))
-        for xs, ss in zip(rows, snapshot)
+        sum((w + 2.0**-1020 + (d + 1) * abs(s)) * bj for w, s, bj in zip(ws, ss, box))
+        for ws, ss in zip(weights, snapshot)
     )
     scaled_limit = _exact(limit) * shift
     radius = float(scaled_limit) + 2.0**-52 * (
         spread + _error_weight(scaled_limit, float(scaled_limit))
     )
-    search = _grid_points if math.prod(2 * b + 1 for b in box) <= GRID_CELL_CAP else _branch_points
-    gauge_of = _gauge_of(exact, den, is_float)
+    search = _grid_points if math.prod(2 * bj + 1 for bj in box) <= GRID_CELL_CAP else _branch_points
+    key, value = _gauge_of(a, b, den, is_float)
+    within = _within(limit if is_float else scaled_mu, b is not None)
     u = tuple(zip(*basis))  # row-major, the basis vectors as columns
     points = []
     for kp in search(snapshot, radius, box):
-        gauge = gauge_of(kp)
-        if gauge <= limit:
+        gauge = key(kp)
+        if within(gauge):
             k = [sum(map(mul, row, kp)) for row in u]
             if next(filter(None, k)) < 0:
                 k = [-x for x in k]
             points.append((gauge, tuple(k)))
-    points.sort()
-    return points
+    points.sort(key=None if b is None else _zsqrt3_order)
+    return [(value(gauge), k) for gauge, k in points]
 
 
-def _dilate_box(rows, mu) -> list:
-    """Per-coordinate bound floor(mu * l1 norm of each row of rows^-1), exact.
+def _box(a, b, mu) -> list:
+    """Per-coordinate bound floor(mu * l1 norm of each row of n^-1), exact.
 
-    Integer rows stay in integers: Montante's fraction-free Gauss-Jordan,
-    dividing exactly by the previous pivot as Bareiss (1968) does, turns
-    (rows | I) into (c I | c rows^-1). Other rows are inverted in their field.
+    n = a for integer rows, which stay in integers: Montante's fraction-free
+    Gauss-Jordan, dividing exactly by the previous pivot as Bareiss (1968)
+    does, turns (n | I) into (c I | c n^-1). n = a + b sqrt3 is inverted in
+    its field.
     """
-    if not all(isinstance(x, int) for row in rows for x in row):
-        cinv = Matrix(rows).inverse().rows
-        return [scalar_floor(mu * reduce(add, map(abs, row))) for row in cinv]
-    d = len(rows)
-    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(rows)]
+    if b is not None:
+        n = Matrix([[Quad3(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        return [scalar_floor(mu * reduce(add, map(abs, row))) for row in n.inverse().rows]
+    d = len(a)
+    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(a)]
     prev = 1
     for k in range(d):
         piv = next((r for r in range(k, d) if aug[r][k]), None)
@@ -135,11 +151,17 @@ def _dilate_box(rows, mu) -> list:
         # columns up to k are c I already, so only the rest is updated
         for row in aug:
             if row is not pivot:
-                a = row[k]
-                row[k + 1:] = [(p * x - a * y) // prev for x, y in zip(row[k + 1:], tail)]
+                c = row[k]
+                row[k + 1:] = [(p * x - c * y) // prev for x, y in zip(row[k + 1:], tail)]
         prev = p
     mu = _exact(mu) / abs(prev)
     return [scalar_floor(mu * sum(map(abs, row[d:]))) for row in aug]
+
+
+def dilate_box(c_rows, mu) -> list:
+    """The coefficient box floor(mu * l1 norm of each row of c_rows^-1), exact."""
+    a, b, den = _integer_rows(c_rows)
+    return _box(a, b, _exact(mu) * den)
 
 
 def _reduction_transform(c_rows):
@@ -176,40 +198,74 @@ def reduced_basis(c_rows) -> list:
     return [tuple(u[i][j] for i in range(d)) for j in range(d)]
 
 
-def _dot(row, k):
-    """row . k for an integer vector k != 0, skipping its zero entries.
-
-    Multiplying a quadratic scalar by 0 is not free.
-    """
-    return reduce(add, (x * y for x, y in zip(row, k) if y))
-
-
 def _integer_rows(c_rows):
-    """Rows n and a divisor D with c_rows = n / D, exactly.
+    """Integer rows a, b and a divisor D with c_rows = (a + b sqrt3) / D, exactly.
 
     Rational and float entries are scaled to integers over the lcm D of
-    their denominators (a power of two for floats). Rows with a Q(sqrt3)
-    entry are kept as they are, over D = 1.
+    their denominators (a power of two for floats), and b is None. Rows
+    with a Q(sqrt3) entry clear every denominator of both parts into one D
+    (linalg.zsqrt3_rows), so their reduced rows and gauges are Z[sqrt3] ints.
     """
     if any(isinstance(x, Quad3) for row in c_rows for x in row):
-        return c_rows, 1
+        return zsqrt3_rows(c_rows)
     ratios = [[x.as_integer_ratio() for x in row] for row in c_rows]
     den = math.lcm(*(q for row in ratios for _, q in row))
-    return [[p * (den // q) for p, q in row] for row in ratios], den
+    return [[p * (den // q) for p, q in row] for row in ratios], None, den
 
 
-def _gauge_of(rows, den, rounded: bool):
-    """The exact gauge k -> max_i |rows_i . k| / den of rows from _integer_rows.
+def _times(rows, basis):
+    """The integer rows times the basis vectors, as columns."""
+    return [[sum(map(mul, row, v)) for v in basis] for row in rows]
 
-    An exact maximum, divided once into a Fraction, or when rounded, as for
-    float rows, into one correctly rounded float, whatever the order of the
-    sums. Q(sqrt3) rows, over den 1, keep their field gauge.
+
+def _gauge_of(a, b, den, rounded: bool):
+    """Key and value of the exact gauge k -> max_i |c_i . k| of c = (a + b sqrt3) / den.
+
+    The key is the maximum before its division by den: an int for rational
+    rows, which sorts as the gauge does since den > 0, and for Q(sqrt3)
+    rows a pair (p, q) of ints standing for p + q sqrt3, whose signs are
+    decided in ints (see _zsqrt3_order). value divides it once into a
+    Fraction or a Quad3. Float rows key by the gauge itself: the exact
+    maximum divided once into a correctly rounded float, whatever the order
+    of the sums, since two maxima that round alike must sort by k.
     """
     if rounded:
-        return lambda k: max([abs(sum(map(mul, row, k))) for row in rows]) / den
-    if any(isinstance(x, Quad3) for row in rows for x in row):
-        return lambda k: max(abs(_dot(row, k)) for row in rows)
-    return lambda k: Fraction(max([abs(sum(map(mul, row, k))) for row in rows]), den)
+        return (lambda k: max([abs(sum(map(mul, row, k))) for row in a]) / den), (lambda g: g)
+    if b is None:
+        return (lambda k: max([abs(sum(map(mul, row, k))) for row in a])), (lambda m: Fraction(m, den))
+
+    def key(k):
+        best = (0, 0)
+        for ra, rb in zip(a, b):
+            p, q = sum(map(mul, ra, k)), sum(map(mul, rb, k))
+            if zsqrt3_sign(p, q) < 0:
+                p, q = -p, -q
+            if zsqrt3_sign(p - best[0], q - best[1]) > 0:
+                best = (p, q)
+        return best
+
+    return key, lambda g: Quad3(Fraction(g[0], den), Fraction(g[1], den))
+
+
+def _within(bound, quadratic: bool):
+    """Whether a key of _gauge_of stands for a gauge at most the limit.
+
+    bound is the limit itself for float rows, else the limit times den.
+    """
+    if isinstance(bound, float):
+        return lambda g: g <= bound
+    if not quadratic:
+        bound = scalar_floor(bound)  # the keys are ints
+        return lambda m: m <= bound
+    p, q, r = zsqrt3_parts(bound)
+    return lambda g: zsqrt3_sign(p - r * g[0], q - r * g[1]) >= 0
+
+
+@cmp_to_key
+def _zsqrt3_order(x, y) -> int:
+    """(key, k) pairs of Q(sqrt3) rows in (gauge, k) order."""
+    (g, k), (h, m) = x, y
+    return zsqrt3_sign(g[0] - h[0], g[1] - h[1]) or (k > m) - (k < m)
 
 
 def _exact(x):
@@ -217,14 +273,9 @@ def _exact(x):
     return Fraction(x) if isinstance(x, (int, float)) else x
 
 
-def _magnitude(x):
-    """An exact upper bound on |x|; a + b sqrt3 counts |a| + 2|b|."""
-    return abs(x.a) + 2 * abs(x.b) if isinstance(x, Quad3) else abs(x)
-
-
 def _error_weight(x, s: float) -> float:
     """w with |s - x| <= 2^-53 w for the snapshot s of x; see lattice_points_in_dilate."""
-    w = 4.0 * float(_magnitude(x)) if isinstance(x, Quad3) else abs(s)
+    w = 4.0 * float(abs(x.a) + 2 * abs(x.b)) if isinstance(x, Quad3) else abs(s)
     return w + 2.0**-1020
 
 
@@ -434,8 +485,8 @@ def successive_minima(
         raise ValueError("k_max must lie in 1..dimension")
     rows = gauge_rows(piped, lattice)
     basis = reduced_basis(rows)
-    gauge_of = _gauge_of(*_integer_rows(rows), piped.kind == "float")
-    radius = sorted(map(gauge_of, basis))[k_max - 1]
+    key, value = _gauge_of(*_integer_rows(rows), piped.kind == "float")
+    radius = sorted(value(key(k)) for k in basis)[k_max - 1]
     span = RationalSpan(d)
     values = []
     witnesses = []

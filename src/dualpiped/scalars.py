@@ -152,20 +152,26 @@ SQRT3 = Quad3(0, 1)
 
 
 def quad_sign(x: Quad3 | Fraction | int) -> int:
-    """Exact sign of a + b*sqrt3 decided by integer comparisons only."""
+    """Exact sign of a + b*sqrt3 decided by rational comparisons only."""
     if not isinstance(x, Quad3):
         return (x > 0) - (x < 0)
-    a, b = x.a, x.b
-    if a == 0 and b == 0:
-        return 0
+    return zsqrt3_sign(x.a, x.b)
+
+
+def zsqrt3_sign(a, b) -> int:
+    """Sign of a + b sqrt3 for ints or rationals a, b: a^2 against 3 b^2."""
     if a >= 0 and b >= 0:
-        return 1
+        return int(a > 0 or b > 0)
     if a <= 0 and b <= 0:
         return -1
-    # opposite signs: compare a^2 against 3 b^2
-    cmp = a * a - 3 * b * b
-    s = (cmp > 0) - (cmp < 0)
-    return s if a > 0 else -s
+    return 1 if (a * a > 3 * b * b) == (a > 0) else -1
+
+
+def zsqrt3_parts(x) -> tuple:
+    """Ints p, q and r > 0 with x = (p + q sqrt3) / r, for a Quad3, Fraction or int x."""
+    a, b = (x.a, x.b) if isinstance(x, Quad3) else (Fraction(x), 0)
+    r = math.lcm(a.denominator, b.denominator)
+    return a.numerator * (r // a.denominator), b.numerator * (r // b.denominator), r
 
 
 def scalar_sign(x: Scalar) -> int:
@@ -180,13 +186,11 @@ def as_float(x: Scalar) -> float:
 
 def scalar_floor(x: Scalar) -> int:
     if isinstance(x, Quad3):
-        n = math.floor(float(x))
-        # the float estimate can be off by one near integers; fix exactly
-        while quad_sign(x - n) < 0:
-            n -= 1
-        while quad_sign(x - (n + 1)) >= 0:
-            n += 1
-        return n
+        # floor(x) = floor(floor(p + q sqrt3) / r) for r > 0, and q sqrt3 is
+        # irrational unless q = 0: its floor is isqrt(3 q^2), one less if q < 0
+        p, q, r = zsqrt3_parts(x)
+        root = math.isqrt(3 * q * q)
+        return (p + (root if q >= 0 else -root - 1)) // r
     return math.floor(x)
 
 

@@ -128,8 +128,10 @@ def _surface_terms(tau, mode: str) -> tuple:
 def normalize_tau(tau: Sequence[Scalar], mode: str = "plain"):
     """Scale tau onto its surface: sum tau^2 = v^2 prod tau^2, v = 1 or v_tau.
 
-    The scale is (sum/(v^2 prod))^{1/(2(d-1))}; exact kinds stay exact when
-    that root stays in the field and otherwise fall back to floats.
+    The scale is (sum/(v^2 prod))^{1/(2(d-1))}, formed on the exact values
+    (a float is the dyadic rational it stores, so prod tau^2 cannot
+    underflow); exact kinds stay exact when that root stays in the field
+    and otherwise fall back to floats, as float input does.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
@@ -138,13 +140,19 @@ def normalize_tau(tau: Sequence[Scalar], mode: str = "plain"):
         raise ValueError("need at least two weights")
     if any(scalar_sign(t) <= 0 for t in tau):
         raise ValueError("all weights must be positive")
-    sum_sq, prod_sq, v2 = _surface_terms(tau, mode)
+    exact = [Fraction(t) if isinstance(t, (int, float)) else t for t in tau]
+    sum_sq, prod_sq, v2 = _surface_terms(exact, mode)
     ratio = sum_sq / (v2 * prod_sq)
-    lam = None if isinstance(ratio, float) else exact_nth_root(ratio, 2 * (d - 1))
+    n = 2 * (d - 1)
+    lam = None if any(isinstance(t, float) for t in tau) else exact_nth_root(ratio, n)
     if lam is None:
-        lam = float(ratio) ** (1.0 / (2 * (d - 1)))
+        # ratio = y 2^(n e) with y near 1: only y is rounded, and nothing overflows
+        e = 0
+        if isinstance(ratio, Fraction):
+            e = (ratio.numerator.bit_length() - ratio.denominator.bit_length()) // n
+        lam = math.ldexp(float(ratio / Fraction(2) ** (n * e)) ** (1.0 / n), e)
         return tuple(lam * float(t) for t in tau)
-    return tuple(lam * t for t in _exactify(tau))
+    return tuple(lam * t for t in exact)
 
 
 def on_surface(tau: Sequence[Scalar], mode: str = "plain") -> bool:

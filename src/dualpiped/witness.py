@@ -4,9 +4,10 @@ One cube of radius epsilon is played against two unimodular lattices; the
 companion cube of radius epsilon^2 against their duals. Every certificate
 reduces to sign computations in the quadratic field: each point set comes
 from the enumerator of `minima`, which proposes points in floats and decides
-each one by its gauge in Q(sqrt3). The coefficient box printed with each
-certificate is the exact l1 norm of the inverse gauge rows times the dilate
-(the same bounds the hand proof extracts).
+each one by its exact gauge, with Q(sqrt3) rows cleared into Z[sqrt3] ints
+and every sign decided by comparing a^2 with 3 b^2. The coefficient box
+printed with each certificate is the exact l1 norm of the inverse gauge
+rows times the dilate (the same bounds the hand proof extracts).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from fractions import Fraction
 from .bodies import Lattice, Parallelepiped, pseudo_compound
 from .linalg import Matrix
 from .minima import (
-    _dilate_box,
+    dilate_box,
     gauge_rows,
     lattice_points_in_dilate,
     reduced_basis,
@@ -174,7 +175,7 @@ def _certify_identity(
 ) -> SetIdentity:
     place = f"{body_name} against {lattice_name}"
     rows = gauge_rows(body, Lattice(basis))
-    caps = _dilate_box(rows, dilate)
+    caps = dilate_box(rows, dilate)
     points = lattice_points_in_dilate(rows, dilate, reduced_basis(rows))
     closed = _symmetric(*(k for _, k in points))
     interior = _symmetric(*(k for gauge, k in points if gauge < dilate))

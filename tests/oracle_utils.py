@@ -69,6 +69,48 @@ def fraction_rank(rows):
     return rank
 
 
+def field_inverse(rows):
+    """Inverse by plain Gauss-Jordan in the entries' own field (Fraction or Quad3)."""
+    d = len(rows)
+    m = [list(row) + [Fraction(int(i == j)) for j in range(d)] for i, row in enumerate(rows)]
+    for col in range(d):
+        piv = next(r for r in range(col, d) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        p = m[col][col]
+        m[col] = [x / p for x in m[col]]
+        for r in range(d):
+            if r != col and m[r][col]:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return [row[d:] for row in m]
+
+
+def field_det(rows):
+    """Determinant by Laplace expansion along the first row, in the entries' field."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = Fraction(0)
+    for j, x in enumerate(rows[0]):
+        if x:
+            minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+            total = total + (-1) ** j * x * field_det(minor)
+    return total
+
+
+def random_quad3_rows(rng, d):
+    """A d x d list of Q(sqrt3) entries, often zero (forcing row swaps), with
+    denominators up to 10^20."""
+    def part():
+        if rng.random() < 0.4:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9) * rng.choice((1, 10**19)), rng.choice((1, 3, 7, 10**20)))
+
+    rows = [[Quad3(part(), part()) for _ in range(d)] for _ in range(d)]
+    if d > 1 and rng.random() < 0.5:
+        rows[0][0] = Quad3(0)
+    return rows
+
+
 def fraction_lll_unimodular(cols, delta=Fraction(3, 4)):
     """Track the column operations of an exact LLL pass over rational columns.
 

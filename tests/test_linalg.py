@@ -7,7 +7,7 @@ import pytest
 from dualpiped.linalg import Matrix, RationalSpan, monotone_root
 from dualpiped.scalars import Quad3, SQRT3
 
-from oracle_utils import fraction_rank
+from oracle_utils import field_det, field_inverse, fraction_rank, random_quad3_rows
 
 
 def _random_exact_matrix(rng, d, lo=-5, hi=5):
@@ -99,6 +99,30 @@ def test_quad3_matrix_inverse():
     m = Matrix([[Quad3(2), SQRT3], [Quad3(0), Quad3(1)]])
     inv = m.inverse()
     assert m.matmul(inv) == Matrix.identity(2, kind="quad3")
+
+
+def test_exact_det_and_inverse_match_the_field():
+    # the Z[sqrt3] elimination behind Matrix.det, and Matrix.inverse, against
+    # plain field arithmetic, with row swaps and denominators up to 10^20; the
+    # rational parts alone check the rational kind, which shares the kernel
+    rng = random.Random(17)
+    singular = 0
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        rows = random_quad3_rows(rng, d)
+        for entries in (rows, [[x.a for x in row] for row in rows]):
+            m = Matrix(entries)
+            det = field_det(entries)
+            assert m.det() == det and type(m.det()) is type(m.rows[0][0])
+            if det == 0:
+                singular += 1
+                with pytest.raises(ZeroDivisionError):
+                    m.inverse()
+            else:
+                assert m.inverse() == Matrix(field_inverse(entries))
+    assert singular > 0
+    # rank one, so every minor of order two vanishes
+    assert Matrix([[SQRT3, Quad3(3)], [Quad3(1), SQRT3]]).det() == 0
 
 
 def test_kind_inference_and_promotion():

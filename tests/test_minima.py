@@ -17,10 +17,17 @@ from dualpiped.minima import (
     lattice_points_in_dilate,
     successive_minima,
 )
-from dualpiped.scalars import Quad3, SQRT3
+from dualpiped.scalars import Quad3, SQRT3, scalar_floor
 from dualpiped.witness import FIRST_DILATE, SECOND_DILATE, build_witness
 
-from oracle_utils import brute_force_minima, fraction_lll_unimodular, orthogonal_sublattice
+from oracle_utils import (
+    brute_force_minima,
+    field_det,
+    field_inverse,
+    fraction_lll_unimodular,
+    orthogonal_sublattice,
+    random_quad3_rows,
+)
 
 
 def test_cube_minima_are_all_one():
@@ -259,7 +266,7 @@ def _exact_gauge(c_rows, k):
 
 def _box_sweep(c_rows, mu):
     """Every canonical (gauge, k) of the unreduced box, by exact gauges."""
-    box = minima._dilate_box(c_rows, mu)
+    box = minima.dilate_box(c_rows, mu)
     points = []
     for k in itertools.product(*(range(-b, b + 1) for b in box)):
         if next(filter(None, k), 0) > 0:
@@ -278,7 +285,7 @@ def _boundary_cases():
         if Matrix(c_rows).det() == 0 or not any(k):
             return
         mu = _exact_gauge(c_rows, k)
-        if math.prod(2 * b + 1 for b in minima._dilate_box(c_rows, mu)) <= cap:
+        if math.prod(2 * b + 1 for b in minima.dilate_box(c_rows, mu)) <= cap:
             cases.append((c_rows, mu))
 
     while len(cases) < 150:
@@ -334,6 +341,10 @@ def test_exact_rows_on_the_boundary_match_the_box_sweep(monkeypatch):
     assert above > 0
 
 
+def _field_box(rows, mu):
+    return [scalar_floor(mu * sum((abs(x) for x in row), Fraction(0))) for row in field_inverse(rows)]
+
+
 def test_integer_box_matches_the_field_inverse():
     # the fraction-free elimination of integer rows, row swaps included,
     # gives the box that inverting the same rows over Q gives
@@ -346,7 +357,25 @@ def test_integer_box_matches_the_field_inverse():
             continue
         mu = Fraction(rng.randint(1, 10**21), rng.randint(1, 7))
         field = [[Fraction(x) for x in row] for row in rows]
-        assert minima._dilate_box(rows, mu) == minima._dilate_box(field, mu)
+        assert minima.dilate_box(rows, mu) == minima.dilate_box(field, mu) == _field_box(field, mu)
+        checked += 1
+
+
+def test_quad3_box_matches_the_field_inverse():
+    # Q(sqrt3) rows cleared into Z[sqrt3] over one denominator, zero leading
+    # pivots and huge denominators included, give the box of the inverse of
+    # the rows themselves, for rational and Q(sqrt3) dilates
+    rng = random.Random(18)
+    checked = 0
+    while checked < 200:
+        d = rng.randint(1, 4)
+        rows = random_quad3_rows(rng, d)
+        if field_det(rows) == 0:
+            continue
+        mu = Quad3(Fraction(rng.randint(0, 10**6), rng.randint(1, 7)), Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        for dilate in (mu, mu.a + 1):
+            if dilate > 0:
+                assert minima.dilate_box(rows, dilate) == _field_box(rows, dilate)
         checked += 1
 
 

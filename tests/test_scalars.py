@@ -19,6 +19,7 @@ from dualpiped.scalars import (
     scalar_floor,
     sqrt_exact,
     widen,
+    zsqrt3_sign,
 )
 
 
@@ -142,6 +143,25 @@ def test_scalar_floor():
     assert scalar_floor(Quad3(2, -1)) == 0       # 2 - sqrt3 in (0, 1)
     assert scalar_floor(Quad3(3)) == 3
     assert scalar_floor(2.75) == 2
+
+
+def test_zsqrt3_sign_and_quad3_floor():
+    # a + b sqrt3 with small ints stays at least 0.01 away from 0 unless both
+    # vanish, far beyond float error, so the float sign is an oracle
+    for a in range(-12, 13):
+        for b in range(-7, 8):
+            value = a + b * math.sqrt(3.0)
+            assert zsqrt3_sign(a, b) == (value > 0) - (value < 0)
+            for den in (1, 2, 5, -3):
+                n = scalar_floor(Quad3(a, b) / den)
+                assert Quad3(n) <= Quad3(a, b) / den < Quad3(n + 1)
+    # exact and immediate far beyond the float range of the parts
+    big = 10**40
+    assert scalar_floor(Quad3(0, big)) == math.isqrt(3 * big * big)
+    assert scalar_floor(Quad3(0, -big)) == -math.isqrt(3 * big * big) - 1
+    x = Quad3(Fraction(10**30, 7), Fraction(-(10**25), 3))
+    n = scalar_floor(x)
+    assert Quad3(n) <= x < Quad3(n + 1)
 
 
 def test_sqrt_exact():

@@ -8,8 +8,8 @@ from dualpiped import transference
 from dualpiped.bodies import Parallelepiped, det_normalized, pseudo_compound
 from dualpiped.linalg import Matrix
 from dualpiped.minima import first_minimum, successive_minima
-from dualpiped.scalars import Quad3, float_leq
-from dualpiped.sections import section_dual_gauge
+from dualpiped.scalars import REL_SLACK, Quad3, float_leq
+from dualpiped.sections import section_dual_gauge, v_tau_squared
 from dualpiped.transference import (
     ALL_CLAIMS,
     apply_hyperbolic,
@@ -137,6 +137,22 @@ def test_normalize_tau_scale_invariant_and_float_surface():
             for a, b in zip(out, scaled):
                 assert a == pytest.approx(b, rel=1e-9)
             assert on_surface(out, mode)
+
+
+def test_normalize_tau_survives_an_underflowing_product():
+    # prod tau^2 = 1e-400 underflows as a float; the ratio is formed on the
+    # exact dyadic values and the root taken without overflow
+    for mode in ("plain", "sharp"):
+        for tau in ((1e-200, 1.0, 1.0), (1e-200, 1e-200, 1.0, 3.0), (1e150, 1.0, 1.0)):
+            out = normalize_tau(tau, mode)
+            assert all(math.isfinite(t) and t > 0 for t in out)
+            exact = [Fraction(t) for t in out]
+            v2 = 1 if mode == "plain" else v_tau_squared(exact)
+            ratio = sum(t * t for t in exact) / (v2 * math.prod(exact) ** 2)
+            assert abs(ratio - 1) <= REL_SLACK
+            # the same body scaled: the direction is unchanged
+            for a, b, t, s in zip(out, out[1:], tau, tau[1:]):
+                assert a / b == pytest.approx(t / s, rel=1e-12)
 
 
 def test_c_d_frozen_values_and_bounds():
