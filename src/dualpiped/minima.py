@@ -6,9 +6,10 @@ norm of C k where C = diag(1/eta) H B. Enumeration reports one canonical
 representative per antipodal pair (first nonzero coordinate positive) and
 never reports the origin. Points are ordered by (gauge, coefficient vector),
 with exact lexicographic tie-breaking, so results are deterministic. One
-float search serves every scalar kind and only proposes points; each is
-decided by its exact gauge, and float gauges are exact dyadic gauges rounded
-once, so no reported point or bit depends on the search that found it.
+float search, a numpy grid over the exact coefficient box, serves every
+scalar kind and only proposes points; each is decided by its exact gauge,
+and float gauges are exact dyadic gauges rounded once. A box of more than
+GRID_CELL_CAP cells is refused before the grid is built.
 """
 from __future__ import annotations
 
@@ -22,15 +23,14 @@ import numpy as np
 
 from .bodies import Lattice, Parallelepiped
 from .linalg import Matrix, RationalSpan, zsqrt3_rows
-from .scalars import Quad3, as_float, scalar_floor, scalar_sign, widen, zsqrt3_parts, zsqrt3_sign
+from .scalars import Quad3, scalar_floor, scalar_sign, widen, zsqrt3_parts, zsqrt3_sign
 
 _SQRT3 = math.sqrt(3.0)
 GRID_CELL_CAP = 2_000_000
-NODE_CAP = 3_000_000
 
 
 class EnumerationBudgetError(RuntimeError):
-    """The search exceeded its node budget or ended without an answer."""
+    """The search box exceeds GRID_CELL_CAP cells, or the search ended without an answer."""
 
 
 def gauge_rows(piped: Parallelepiped, lattice: Lattice | None = None) -> tuple:
@@ -51,14 +51,15 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     One representative per antipodal pair, sorted by (gauge, k). The search
     runs in the coordinates of `basis`, the reduced_basis(c_rows) that the
     caller has already used to size mu (the unit vectors when the rows need
-    no reduction), on a float snapshot of the reduced rows of any kind: the
-    numpy grid when the box is small enough, else the branch-and-bound.
-    Either only proposes candidates. Each is kept iff its exact gauge (see
-    _gauge_of) is at most the limit, mu for exact rows and widen(mu) for
-    float rows, and then mapped back, so no point or bit depends on the path.
-    The reduced rows and the gauges are exact Python ints: integer rows
-    over one denominator, or for Q(sqrt3) rows pairs of integer rows in
-    Z[sqrt3]; only the box of Q(sqrt3) rows is still a field inverse.
+    no reduction), on a float snapshot of the reduced rows of any kind: a
+    numpy grid over the exact box, refused with EnumerationBudgetError when
+    the box has more than GRID_CELL_CAP cells. The grid only proposes
+    candidates. Each is kept iff its exact gauge (see _gauge_of) is at most
+    the limit, mu for exact rows and widen(mu) for float rows, and then
+    mapped back, so no point or bit depends on the snapshot. The reduced
+    rows and the gauges are exact Python ints: integer rows over one
+    denominator, or for Q(sqrt3) rows pairs of integer rows in Z[sqrt3];
+    only the box of Q(sqrt3) rows is still a field inverse.
 
     The candidates hold every point within the limit. Rows of every kind
     are taken exactly (a float is dyadic; see _integer_rows), so such a
@@ -72,8 +73,8 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     most gamma_d sum_j |s_ij| b_j: products by integers, and sums that land
     in the subnormal range, are exact. The search radius adds twice both
     bounds, and twice the rounding of the limit itself, to the scaled
-    limit; the second half covers the rounding of the interval sums on
-    which the branch search prunes.
+    limit; the second half is room for the float sums that form the radius,
+    and any extra candidate it admits fails its exact gauge.
     """
     d = len(c_rows)
     if any(len(row) != d for row in c_rows):
@@ -87,6 +88,11 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     b = None if b is None else _times(b, basis)
     scaled_mu = _exact(limit) * den
     box = _box(a, b, scaled_mu)
+    cells = math.prod(2 * bj + 1 for bj in box)
+    if cells > GRID_CELL_CAP:
+        raise EnumerationBudgetError(
+            f"the search box has {cells} cells; the grid supports at most {GRID_CELL_CAP}"
+        )
     if b is None:
         magnitudes = [[abs(x) for x in row] for row in a]
     else:
@@ -110,12 +116,11 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     radius = float(scaled_limit) + 2.0**-52 * (
         spread + _error_weight(scaled_limit, float(scaled_limit))
     )
-    search = _grid_points if math.prod(2 * bj + 1 for bj in box) <= GRID_CELL_CAP else _branch_points
     key, value = _gauge_of(a, b, den, is_float)
     within = _within(limit if is_float else scaled_mu, b is not None)
     u = tuple(zip(*basis))  # row-major, the basis vectors as columns
     points = []
-    for kp in search(snapshot, radius, box):
+    for kp in _grid_points(snapshot, radius, box):
         gauge = key(kp)
         if within(gauge):
             k = [sum(map(mul, row, kp)) for row in u]
@@ -178,7 +183,7 @@ def _reduction_transform(c_rows):
     d = len(c_rows)
     if d < 2:
         return None
-    snapshot = [[as_float(x) for x in row] for row in c_rows]
+    snapshot = [[float(x) for x in row] for row in c_rows]
     if not all(math.isfinite(x) for row in snapshot for x in row):
         return None
     return _lll_unimodular([[Fraction(row[j]) for row in snapshot] for j in range(d)])
@@ -363,87 +368,6 @@ def _grid_points(rows, radius: float, box) -> list:
     g = np.abs(k @ c.T).max(axis=1)
     lead = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
     return list(map(tuple, k[(g <= radius) & (lead > 0)].tolist()))
-
-
-def _branch_points(c_rows, radius: float, box) -> list:
-    """Canonical points of the box with float gauge at most radius."""
-    d = len(c_rows)
-    results: list = []
-    assignment = [0] * d
-    nodes = 0
-
-    def propagate(lo, hi, fixed, free) -> bool:
-        # tighten: for each form i, fixed_i + sum_j c_ij k_j must lie in
-        # [-radius, radius]; a few passes are enough, correctness never
-        # depends on reaching a fixpoint because leaves recheck the gauge
-        for _ in range(3):
-            changed = False
-            for i in range(d):
-                row = c_rows[i]
-                mins = {}
-                maxs = {}
-                total_min = 0
-                total_max = 0
-                for j in free:
-                    t1 = row[j] * lo[j]
-                    t2 = row[j] * hi[j]
-                    if t2 < t1:
-                        t1, t2 = t2, t1
-                    mins[j] = t1
-                    maxs[j] = t2
-                    total_min = total_min + t1
-                    total_max = total_max + t2
-                base = fixed[i]
-                if base + total_min > radius or base + total_max < -radius:
-                    return False
-                for j in free:
-                    cij = row[j]
-                    if cij == 0.0:
-                        continue
-                    low_target = -radius - base - (total_max - maxs[j])
-                    high_target = radius - base - (total_min - mins[j])
-                    if cij > 0.0:
-                        new_lo = math.ceil(low_target / cij - 1e-9)
-                        new_hi = math.floor(high_target / cij + 1e-9)
-                    else:
-                        new_lo = math.ceil(high_target / cij - 1e-9)
-                        new_hi = math.floor(low_target / cij + 1e-9)
-                    if new_lo > lo[j]:
-                        lo[j] = new_lo
-                        changed = True
-                    if new_hi < hi[j]:
-                        hi[j] = new_hi
-                        changed = True
-                    if lo[j] > hi[j]:
-                        return False
-            if not changed:
-                break
-        return True
-
-    def search(lo, hi, fixed, free) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > NODE_CAP:
-            raise EnumerationBudgetError(
-                f"enumeration exceeded {NODE_CAP} nodes; the dilate is too large"
-            )
-        lo = list(lo)
-        hi = list(hi)
-        if not propagate(lo, hi, fixed, free):
-            return
-        if not free:
-            if max(map(abs, fixed)) <= radius and next(filter(None, assignment), 0) > 0:
-                results.append(tuple(assignment))
-            return
-        j = min(free, key=lambda jj: hi[jj] - lo[jj])
-        rest = [jj for jj in free if jj != j]
-        for v in range(lo[j], hi[j] + 1):
-            assignment[j] = v
-            search(lo, hi, [fixed[i] + c_rows[i][j] * v for i in range(d)], rest)
-        assignment[j] = 0
-
-    search([-b for b in box], list(box), [0] * d, list(range(d)))
-    return results
 
 
 @dataclass(frozen=True)

@@ -180,10 +180,6 @@ def scalar_sign(x: Scalar) -> int:
     return (x > 0) - (x < 0)
 
 
-def as_float(x: Scalar) -> float:
-    return float(x)
-
-
 def scalar_floor(x: Scalar) -> int:
     if isinstance(x, Quad3):
         # floor(x) = floor(floor(p + q sqrt3) / r) for r > 0, and q sqrt3 is

@@ -18,8 +18,9 @@ on Python ints whatever the scale of a. Q(sqrt3) coordinates run the same sum
 in their own arithmetic. Each volume derives from its exact square: exact
 kinds take the root when it lies in Q(sqrt3), and floats (or a root outside
 the field) round the square once and take math.sqrt. The sum has 2^n terms
-for n nonzero coordinates, so directions with more than 18 of them are
-refused before any work starts.
+for n nonzero coordinates, each on integers of B bits, so a direction with
+2^n * ceil(B / 64) above 2^18 is refused before the sum starts: directions
+whose integers fit one 64-bit word may have up to 18 nonzero coordinates.
 
 The section-dual body of Pi = A B_d collects the points A'z whose defining
 hyperplane cuts a unit-volume section out of Pi; its gauge at z works out to
@@ -37,11 +38,21 @@ from typing import Sequence
 from .bodies import Parallelepiped
 from .linalg import Matrix
 from .minima import lattice_points_in_dilate, reduced_basis
-from .scalars import Quad3, Scalar, exact_nth_root, scalar_sign
+from .scalars import Quad3, Scalar, exact_nth_root, scalar_sign, zsqrt3_parts
 
-# nonzero coordinates a direction may have: 2^18 sign patterns of
-# coordinates of one scale take under a second
-_MAX_PARTS = 18
+# sign patterns times 64-bit words of their integers that a sum may take:
+# 2^18 patterns of one-word integers take under a second
+_WORK_CAP = 2**18
+
+
+def _check_work(n: int, bits: int) -> None:
+    """Refuse the 2^n-term sum on integers of `bits` bits above _WORK_CAP words."""
+    words = -(-bits // 64)
+    if words * 2**n > _WORK_CAP:
+        raise ValueError(
+            f"direction has {n} nonzero coordinates of up to {bits} bits: 2^{n} sign"
+            f" patterns of {words} 64-bit words, over the budget of 2^18 one-word patterns"
+        )
 
 
 def _signed_power_sum(parts, power: int):
@@ -71,12 +82,14 @@ def _section_ratio(parts):
     """
     n = len(parts)
     if any(isinstance(x, Quad3) for x in parts):
+        _check_work(n, max(abs(v).bit_length() for x in parts for v in zsqrt3_parts(x)))
         return _signed_power_sum(parts, n - 1) / (math.factorial(n - 1) * math.prod(parts))
     ratios = [x.as_integer_ratio() for x in parts]
     den = math.lcm(*(q for _, q in ratios))
     ints = [p * (den // q) for p, q in ratios]
     g = math.gcd(*ints)
     ints = [k // g for k in ints]
+    _check_work(n, max(ints).bit_length())
     return Fraction(
         den * _signed_power_sum(ints, n - 1), g * math.factorial(n - 1) * math.prod(ints)
     )
@@ -100,11 +113,6 @@ def _split_direction(a, d: int) -> tuple:
     parts, is_float = _exact_parts(a)
     if not parts:
         raise ValueError("direction must be nonzero")
-    if len(parts) > _MAX_PARTS:
-        raise ValueError(
-            f"direction has {len(parts)} nonzero coordinates; the sign-pattern"
-            f" sum supports at most {_MAX_PARTS}"
-        )
     return parts, is_float
 
 

@@ -23,7 +23,6 @@ from .linalg import Matrix, monotone_root
 from .minima import first_minimum, successive_minima
 from .scalars import (
     Scalar,
-    as_float,
     exact_nth_root,
     float_leq,
     float_strictly_greater,
@@ -264,12 +263,12 @@ def check_claims(
 
     def leq(a, b) -> bool:
         if is_float:
-            return float_leq(as_float(a), as_float(b))
+            return float_leq(float(a), float(b))
         return a <= b
 
     def strictly_greater(a, b) -> bool:
         if is_float:
-            return float_strictly_greater(as_float(a), as_float(b))
+            return float_strictly_greater(float(a), float(b))
         return a > b
 
     def finish(cid, hypothesis, checks, detail="", witnesses=()):
@@ -284,7 +283,7 @@ def check_claims(
 
     def claim_t3():
         hyp = leq(mu_star[0], 1)
-        checks = [(float(d - 1), as_float(mu[0]), leq(mu[0], d - 1))]
+        checks = [(float(d - 1), float(mu[0]), leq(mu[0], d - 1))]
         return finish("T3", hyp, checks, witnesses=(profile.witnesses[0],))
 
     def claim_t4():
@@ -293,8 +292,8 @@ def check_claims(
         checks = []
         for k in range(1, d + 1):
             product = mu_star[k - 1] * mu[d - k]
-            checks.append((as_float(product), as_float(lower), leq(lower, product)))
-            checks.append((as_float(upper), as_float(product), leq(product, upper)))
+            checks.append((float(product), float(lower), leq(lower, product)))
+            checks.append((float(upper), float(product), leq(product, upper)))
         return finish("T4", True, checks, detail=f"k = 1..{d} pairings")
 
     def claim_mk2():
@@ -305,8 +304,8 @@ def check_claims(
                 product = product * value
             lower = Fraction(2**d, math.factorial(d)) / volume
             upper = Fraction(2**d) / volume
-            checks.append((as_float(product), as_float(lower), leq(lower, product)))
-            checks.append((as_float(upper), as_float(product), leq(product, upper)))
+            checks.append((float(product), float(lower), leq(lower, product)))
+            checks.append((float(upper), float(product), leq(product, upper)))
         return finish("MK2", True, checks, detail="minima products, body and compound")
 
     def _power_claim(cid, exponent_of):
@@ -316,10 +315,10 @@ def check_claims(
             exponent = exponent_of(k)
             bound = d ** (1.0 / exponent)
             if is_float:
-                ok = float_leq(as_float(mu[k - 1]), bound)
+                ok = float_leq(float(mu[k - 1]), bound)
             else:
                 ok = mu[k - 1] ** exponent <= d
-            checks.append((bound, as_float(mu[k - 1]), ok))
+            checks.append((bound, float(mu[k - 1]), ok))
         return finish(cid, hyp, checks)
 
     def claim_t5():
@@ -335,11 +334,11 @@ def check_claims(
         hyp = leq(mu_star[0], 1) and strictly_greater(mu[0], 1)
         bound = c_d(d)
         if is_float:
-            ok = float_leq(as_float(mu[1]), bound)
+            ok = float_leq(float(mu[1]), bound)
         else:
             s = mu[1] * mu[1]
             ok = s <= 1 or scalar_sign(s ** (d - 1) - (d - 1) * s - 1) <= 0
-        return finish("T7", hyp, [(bound, as_float(mu[1]), ok)],
+        return finish("T7", hyp, [(bound, float(mu[1]), ok)],
                       witnesses=(profile.witnesses[1],))
 
     @functools.cache
@@ -361,11 +360,11 @@ def check_claims(
             # mu_1 of the shift on the surface, to the power 2(d-1)
             ratio = value**power * v2 * prod_sq / sum_sq
             ok = leq(ratio, 1)
-            checks.append((1.0, as_float(ratio) ** (1 / power), ok))
+            checks.append((1.0, float(ratio) ** (1 / power), ok))
             if mode == "sharp":
                 vertex_sq = section_dual_gauge(cube, raw) ** 2 * v2 / sum_sq
                 on_vertex = vertex_sq == 1
-                checks.append((1.0, as_float(vertex_sq) ** 0.5, on_vertex))
+                checks.append((1.0, float(vertex_sq) ** 0.5, on_vertex))
                 ok = ok and on_vertex
             if not ok:
                 witnesses.append(raw)
@@ -387,7 +386,7 @@ def check_claims(
         product = Fraction(1)
         for value in mu[: d - 1]:
             product = product * value
-        return finish("WM", hyp, [(1.0, as_float(product), leq(product, 1))])
+        return finish("WM", hyp, [(1.0, float(product), leq(product, 1))])
 
     def claim_c12():
         vertex_map = body.forms.transpose().matmul(Matrix.diagonal(star.bounds))
@@ -403,7 +402,7 @@ def check_claims(
                 ok = float_leq(float(gauge), bound)
             else:
                 ok = gauge * gauge <= d
-            checks.append((bound, as_float(gauge), ok))
+            checks.append((bound, float(gauge), ok))
             if not ok:
                 witnesses.append(sigma)
         return finish("C12", True, checks,

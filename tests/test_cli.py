@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from dualpiped.bodies import (
     format_lattice,
     format_parallelepiped,
 )
-from dualpiped import cli
+from dualpiped import cli, minima
 from dualpiped.cli import main
 from dualpiped.harness import ClaimSummary, TrialConfig, VerificationReport
 from dualpiped.cli import exit_code_for
@@ -129,6 +130,11 @@ def test_section_command(capsys):
     assert main(["section", "--direction", "1e999,1,1"]) == 2
     # 2^40 sign patterns: refused before any work starts
     assert main(["section", "--direction", ",".join(["1"] * 40)]) == 2
+    # 2^16 sign patterns of 301-bit integers: refused by their bits
+    spread = ",".join(repr(math.ldexp(1.0 + i / 32, 20 * i)) for i in range(16))
+    capsys.readouterr()
+    assert main(["section", "--direction", spread]) == 2
+    assert "16 nonzero coordinates of up to 301 bits" in capsys.readouterr().err
 
 
 def test_section_float_direction(capsys):
@@ -184,6 +190,19 @@ def test_minima_command(tmp_path, capsys):
     ):
         assert main(["minima", "--body", str(body), "--lattice", str(lattice)]) == 2
         assert "cannot be measured against" in capsys.readouterr().err
+
+
+def test_minima_refuses_an_oversized_box(monkeypatch, tmp_path, capsys):
+    # the unit cube of dimension 14 needs a box of 3^14 cells, over the cap
+    body_file = tmp_path / "cube14.txt"
+    body_file.write_text(format_parallelepiped(Parallelepiped.cube(14)))
+    assert main(["minima", "--body", str(body_file)]) == 2
+    assert "has 4782969 cells; the grid supports at most 2000000" in capsys.readouterr().err
+    # a small body under a lowered cap is refused the same way
+    monkeypatch.setattr(minima, "GRID_CELL_CAP", 8)
+    body_file.write_text(format_parallelepiped(Parallelepiped.cube(2)))
+    assert main(["minima", "--body", str(body_file)]) == 2
+    assert "has 9 cells; the grid supports at most 8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [EnumerationBudgetError("too many nodes"), OverflowError("too big")])

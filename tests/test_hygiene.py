@@ -2,8 +2,9 @@
 
 No module imports a name it never reads, no library module keeps a private
 top-level name that it never reads itself, and every public top-level name
-of the library is read by the library or the benchmark, unless it is
-allowlisted below with its reason.
+of the library, and every public method and property of its classes, is
+read by the library or the benchmark, unless it is allowlisted below with
+its reason.
 """
 import ast
 from pathlib import Path
@@ -28,6 +29,21 @@ TEST_ONLY_NAMES = {
     "mahler_dual_box": "paper construction",
     "on_surface": "paper construction",
     "t2_root": "paper construction",
+}
+
+# public methods and properties that only the tests read, each with its reason
+TEST_ONLY_METHODS = {
+    # paper constructions that the tests check; ROADMAP item 6 moves them
+    "Matrix.cofactor": "paper construction",
+    "Lattice.covolume": "paper construction",
+    "Parallelepiped.axis_box": "paper construction",
+    "Parallelepiped.contains": "paper construction",
+    "Parallelepiped.contains_interior": "paper construction",
+    "Parallelepiped.apply_linear": "paper construction",
+    # Z^d, the lattice the tests measure bodies against by default
+    "Lattice.integers": "test fixture",
+    # the span size, which the tests assert after each add
+    "RationalSpan.rank": "test fixture",
 }
 
 
@@ -137,3 +153,37 @@ def test_every_public_name_is_read_outside_the_tests():
     # an allowlisted name that the library or the benchmark reads again is
     # dropped from the list
     assert sorted(read & set(TEST_ONLY_NAMES)) == []
+
+
+def public_methods(tree) -> dict:
+    """Class.method for the public methods and properties of top-level classes."""
+    return {
+        f"{node.name}.{item.name}": item.lineno
+        for node in tree.body if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    }
+
+
+def test_the_checker_sees_public_methods():
+    source = (
+        "class A:\n    def f(self):\n        pass\n\n    @property\n    def g(self):\n"
+        "        return 1\n\n    def _h(self):\n        pass\n\ndef k():\n    pass\n"
+    )
+    assert public_methods(ast.parse(source)) == {"A.f": 2, "A.g": 6}
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    read = set()
+    for path in SOURCES + BENCHMARK:
+        read |= names_read(path.read_text())
+    unread = [
+        f"{path.relative_to(ROOT)} line {line}: {name}"
+        for path in SOURCES
+        for name, line in public_methods(ast.parse(path.read_text())).items()
+        if name.split(".")[1] not in read and name not in TEST_ONLY_METHODS
+    ]
+    assert unread == []
+    # an allowlisted method that the library or the benchmark reads again is
+    # dropped from the list
+    assert sorted(name for name in TEST_ONLY_METHODS if name.split(".")[1] in read) == []

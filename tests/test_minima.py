@@ -11,7 +11,6 @@ from dualpiped.bodies import Lattice, Parallelepiped, det_normalized, pseudo_com
 from dualpiped.harness import gen_instance
 from dualpiped.linalg import Matrix
 from dualpiped.minima import (
-    GRID_CELL_CAP,
     EnumerationBudgetError,
     first_minimum,
     lattice_points_in_dilate,
@@ -101,24 +100,6 @@ def test_float_mode_matches_exact_values():
     approx = successive_minima(piped.to_float(), Lattice.integers(3).to_float())
     for a, b in zip(exact.values, approx.values):
         assert float(a) == pytest.approx(b, rel=1e-12)
-
-
-def test_float_branch_search_matches_grid(monkeypatch):
-    bodies = []
-    for d in (3, 4):
-        for seed in range(8):
-            piped = gen_instance(d, seed)
-            bodies += [det_normalized(piped), pseudo_compound(piped)]
-    grid = [successive_minima(body) for body in bodies]
-    # no box fits the grid, so every float search takes the branch path; the
-    # searches only propose points, so both report the same bits
-    monkeypatch.setattr(minima, "GRID_CELL_CAP", 0)
-    for body, expected in zip(bodies, grid):
-        profile = successive_minima(body)
-        assert profile.values == expected.values
-        assert profile.witnesses == expected.witnesses
-        for value, witness in zip(profile.values, profile.witnesses):
-            assert body.gauge(tuple(float(x) for x in witness)) == pytest.approx(value, rel=1e-12)
 
 
 def test_float_gauges_are_correctly_rounded(monkeypatch):
@@ -320,17 +301,14 @@ def _boundary_cases():
     return cases
 
 
-def test_exact_rows_on_the_boundary_match_the_box_sweep(monkeypatch):
+def test_exact_rows_on_the_boundary_match_the_box_sweep():
     # the float search must keep every point whose exact gauge equals mu,
-    # including those whose float gauge on the snapshot lands above mu; the
-    # grid and then the branch search (no box fits the grid) are both checked
+    # including those whose float gauge on the snapshot lands above mu
     above = 0
     for c_rows, mu in _boundary_cases():
         expected = _box_sweep(c_rows, mu)
         basis = minima.reduced_basis(c_rows)
-        for cap in (GRID_CELL_CAP, 0):
-            monkeypatch.setattr(minima, "GRID_CELL_CAP", cap)
-            assert lattice_points_in_dilate(c_rows, mu, basis) == expected
+        assert lattice_points_in_dilate(c_rows, mu, basis) == expected
         u = Matrix(list(zip(*basis)))
         snapshot = np.array([[float(x) for x in row] for row in Matrix(c_rows).matmul(u).rows])
         back = u.inverse()
@@ -379,7 +357,7 @@ def test_quad3_box_matches_the_field_inverse():
         checked += 1
 
 
-def test_boundary_points_survive_subnormal_scales(monkeypatch):
+def test_boundary_points_survive_subnormal_scales():
     # the gauge is homogeneous, so rows and mu shrunk by 10^-310 keep the
     # points of the unit scale; every entry is then subnormal as a float
     tiny = Fraction(1, 10**310)
@@ -388,9 +366,7 @@ def test_boundary_points_survive_subnormal_scales(monkeypatch):
         expected = [(gauge * tiny, k) for gauge, k in _box_sweep(c_rows, mu)]
         scaled = tuple(tuple(x * tiny for x in row) for row in c_rows)
         basis = minima.reduced_basis(c_rows)
-        for cap in (GRID_CELL_CAP, 0):
-            monkeypatch.setattr(minima, "GRID_CELL_CAP", cap)
-            assert lattice_points_in_dilate(scaled, mu * tiny, basis) == expected
+        assert lattice_points_in_dilate(scaled, mu * tiny, basis) == expected
     forms = Matrix([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]])
     unit = successive_minima(Parallelepiped(forms, (Fraction(1),) * 2))
     assert unit.values == (Fraction(2), Fraction(2))
@@ -415,11 +391,15 @@ def test_rational_forms_with_a_quad3_bound():
 
 
 def test_budget_error(monkeypatch):
-    # no box fits the grid and the branch search may visit a single node
-    monkeypatch.setattr(minima, "GRID_CELL_CAP", 0)
-    monkeypatch.setattr(minima, "NODE_CAP", 1)
+    # the unit square's box at mu = 1 has 3 x 3 cells; one cell over the cap
+    # is refused before the grid is built
+    def grid(*args):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(minima, "GRID_CELL_CAP", 8)
+    monkeypatch.setattr(minima, "_grid_points", grid)
     for piped in (Parallelepiped.cube(2), Parallelepiped.cube(2, kind="float")):
-        with pytest.raises(EnumerationBudgetError):
+        with pytest.raises(EnumerationBudgetError, match="has 9 cells; the grid supports at most 8"):
             successive_minima(piped)
 
 

@@ -2,9 +2,9 @@
 
 Enumeration and section changes must leave every reported float bit where it
 was. The enumerator's float gauges and the section values are exact values
-rounded once, so they do not depend on the search path (the last test checks
-that) or on summation order; a float computed along another code path
-elsewhere can still move in its last bit.
+rounded once, so they do not depend on the float search or on summation
+order; a float computed along another code path elsewhere can still move in
+its last bit.
 These pins hold the JSON payload (with runtime_ms fixed at zero) of seven
 standard suites of 8 trials each; the two at seed 1 are the slices that the
 benchmark's verify workloads run, and d=2 is where T7 is skipped by design.
@@ -17,7 +17,6 @@ from fractions import Fraction
 
 import pytest
 
-from dualpiped import minima
 from dualpiped.harness import TrialConfig, aggregate_outcomes, emit_report, evaluate_trial
 from dualpiped.witness import format_sharpness_report, sharpness_report
 
@@ -59,14 +58,3 @@ def test_witness_report_digest(epsilon, digest):
     document = format_sharpness_report(sharpness_report(epsilon))
     assert hashlib.sha256(document.encode()).hexdigest() == digest
 
-
-@pytest.mark.parametrize(
-    "dimension, mode, seed",
-    [(3, "float", 42), (4, "float", 42), (5, "float", 42), (3, "exact", 7)],
-    ids=["3", "4", "5", "3-exact-7"],
-)
-def test_report_payload_does_not_depend_on_the_search_path(monkeypatch, dimension, mode, seed):
-    grid = payload(dimension, mode, seed)
-    # no box fits the grid, so every search takes the branch path
-    monkeypatch.setattr(minima, "GRID_CELL_CAP", 0)
-    assert payload(dimension, mode, seed) == grid

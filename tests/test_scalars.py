@@ -9,7 +9,6 @@ from dualpiped.scalars import (
     SQRT3,
     STRICT_DELTA,
     Quad3,
-    as_float,
     exact_nth_root,
     float_leq,
     float_strictly_greater,
@@ -87,9 +86,9 @@ def test_quad3_rejects_float_operands():
 
 
 def test_float_conversion():
-    assert as_float(Quad3(0, Fraction(2, 3))) == pytest.approx(2 / math.sqrt(3), rel=1e-15)
-    assert as_float(Fraction(5, 4)) == 1.25
-    assert as_float(1.5) == 1.5
+    assert float(Quad3(0, Fraction(2, 3))) == pytest.approx(2 / math.sqrt(3), rel=1e-15)
+    assert float(Fraction(5, 4)) == 1.25
+    assert float(1.5) == 1.5
 
 
 @pytest.mark.parametrize(

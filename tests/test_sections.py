@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualpiped import sections
 from dualpiped.bodies import Parallelepiped
 from dualpiped.linalg import Matrix
 from dualpiped.sections import (
@@ -145,6 +146,29 @@ def test_v_tau_at_degenerate_directions():
         v_tau((0, 0, 0))
     with pytest.raises(ValueError):
         v_tau_squared((0.0, 0.0))
+
+
+# 16 coordinates spread over 2^300: 2^16 sign patterns of 5-word integers
+SPREAD_DIRECTION = tuple(math.ldexp(1.0 + i / 32, 20 * i) for i in range(16))
+
+
+def test_section_work_counts_bits():
+    # 2^18 patterns of one 64-bit word fit the budget; one more pattern, or
+    # one more word, does not
+    sections._check_work(18, 64)
+    sections._check_work(14, 1024)
+    for n, bits in ((19, 1), (18, 65), (14, 1025)):
+        with pytest.raises(ValueError, match="over the budget of 2\\^18"):
+            sections._check_work(n, bits)
+    # the spread direction is refused before its sum starts, in every entry point
+    cube = Parallelepiped.cube(16, kind="float")
+    for call in (
+        lambda: v_tau(SPREAD_DIRECTION),
+        lambda: cube_section_volume(SPREAD_DIRECTION, 16),
+        lambda: section_dual_gauge(cube, SPREAD_DIRECTION),
+    ):
+        with pytest.raises(ValueError, match="16 nonzero coordinates of up to 301 bits"):
+            call()
 
 
 def test_v_tau_within_vaaler_and_ball_bounds():

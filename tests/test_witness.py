@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from dualpiped import minima
 from dualpiped.bodies import Parallelepiped, pseudo_compound
 from dualpiped.linalg import Matrix
 from dualpiped.minima import first_minimum, successive_minima
@@ -210,14 +209,6 @@ def test_sharpness_report_text():
     assert "5/4" in text
     assert "epsilon = 1/2" in text
     assert "closed:" in text and "interior:" in text
-
-
-def test_report_text_does_not_depend_on_the_search_path(monkeypatch):
-    epsilons = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 3))
-    grid = [format_sharpness_report(sharpness_report(eps)) for eps in epsilons]
-    # no box fits the grid, so every search takes the branch path
-    monkeypatch.setattr(minima, "GRID_CELL_CAP", 0)
-    assert [format_sharpness_report(sharpness_report(eps)) for eps in epsilons] == grid
 
 
 def test_z3_bodies_at_one_half_kinds_and_first_minima():
