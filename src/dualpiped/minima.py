@@ -6,17 +6,20 @@ norm of C k where C = diag(1/eta) H B. Enumeration reports one canonical
 representative per antipodal pair (first nonzero coordinate positive) and
 never reports the origin. Points are ordered by (gauge, coefficient vector),
 with exact lexicographic tie-breaking, so results are deterministic. One
-float search, a numpy grid over the exact coefficient box, serves every
-scalar kind and only proposes points; each is decided by its exact gauge,
-and float gauges are exact dyadic gauges rounded once. A box of more than
-GRID_CELL_CAP cells is refused before the grid is built.
+float search, a numpy grid over the canonical half of the exact coefficient
+box, serves every scalar kind and only proposes points; each is decided by
+its exact gauge, and float gauges are exact dyadic gauges rounded once.
+Rational and float rows decide their candidates as arrays, by one exact
+integer matmul, in int64 where a bound proves it exact and over Python ints
+otherwise. A box of more than GRID_CELL_CAP cells is refused before the
+grid is built.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, reduce
+from functools import cached_property, cmp_to_key, reduce
 from operator import add, mul
 
 import numpy as np
@@ -33,14 +36,38 @@ class EnumerationBudgetError(RuntimeError):
     """The search box exceeds GRID_CELL_CAP cells, or the search ended without an answer."""
 
 
-def gauge_rows(piped: Parallelepiped, lattice: Lattice | None = None) -> tuple:
+class GaugeRows(tuple):
+    """Rows of a gauge (see gauge_rows) that clear themselves to integers once.
+
+    The reduction, the radius and the enumeration of one search all read
+    the integer form; rows given as plain sequences are cleared on each use.
+    """
+
+    @cached_property
+    def cleared(self) -> tuple:
+        """Integer rows a, b and a divisor D with rows = (a + b sqrt3) / D, exactly.
+
+        Rational and float entries are scaled to integers over the lcm D of
+        their denominators (a power of two for floats), and b is None. Rows
+        with a Q(sqrt3) entry clear every denominator of both parts into one
+        D (linalg.zsqrt3_rows), so their reduced rows and gauges are Z[sqrt3]
+        ints.
+        """
+        if any(isinstance(x, Quad3) for row in self for x in row):
+            return zsqrt3_rows(self)
+        ratios = [[x.as_integer_ratio() for x in row] for row in self]
+        den = math.lcm(*(q for row in ratios for _, q in row))
+        return [[p * (den // q) for p, q in row] for row in ratios], None, den
+
+
+def gauge_rows(piped: Parallelepiped, lattice: Lattice | None = None) -> GaugeRows:
     """Rows of diag(1/eta) H B, B = I without a lattice; gauge of Bk is the sup norm of (rows) k."""
     if lattice is not None and (piped.kind == "float") != (lattice.kind == "float"):
         raise ValueError(
             f"a {piped.kind} body cannot be measured against a {lattice.kind} lattice"
         )
     hb = piped.forms if lattice is None else piped.forms.matmul(lattice.basis)
-    return tuple(
+    return GaugeRows(
         tuple(x / e for x in row) for row, e in zip(hb.rows, piped.bounds)
     )
 
@@ -54,12 +81,22 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     no reduction), on a float snapshot of the reduced rows of any kind: a
     numpy grid over the exact box, refused with EnumerationBudgetError when
     the box has more than GRID_CELL_CAP cells. The grid only proposes
-    candidates. Each is kept iff its exact gauge (see _gauge_of) is at most
-    the limit, mu for exact rows and widen(mu) for float rows, and then
-    mapped back, so no point or bit depends on the snapshot. The reduced
-    rows and the gauges are exact Python ints: integer rows over one
-    denominator, or for Q(sqrt3) rows pairs of integer rows in Z[sqrt3];
-    only the box of Q(sqrt3) rows is still a field inverse.
+    candidates. Each is kept iff its exact gauge is at most the limit, mu
+    for exact rows and widen(mu) for float rows, and then mapped back, so
+    no point or bit depends on the snapshot. The reduced rows are exact
+    integer rows over one denominator den, or for Q(sqrt3) rows pairs of
+    integer rows in Z[sqrt3]; only the box of Q(sqrt3) rows is still a
+    field inverse.
+
+    Rational and float rows decide all candidates at once. Their keys
+    max_i |a_i . k| are one integer matmul by the reduced rows a (see
+    _exact_product), one comparison tests them against the limit times den,
+    or, for float rows, divides them once by den into correctly rounded
+    gauges and compares those with the limit. One more matmul by the basis
+    maps the kept points back, array operations flip them to their
+    canonical sign, and one sort orders them by (key, k), which is the
+    (gauge, k) order since den > 0. Q(sqrt3) rows decide their candidates
+    one by one in Z[sqrt3] ints (see _quadratic_points).
 
     The candidates hold every point within the limit. Rows of every kind
     are taken exactly (a float is dyadic; see _integer_rows), so such a
@@ -116,18 +153,64 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     radius = float(scaled_limit) + 2.0**-52 * (
         spread + _error_weight(scaled_limit, float(scaled_limit))
     )
-    key, value = _gauge_of(a, b, den, is_float)
-    within = _within(limit if is_float else scaled_mu, b is not None)
+    candidates = _grid_points(snapshot, radius, box)
+    if b is not None:
+        return _quadratic_points(candidates.tolist(), a, b, den, scaled_mu, basis)
+    m = np.abs(_exact_product(candidates, a, box)).max(axis=1)
+    if is_float:
+        # numpy's int64 division rounds m once to a double and divides by
+        # den, a power of two below 2^62, exactly; Python ints divide exactly
+        # and round once
+        key = (m if den < 2**62 else m.astype(object)) / den
+        keep = key <= limit
+    else:
+        key = m
+        keep = m <= scalar_floor(scaled_mu)
+    k = _exact_product(candidates[keep], tuple(zip(*basis)), box)
+    key = key[keep]
+    del candidates, m, keep  # before the lists are built: they set the peak on large boxes
+    lead = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
+    k[lead < 0] *= -1
+    order = np.lexsort((*k.T[::-1], key))
+    key = key[order].tolist()
+    k = k[order].tolist()
+    if not is_float:
+        fractions = {g: Fraction(g, den) for g in set(key)}
+        key = [fractions[g] for g in key]
+    return list(zip(key, map(tuple, k)))
+
+
+def _exact_product(k, rows, box):
+    """The integer candidates k (one per line) times the integer rows, exactly.
+
+    Every |k_j| is at most b_j, so when every row has sum_j |r_ij| max(b_j, 1)
+    below 2^62, that bounds each entry and each partial sum of the product,
+    and it runs in int64. Otherwise it runs in numpy's object dtype over
+    Python ints; both go through the same matmul.
+    """
+    wide = any(sum(abs(x) * max(bj, 1) for x, bj in zip(row, box)) >= 2**62 for row in rows)
+    dtype = object if wide else np.int64
+    return k.astype(dtype, copy=False) @ np.array(rows, dtype=dtype).T
+
+
+def _quadratic_points(candidates, a, b, den, scaled_mu, basis) -> list:
+    """The (gauge, k) of the candidates of Q(sqrt3) rows within the limit, one by one.
+
+    Each gauge is a pair of ints in Z[sqrt3] (see _gauge_of), compared with
+    the limit times den by an integer sign.
+    """
+    key, value = _gauge_of(a, b, den, False)
+    p, q, r = zsqrt3_parts(scaled_mu)
     u = tuple(zip(*basis))  # row-major, the basis vectors as columns
     points = []
-    for kp in _grid_points(snapshot, radius, box):
+    for kp in candidates:
         gauge = key(kp)
-        if within(gauge):
+        if zsqrt3_sign(p - r * gauge[0], q - r * gauge[1]) >= 0:
             k = [sum(map(mul, row, kp)) for row in u]
             if next(filter(None, k)) < 0:
                 k = [-x for x in k]
             points.append((gauge, tuple(k)))
-    points.sort(key=None if b is None else _zsqrt3_order)
+    points.sort(key=_zsqrt3_order)
     return [(value(gauge), k) for gauge, k in points]
 
 
@@ -175,10 +258,12 @@ def _reduction_transform(c_rows):
     The reduction runs on a float snapshot of the rows, so it applies to
     float, rational, and quadratic entries alike; u is exactly unimodular in
     every case, and None means the coordinates are already fine. The LLL
-    reads each snapshot entry as the exact dyadic rational it is: it is
-    scale invariant and clears the denominators itself, so nothing is
-    rounded or rescaled. Each search computes the transform once, through
-    reduced_basis, and hands that basis to the enumeration.
+    reads each snapshot entry as the exact dyadic rational it is, scaled to
+    an integer over the lcm of the denominators: it is scale invariant, so
+    nothing is rounded. Float rows are their own snapshot, and those
+    integers are the rows that the search clears once (see GaugeRows).
+    Each search computes the transform once, through reduced_basis, and
+    hands that basis to the enumeration.
     """
     d = len(c_rows)
     if d < 2:
@@ -186,7 +271,8 @@ def _reduction_transform(c_rows):
     snapshot = [[float(x) for x in row] for row in c_rows]
     if not all(math.isfinite(x) for row in snapshot for x in row):
         return None
-    return _lll_unimodular([[Fraction(row[j]) for row in snapshot] for j in range(d)])
+    a = _integer_rows(c_rows if isinstance(c_rows[0][0], float) else snapshot)[0]
+    return _lll_unimodular(list(zip(*a)))
 
 
 def reduced_basis(c_rows) -> list:
@@ -203,19 +289,9 @@ def reduced_basis(c_rows) -> list:
     return [tuple(u[i][j] for i in range(d)) for j in range(d)]
 
 
-def _integer_rows(c_rows):
-    """Integer rows a, b and a divisor D with c_rows = (a + b sqrt3) / D, exactly.
-
-    Rational and float entries are scaled to integers over the lcm D of
-    their denominators (a power of two for floats), and b is None. Rows
-    with a Q(sqrt3) entry clear every denominator of both parts into one D
-    (linalg.zsqrt3_rows), so their reduced rows and gauges are Z[sqrt3] ints.
-    """
-    if any(isinstance(x, Quad3) for row in c_rows for x in row):
-        return zsqrt3_rows(c_rows)
-    ratios = [[x.as_integer_ratio() for x in row] for row in c_rows]
-    den = math.lcm(*(q for row in ratios for _, q in row))
-    return [[p * (den // q) for p, q in row] for row in ratios], None, den
+def _integer_rows(c_rows) -> tuple:
+    """The integer form of the rows (see GaugeRows.cleared); callers do not modify it."""
+    return (c_rows if isinstance(c_rows, GaugeRows) else GaugeRows(c_rows)).cleared
 
 
 def _times(rows, basis):
@@ -252,20 +328,6 @@ def _gauge_of(a, b, den, rounded: bool):
     return key, lambda g: Quad3(Fraction(g[0], den), Fraction(g[1], den))
 
 
-def _within(bound, quadratic: bool):
-    """Whether a key of _gauge_of stands for a gauge at most the limit.
-
-    bound is the limit itself for float rows, else the limit times den.
-    """
-    if isinstance(bound, float):
-        return lambda g: g <= bound
-    if not quadratic:
-        bound = scalar_floor(bound)  # the keys are ints
-        return lambda m: m <= bound
-    p, q, r = zsqrt3_parts(bound)
-    return lambda g: zsqrt3_sign(p - r * g[0], q - r * g[1]) >= 0
-
-
 @cmp_to_key
 def _zsqrt3_order(x, y) -> int:
     """(key, k) pairs of Q(sqrt3) rows in (gauge, k) order."""
@@ -285,35 +347,33 @@ def _error_weight(x, s: float) -> float:
 
 
 def _lll_unimodular(cols):
-    """Track the column operations of an exact LLL pass over rational columns.
+    """Track the column operations of an exact LLL pass over integer columns.
 
     Returns the transform as row-major integer tuples, or None when the
     columns are degenerate or already reduced. This is the integral LLL of
     Cohen (A Course in Computational Algebraic Number Theory, Alg. 2.6.7)
     with delta = 3/4, run in the order of the textbook rational pass: size
-    reduction from j = k - 1 down to 0 before each Lovasz test. Scaling
-    every column by the lcm D of the denominators is one positive factor: it
-    leaves every mu_ij as it is and multiplies both sides of every Lovasz
-    test by D^2. The Gram determinants d_i and the numerators
-    lambda_ij = d_(j+1) mu_ij are then exact integers (every division below
-    is exact), q rounds half to even as round() does on a Fraction, and each
-    test is the rational one with its denominators cleared. So the transform
-    is the one that the same pass in Fraction arithmetic computes, step for
-    step. A wrong or weak transform could only slow the search down, never
-    change its answer, because callers re-derive every box and gauge from
-    the transformed rows.
+    reduction from j = k - 1 down to 0 before each Lovasz test. Rational
+    columns are passed scaled by the lcm D of their denominators, one
+    positive factor: it leaves every mu_ij as it is and multiplies both
+    sides of every Lovasz test by D^2. The Gram determinants d_i and the
+    numerators lambda_ij = d_(j+1) mu_ij are exact integers (every division
+    below is exact), q rounds half to even as round() does on a Fraction,
+    and each test is the rational one with its denominators cleared. So the
+    transform is the one that the same pass in Fraction arithmetic computes
+    on the unscaled columns, step for step. A wrong or weak transform could
+    only slow the search down, never change its answer, because callers
+    re-derive every box and gauge from the transformed rows.
     """
     n = len(cols)
-    scale = math.lcm(*(x.denominator for c in cols for x in c))
-    b = [[x.numerator * (scale // x.denominator) for x in c] for c in cols]
     u_cols = [[int(i == j) for i in range(n)] for j in range(n)]
 
-    # integral Gram-Schmidt; the basis itself is not read again
+    # integral Gram-Schmidt; the columns themselves are not read again
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
     for k in range(n):
         for j in range(k + 1):
-            acc = sum(p * q for p, q in zip(b[k], b[j]))
+            acc = sum(p * q for p, q in zip(cols[k], cols[j]))
             for i in range(j):
                 acc = (d[i + 1] * acc - lam[k][i] * lam[j][i]) // d[i]
             if j < k:
@@ -359,15 +419,20 @@ def _lll_unimodular(cols):
     return u
 
 
-def _grid_points(rows, radius: float, box) -> list:
-    """Canonical points of the box with float gauge (one matmul) at most radius."""
-    c = np.array(rows, dtype=float)
-    axes = [np.arange(-b, b + 1, dtype=np.int32) for b in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    k = np.stack([m.ravel() for m in mesh], axis=1)
-    g = np.abs(k @ c.T).max(axis=1)
-    lead = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
-    return list(map(tuple, k[(g <= radius) & (lead > 0)].tolist()))
+def _grid_points(rows, radius: float, box):
+    """Canonical points of the box with float gauge (one matmul) at most radius.
+
+    Returns int64 coordinates, one point per line. Cell i of the N cells in
+    row-major order holds k and cell N - 1 - i holds -k, so the origin is
+    the middle cell, and the cells after it are exactly those whose first
+    nonzero coordinate is positive: only that half is built.
+    """
+    shape = [2 * b + 1 for b in box]
+    cells = math.prod(shape)
+    k = np.stack(np.unravel_index(np.arange(cells // 2 + 1, cells), shape), axis=-1)
+    k -= np.array(box, dtype=k.dtype)
+    g = np.abs(k @ np.array(rows, dtype=float).T).max(axis=1)
+    return k[g <= radius]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from typing import Sequence
 
 from .bodies import Parallelepiped
 from .linalg import Matrix
-from .minima import lattice_points_in_dilate, reduced_basis
+from .minima import GaugeRows, lattice_points_in_dilate, reduced_basis
 from .scalars import Quad3, Scalar, exact_nth_root, scalar_sign, zsqrt3_parts
 
 # sign patterns times 64-bit words of their integers that a sum may take:
@@ -206,7 +206,7 @@ def first_minimum_section_dual(piped: Parallelepiped) -> Scalar:
     if not 2 <= d <= 6:
         raise ValueError("section-dual minimum supports dimensions 2 through 6")
     a, det = _pullback(piped)
-    c_rows = tuple(tuple(x / det for x in row) for row in a.transpose().rows)
+    c_rows = GaugeRows(tuple(x / det for x in row) for row in a.transpose().rows)
     cmat = Matrix(c_rows)
     basis = reduced_basis(c_rows)
     radius = min(_wedge_gauge(cmat.matvec(k)) for k in basis)

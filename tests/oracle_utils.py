@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from dualpiped.linalg import Matrix, RationalSpan
-from dualpiped.scalars import Quad3, scalar_sign, sqrt_exact
+from dualpiped.scalars import Quad3, scalar_sign, sqrt_exact, widen
 
 
 def random_unimodular(rng, d, ops=None):
@@ -50,6 +50,36 @@ def brute_force_minima(piped, lattice, k_max, box=6):
             if len(values) == k_max:
                 break
     return values, witnesses
+
+
+def dilate_points_oracle(c_rows, mu, basis):
+    """lattice_points_in_dilate by its definition, one candidate at a time.
+
+    Sweeps every canonical cell of the box of the reduced rows (c_rows) U at
+    the limit, U the basis vectors as columns, with the box taken from their
+    field inverse; maps each cell kp back to k = U kp, measures it by its
+    exact Fraction gauge (rounded once for float rows, whose limit is
+    widen(mu)), keeps it within the limit, flips k to its first nonzero
+    coordinate positive and sorts by (gauge, k).
+    """
+    exact = [[Fraction(x) for x in row] for row in c_rows]
+    rounded = isinstance(c_rows[0][0], float)
+    limit = Fraction(widen(float(mu))) if rounded else Fraction(mu)
+    u = list(zip(*basis))
+    reduced = [[sum(x * y for x, y in zip(row, v)) for v in basis] for row in exact]
+    box = [math.floor(limit * sum(abs(x) for x in row)) for row in field_inverse(reduced)]
+    points = []
+    for kp in itertools.product(*(range(-b, b + 1) for b in box)):
+        if next(filter(None, kp), 0) <= 0:
+            continue
+        k = tuple(sum(x * y for x, y in zip(row, kp)) for row in u)
+        gauge = max(abs(sum(x * y for x, y in zip(row, k))) for row in exact)
+        value = float(gauge) if rounded else gauge
+        if value <= limit:
+            if next(filter(None, k)) < 0:
+                k = tuple(-x for x in k)
+            points.append((value, k))
+    return sorted(points)
 
 
 def fraction_rank(rows):

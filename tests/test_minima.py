@@ -21,6 +21,7 @@ from dualpiped.witness import FIRST_DILATE, SECOND_DILATE, build_witness
 
 from oracle_utils import (
     brute_force_minima,
+    dilate_points_oracle,
     field_det,
     field_inverse,
     fraction_lll_unimodular,
@@ -184,12 +185,43 @@ def test_each_search_enumerates_once(monkeypatch):
         assert enumerations(lambda: sections.first_minimum_section_dual(body)) == 1
 
 
+def test_each_search_clears_its_rows_once(monkeypatch):
+    # the reduction clears a float snapshot of exact rows, and the radius and
+    # the enumeration share one clearing of the rows themselves: one
+    # Z[sqrt3] clearing per search of Q(sqrt3) rows
+    cleared = []
+
+    def counting(rows):
+        cleared.append(rows)
+        return zsqrt3_rows(rows)
+
+    zsqrt3_rows = minima.zsqrt3_rows
+    monkeypatch.setattr(minima, "zsqrt3_rows", counting)
+    w = build_witness(Fraction(1, 2))
+    for body, lattice in (
+        (w.body, w.lattice1),
+        (w.dual_body, w.dual_lattice1),
+        (w.z3_body_1, None),
+        (pseudo_compound(w.z3_body_1), None),
+    ):
+        cleared.clear()
+        successive_minima(body, lattice, 1)
+        assert len(cleared) == 1
+
+
 def test_integral_lll_matches_fraction_reference(monkeypatch):
+    # the integral pass takes integer columns; the reference gets the same
+    # columns as Fractions, or the unscaled rational columns the integers
+    # clear (the transform is scale invariant)
     inputs = []
 
     def recording(cols):
-        inputs.append(cols)
+        inputs.append([[Fraction(x) for x in c] for c in cols])
         return lll(cols)
+
+    def cleared(cols):
+        scale = math.lcm(*(x.denominator for c in cols for x in c))
+        return [[x.numerator * (scale // x.denominator) for x in c] for c in cols]
 
     lll = minima._lll_unimodular
     monkeypatch.setattr(minima, "_lll_unimodular", recording)
@@ -224,7 +256,7 @@ def test_integral_lll_matches_fraction_reference(monkeypatch):
         inputs.append(
             [[Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4))) for _ in range(n)] for _ in range(n)]
         )
-    results = [lll(cols) for cols in inputs]
+    results = [lll(cleared(cols)) for cols in inputs]
     assert results == [fraction_lll_unimodular(cols) for cols in inputs]
     assert sum(u is None for u in results) > 50
     assert sum(u is not None for u in results) > 1000
@@ -317,6 +349,78 @@ def test_exact_rows_on_the_boundary_match_the_box_sweep():
                 kp = np.array([float(x) for x in back.matvec(k)])
                 above += float(np.abs(snapshot @ kp).max()) > float(mu)
     assert above > 0
+
+
+def test_array_decision_matches_its_definition(monkeypatch):
+    # exact keys run in int64 where sum_j |a_ij| max(b_j, 1) < 2^62 proves
+    # them exact, and in Python ints otherwise: the pseudo-compound rows of
+    # these float d=5 instances (about 110 bits) take the object path, their
+    # body rows (about 57 bits) int64, and both match the per-candidate
+    # definition
+    searches = []
+    dtypes = []
+
+    def recording(c_rows, mu, basis):
+        dtypes.clear()
+        points = lattice_points_in_dilate(c_rows, mu, basis)
+        searches.append((c_rows, mu, basis, points, set(dtypes)))
+        return points
+
+    def product(k, rows, box):
+        out = exact_product(k, rows, box)
+        dtypes.append(out.dtype)
+        return out
+
+    exact_product = minima._exact_product
+    monkeypatch.setattr(minima, "lattice_points_in_dilate", recording)
+    monkeypatch.setattr(minima, "_exact_product", product)
+    objects = np.dtype(object)
+    for seed in (0, 4):
+        body = det_normalized(gen_instance(5, seed))
+        for body, wide in ((body, False), (pseudo_compound(body), True)):
+            searches.clear()
+            successive_minima(body)
+            ((c_rows, mu, basis, points, kinds),) = searches
+            assert (objects in kinds) == wide
+            assert len(points) > 20
+            assert points == dilate_points_oracle(c_rows, mu, basis)
+            if not wide:
+                # the same rows over a denominator of 2^62 or more divide
+                # their keys in Python ints
+                tiny = tuple(tuple(x * 2.0**-20 for x in row) for row in c_rows)
+                assert minima._integer_rows(tiny)[2] >= 2**62
+                points = lattice_points_in_dilate(tiny, mu * 2.0**-20, basis)
+                assert points == dilate_points_oracle(tiny, mu * 2.0**-20, basis)
+    # two rows right at the bound: keys of 2^62 - 1 stay in int64, and a
+    # bound of 2^62 takes the object path
+    top = 2**61
+    mu = Fraction(2**62 - 1)
+    for rows, wide, count in ((((top, top - 1), (top - 1, -top)), False, 4), (((top, top), (top, -top)), True, 2)):
+        c_rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        basis = minima.reduced_basis(c_rows)
+        assert basis == [(1, 0), (0, 1)] and minima.dilate_box(c_rows, mu) == [1, 1]
+        bound = max(sum(abs(x) for x in row) for row in rows)
+        assert bound == 2**62 - (not wide)
+        dtypes.clear()
+        points = lattice_points_in_dilate(c_rows, mu, basis)
+        assert (objects in dtypes) == wide
+        assert len(points) == count
+        assert points == dilate_points_oracle(c_rows, mu, basis)
+
+
+@pytest.mark.parametrize(
+    "box", [[0], [4], [0, 0], [2, 0], [0, 3], [1, 0, 2], [0, 1, 0], [0, 0, 1], [2, 1, 0, 1]]
+)
+def test_half_box_grid_is_the_canonical_half(box):
+    # at radius inf the grid is every cell whose first nonzero coordinate is
+    # positive, in row-major order, as a meshgrid sweep of the box finds them
+    d = len(box)
+    mesh = np.meshgrid(*(np.arange(-b, b + 1) for b in box), indexing="ij")
+    cells = np.stack([m.ravel() for m in mesh], axis=1)
+    lead = cells[np.arange(len(cells)), np.argmax(cells != 0, axis=1)]
+    grid = minima._grid_points(np.eye(d).tolist(), math.inf, box)
+    assert grid.shape == (math.prod(2 * b + 1 for b in box) // 2, d)
+    assert grid.tolist() == cells[lead > 0].tolist()
 
 
 def _field_box(rows, mu):
