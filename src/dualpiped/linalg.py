@@ -1,10 +1,11 @@
 """Small dense matrices over one scalar kind, plus bracketed root finding.
 
-Exact kinds clear their denominators once and eliminate fraction-free
-(Bareiss) in Python ints: determinants over Z[sqrt3] (`zsqrt3_det`, which
-Q(sqrt3) rows in `minima` share) and the rank tracker `RationalSpan`;
-inverses use plain field operations, and the float kind gets partial
-pivoting.
+Every determinant, and every rational and float inverse, is one fraction-free
+elimination in Python ints (`eliminate`): the rows are cleared once to
+integers over one denominator, in Z[sqrt3] for Q(sqrt3) rows, so float
+results are the exact dyadic values rounded once. Q(sqrt3) inverses still
+use plain field operations. The rank tracker `RationalSpan` eliminates
+fraction-free too.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ def _normalize_entry(x):
 class Matrix:
     """Immutable row-major matrix; all entries share one scalar kind."""
 
-    __slots__ = ("rows", "kind", "nrows", "ncols")
+    __slots__ = ("rows", "kind", "nrows", "ncols", "_det")
 
     def __init__(self, rows: Iterable[Sequence[Scalar]]) -> None:
         mat = [tuple(_normalize_entry(x) for x in row) for row in rows]
@@ -48,6 +49,7 @@ class Matrix:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "nrows", len(mat))
         object.__setattr__(self, "ncols", len(mat[0]))
+        object.__setattr__(self, "_det", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -103,14 +105,40 @@ class Matrix:
         return Matrix([[float(x) for x in row] for row in self.rows])
 
     def det(self) -> Scalar:
-        self.dim  # rejects non-square matrices
-        return _det(self.rows, self.kind)
+        """The exact determinant, rounded once for the float kind; computed once per matrix."""
+        if self._det is None:
+            self.dim  # rejects non-square matrices
+            clear = zsqrt3_rows if self.kind == "quad3" else integer_rows
+            a, b, den = clear(self.rows)
+            det, _ = eliminate(a, b)
+            scale = den**self.nrows
+            if self.kind == "float":
+                value = det / scale
+            elif self.kind == "quad3":
+                value = Quad3(Fraction(det.p, scale), Fraction(det.q, scale))
+            else:
+                value = Fraction(det, scale)
+            object.__setattr__(self, "_det", value)
+        return self._det
 
     def inverse(self) -> "Matrix":
-        d = self.dim
+        """The exact inverse, each float entry rounded once; ZeroDivisionError if singular."""
+        self.dim  # rejects non-square matrices
+        # Q(sqrt3) inverses stay in field arithmetic for now: in Z[sqrt3]
+        # ints (eliminate(a, b, inverse=True)) the benchmark's witness ran
+        # 72-77 operations a second, past the about 54 at which its pool of
+        # 276 eps runs dry and the run fails; switch once the pool can cycle
+        if self.kind == "quad3":
+            return Matrix(_gauss_jordan_exact([list(r) for r in self.rows]))
+        a, _, den = integer_rows(self.rows)
+        det, adj = eliminate(a, inverse=True)
+        # A^-1 = adj A / det A, and the matrix is A / den; a positive divisor
+        # keeps zero entries +0.0, and int / int rounds once
+        num = den if det > 0 else -den
+        det = abs(det)
         if self.kind == "float":
-            return Matrix(_gauss_jordan_float([list(r) for r in self.rows]))
-        return Matrix(_gauss_jordan_exact([list(r) for r in self.rows]))
+            return Matrix([[num * x / det for x in row] for row in adj])
+        return Matrix([[Fraction(num * x, det) for x in row] for row in adj])
 
     def cofactor(self) -> "Matrix":
         """M' with M (M')^T = (det M) I; equals (det M)(M^T)^{-1} when invertible."""
@@ -130,7 +158,7 @@ class Matrix:
                     for r in range(d)
                     if r != i
                 ]
-                sub = _det(minor, self.kind)
+                sub = Matrix(minor).det()
                 row.append(sub if (i + j) % 2 == 0 else -sub)
             out.append(row)
         return Matrix(out)
@@ -158,36 +186,6 @@ def _dot(a, b):
     return total
 
 
-def _det(rows, kind: str) -> Scalar:
-    if kind == "float":
-        return _det_float([list(r) for r in rows])
-    # det (A + B sqrt3) / D^d: one elimination in ints, B = 0 for rationals
-    a, b, den = zsqrt3_rows(rows)
-    p, q = zsqrt3_det(a, b)
-    scale = den ** len(rows)
-    if kind == "quad3":
-        return Quad3(Fraction(p, scale), Fraction(q, scale))
-    return Fraction(p, scale)
-
-
-def _det_float(m) -> float:
-    d = len(m)
-    det = 1.0
-    for k in range(d):
-        piv = max(range(k, d), key=lambda r: abs(m[r][k]))
-        if m[piv][k] == 0.0:
-            return 0.0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, d):
-            f = m[i][k] / m[k][k]
-            for j in range(k, d):
-                m[i][j] -= f * m[k][j]
-    return det
-
-
 def _gauss_jordan_exact(m):
     d = len(m)
     aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(d)] for i, row in enumerate(m)]
@@ -200,23 +198,6 @@ def _gauss_jordan_exact(m):
         aug[k] = [x * inv_p for x in aug[k]]
         for r in range(d):
             if r != k and aug[r][k]:
-                f = aug[r][k]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[k])]
-    return [row[d:] for row in aug]
-
-
-def _gauss_jordan_float(m):
-    d = len(m)
-    aug = [list(row) + [1.0 if i == j else 0.0 for j in range(d)] for i, row in enumerate(m)]
-    for k in range(d):
-        piv = max(range(k, d), key=lambda r: abs(aug[r][k]))
-        if aug[piv][k] == 0.0:
-            raise ZeroDivisionError("matrix is singular")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        p = aug[k][k]
-        aug[k] = [x / p for x in aug[k]]
-        for r in range(d):
-            if r != k and aug[r][k] != 0.0:
                 f = aug[r][k]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[k])]
     return [row[d:] for row in aug]
@@ -269,41 +250,84 @@ def zsqrt3_rows(rows) -> tuple:
     return a, b, den
 
 
-def zsqrt3_det(a, b) -> tuple:
-    """det(A + B sqrt3) = p + q sqrt3 for square integer matrices A, B, as (p, q).
+def integer_rows(rows) -> tuple:
+    """Integer matrix A, None and D > 0, the lcm of every denominator, with rows = A / D.
 
-    Bareiss's fraction-free elimination over the ring Z[sqrt3]: each entry
-    under pivot k becomes (p r - a y) / prev for the pivot p, the entry a
-    of its row in the pivot column, the pivot row's entry y and the
-    previous pivot prev. Bareiss divisions are exact in any integral
-    domain, so each is a product by the conjugate of prev followed by an
-    exact // by its norm, a nonzero integer because sqrt3 is irrational.
+    Entries are Fraction, int or float; a float is the dyadic rational it stores.
     """
-    rows = [list(zip(ra, rb)) for ra, rb in zip(a, b)]
-    d = len(rows)
-    sign = 1
-    prev_a, prev_b, norm = 1, 0, 1
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    den = math.lcm(*(q for row in ratios for _, q in row))
+    return [[p * (den // q) for p, q in row] for row in ratios], None, den
+
+
+class _ZSqrt3:
+    """p + q sqrt3 with int p, q: the ring in which eliminate runs Q(sqrt3) rows.
+
+    Its // is an exact quotient: the product by the conjugate, divided by the
+    norm, a nonzero integer because sqrt3 is irrational.
+    """
+
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int) -> None:
+        self.p, self.q = p, q
+
+    def __bool__(self) -> bool:
+        return bool(self.p or self.q)
+
+    def __sub__(self, other: "_ZSqrt3") -> "_ZSqrt3":
+        return _ZSqrt3(self.p - other.p, self.q - other.q)
+
+    def __mul__(self, other: "_ZSqrt3") -> "_ZSqrt3":
+        p, q = other.p, other.q
+        return _ZSqrt3(self.p * p + 3 * self.q * q, self.p * q + self.q * p)
+
+    def __floordiv__(self, other: "_ZSqrt3") -> "_ZSqrt3":
+        p, q = other.p, other.q
+        norm = p * p - 3 * q * q
+        return _ZSqrt3((self.p * p - 3 * self.q * q) // norm, (self.q * p - self.p * q) // norm)
+
+
+def eliminate(a, b=None, inverse: bool = False) -> tuple:
+    """det N and, with inverse, adj N = det(N) N^-1, for N = A + B sqrt3 in integers.
+
+    Montante's fraction-free Gauss-Jordan with the exact divisions of Bareiss
+    (1968): step k turns each entry x of another row into (p x - c y) / prev
+    for the pivot p, the row's entry c under it, the pivot row's entry y and
+    the previous pivot, so each pivot is a leading minor. Without inverse
+    only the rows under the pivot change (Bareiss's elimination). A row swap
+    negates one row, which keeps the determinant, so the last pivot is det N
+    and (N | I) ends as (det N I | adj N). B = None stands for B = 0 and runs
+    on plain ints. A singular N gives det 0, or ZeroDivisionError with inverse.
+    """
+    d = len(a)
+    if b is None:
+        n, one = [list(row) for row in a], 1
+    else:
+        n, one = [[_ZSqrt3(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], _ZSqrt3(1, 0)
+    zero = one - one
+    if inverse:
+        for i, row in enumerate(n):
+            row += [one if i == j else zero for j in range(d)]
+    prev = one
     for k in range(d):
-        piv = next((r for r in range(k, d) if rows[r][k] != (0, 0)), None)
+        piv = next((r for r in range(k, d) if n[r][k]), None)
         if piv is None:
-            return 0, 0
+            if inverse:
+                raise ZeroDivisionError("matrix is singular")
+            return zero, None
         if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        pivot = rows[k]
-        pa, pb = pivot[k]
+            n[k], n[piv] = n[piv], [zero - x for x in n[k]]
+        pivot = n[k]
+        p = pivot[k]
         tail = pivot[k + 1:]
-        for row in rows[k + 1:]:
-            ca, cb = row[k]
-            new = []
-            for (xa, xb), (ya, yb) in zip(row[k + 1:], tail):
-                ta = pa * xa + 3 * (pb * xb - cb * yb) - ca * ya
-                tb = pa * xb + pb * xa - ca * yb - cb * ya
-                # (ta + tb sqrt3) / prev, exactly
-                new.append(((ta * prev_a - 3 * tb * prev_b) // norm, (tb * prev_a - ta * prev_b) // norm))
-            row[k + 1:] = new
-        prev_a, prev_b, norm = pa, pb, pa * pa - 3 * pb * pb
-    return sign * prev_a, sign * prev_b
+        # the columns up to k are prev I already, so only the rest is updated
+        for row in n if inverse else n[k + 1:]:
+            if row is not pivot:
+                c = row[k]
+                row[k + 1:] = [(p * x - c * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = p
+    return prev, [row[d:] for row in n] if inverse else None
 
 
 def monotone_root(f: Callable[[float], float], lo: float, hi: float) -> float:

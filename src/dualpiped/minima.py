@@ -19,13 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, reduce
-from operator import add, mul
+from functools import cached_property, cmp_to_key
+from operator import mul
 
 import numpy as np
 
 from .bodies import Lattice, Parallelepiped
-from .linalg import Matrix, RationalSpan, zsqrt3_rows
+from .linalg import Matrix, RationalSpan, eliminate, integer_rows, zsqrt3_rows
 from .scalars import Quad3, scalar_floor, scalar_sign, widen, zsqrt3_parts, zsqrt3_sign
 
 _SQRT3 = math.sqrt(3.0)
@@ -55,9 +55,7 @@ class GaugeRows(tuple):
         """
         if any(isinstance(x, Quad3) for row in self for x in row):
             return zsqrt3_rows(self)
-        ratios = [[x.as_integer_ratio() for x in row] for row in self]
-        den = math.lcm(*(q for row in ratios for _, q in row))
-        return [[p * (den // q) for p, q in row] for row in ratios], None, den
+        return integer_rows(self)
 
 
 def gauge_rows(piped: Parallelepiped, lattice: Lattice | None = None) -> GaugeRows:
@@ -217,33 +215,17 @@ def _quadratic_points(candidates, a, b, den, scaled_mu, basis) -> list:
 def _box(a, b, mu) -> list:
     """Per-coordinate bound floor(mu * l1 norm of each row of n^-1), exact.
 
-    n = a for integer rows, which stay in integers: Montante's fraction-free
-    Gauss-Jordan, dividing exactly by the previous pivot as Bareiss (1968)
-    does, turns (n | I) into (c I | c n^-1). n = a + b sqrt3 is inverted in
-    its field.
+    n = a for integer rows, which stay in integers: linalg.eliminate gives
+    det(n) n^-1. n = a + b sqrt3 is inverted in its field, by
+    Matrix.inverse, which says why.
     """
-    if b is not None:
+    if b is None:
+        det, rows = eliminate(a, inverse=True)
+        mu = _exact(mu) / abs(det)
+    else:
         n = Matrix([[Quad3(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
-        return [scalar_floor(mu * reduce(add, map(abs, row))) for row in n.inverse().rows]
-    d = len(a)
-    aug = [list(row) + [int(i == j) for j in range(d)] for i, row in enumerate(a)]
-    prev = 1
-    for k in range(d):
-        piv = next((r for r in range(k, d) if aug[r][k]), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[k], aug[piv] = aug[piv], aug[k]
-        pivot = aug[k]
-        p = pivot[k]
-        tail = pivot[k + 1:]
-        # columns up to k are c I already, so only the rest is updated
-        for row in aug:
-            if row is not pivot:
-                c = row[k]
-                row[k + 1:] = [(p * x - c * y) // prev for x, y in zip(row[k + 1:], tail)]
-        prev = p
-    mu = _exact(mu) / abs(prev)
-    return [scalar_floor(mu * sum(map(abs, row[d:]))) for row in aug]
+        rows = n.inverse().rows
+    return [scalar_floor(mu * sum(map(abs, row))) for row in rows]
 
 
 def dilate_box(c_rows, mu) -> list:

@@ -237,8 +237,7 @@ def check_claims(
     so on the surface tau = lam raw it is mu_1(raw shift) / lam, with
     lam^(2(d-1)) = sum raw^2 / (v^2 prod raw^2). One search per direction
     serves both claims, each decided as mu_1^(2(d-1)) v^2 prod raw^2 <=
-    sum raw^2 on the dyadic directions, exactly for exact kinds. The sharp
-    vertex identity gauge(raw)^2 v^2 = sum raw^2 is decided exactly.
+    sum raw^2 on the dyadic directions, exactly for exact kinds.
     """
     requested = tuple(claims) if claims is not None else ALL_CLAIMS
     unknown = [c for c in requested if c not in ALL_CLAIMS]
@@ -349,8 +348,6 @@ def check_claims(
         values = [first_minimum(apply_hyperbolic(body, raw))[0] for raw in shifts]
         return [(raw, Fraction(v) if is_float else v) for raw, v in zip(exact, values)]
 
-    cube = Parallelepiped.cube(d)
-
     def _family(cid, mode):
         power = 2 * (d - 1)
         checks = []
@@ -361,11 +358,6 @@ def check_claims(
             ratio = value**power * v2 * prod_sq / sum_sq
             ok = leq(ratio, 1)
             checks.append((1.0, float(ratio) ** (1 / power), ok))
-            if mode == "sharp":
-                vertex_sq = section_dual_gauge(cube, raw) ** 2 * v2 / sum_sq
-                on_vertex = vertex_sq == 1
-                checks.append((1.0, float(vertex_sq) ** 0.5, on_vertex))
-                ok = ok and on_vertex
             if not ok:
                 witnesses.append(raw)
         detail = f"{len(directions)} sampled surface directions"

@@ -99,6 +99,15 @@ def fraction_rank(rows):
     return rank
 
 
+# exactly singular as dyadic rationals; float elimination with pivoting
+# leaves a determinant of about -1.8e-18
+SINGULAR_FLOAT_ROWS = (
+    (0.5675971780695452, -0.3933745478421451, -0.04680609169528838),
+    (0.1667640789100624, 0.8162257703906703, 0.009373711634780513),
+    (0.7343612569796076, 0.42285122254852525, -0.037432380060507864),
+)
+
+
 def field_inverse(rows):
     """Inverse by plain Gauss-Jordan in the entries' own field (Fraction or Quad3)."""
     d = len(rows)

@@ -14,10 +14,11 @@ from dualpiped.bodies import (
     parse_body_document,
     pseudo_compound,
 )
+from dualpiped.cli import main
 from dualpiped.linalg import Matrix
 from dualpiped.scalars import Quad3, SQRT3
 
-from oracle_utils import random_unimodular
+from oracle_utils import SINGULAR_FLOAT_ROWS, random_unimodular
 
 
 def test_lattice_covolume_and_dual_of_integers():
@@ -190,3 +191,16 @@ def test_parallelepiped_validation():
             Parallelepiped(Matrix([[1.0, bad], [0.0, 1.0]]), (1.0, 1.0))
         with pytest.raises(ValueError, match="finite"):
             Lattice(Matrix([[1.0, bad], [0.0, 1.0]]))
+
+
+def test_exactly_singular_float_forms_are_refused(tmp_path, capsys):
+    # float elimination put the determinant of these rows at -1.8e-18, so the
+    # body had a volume of 4.36e18; their exact determinant is 0
+    forms = Matrix(SINGULAR_FLOAT_ROWS)
+    with pytest.raises(ValueError, match="forms matrix must be invertible"):
+        Parallelepiped(forms, (1.0, 1.0, 1.0))
+    body_file = tmp_path / "singular.txt"
+    rows = "\n".join(",".join(map(repr, row)) for row in SINGULAR_FLOAT_ROWS)
+    body_file.write_text(f"dimension: 3\nscalar_kind: float\nH:\n{rows}\neta: 1.0,1.0,1.0\n")
+    assert main(["minima", "--body", str(body_file)]) == 2
+    assert "forms matrix must be invertible" in capsys.readouterr().err

@@ -4,10 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from dualpiped.linalg import Matrix, RationalSpan, monotone_root
+from dualpiped.linalg import Matrix, RationalSpan, eliminate, monotone_root, zsqrt3_rows
 from dualpiped.scalars import Quad3, SQRT3
 
-from oracle_utils import field_det, field_inverse, fraction_rank, random_quad3_rows
+from oracle_utils import (
+    SINGULAR_FLOAT_ROWS,
+    field_det,
+    field_inverse,
+    fraction_rank,
+    random_quad3_rows,
+)
 
 
 def _random_exact_matrix(rng, d, lo=-5, hi=5):
@@ -102,27 +108,49 @@ def test_quad3_matrix_inverse():
 
 
 def test_exact_det_and_inverse_match_the_field():
-    # the Z[sqrt3] elimination behind Matrix.det, and Matrix.inverse, against
-    # plain field arithmetic, with row swaps and denominators up to 10^20; the
-    # rational parts alone check the rational kind, which shares the kernel
+    # the one elimination behind Matrix.det and the rational and float
+    # Matrix.inverse, and the Q(sqrt3) inverse, against plain field
+    # arithmetic, with row swaps and denominators up to 10^20: rational
+    # parts alone check the rational kind, and their floats the float kind,
+    # whose det and every inverse entry are the exact value rounded once
     rng = random.Random(17)
-    singular = 0
+    singular = {"quad3": 0, "rational": 0, "float": 0}
     for _ in range(200):
-        d = rng.randint(1, 4)
-        rows = random_quad3_rows(rng, d)
-        for entries in (rows, [[x.a for x in row] for row in rows]):
+        rows = random_quad3_rows(rng, rng.randint(1, 4))
+        rational = [[x.a for x in row] for row in rows]
+        for entries in (rows, rational, [[float(x) for x in row] for row in rational]):
             m = Matrix(entries)
-            det = field_det(entries)
-            assert m.det() == det and type(m.det()) is type(m.rows[0][0])
+            exact = [[Fraction(x) if isinstance(x, float) else x for x in row] for row in entries]
+            det = field_det(exact)
+            if m.kind == "float":
+                assert m.det() == float(det) and type(m.det()) is float
+            else:
+                assert m.det() == det and type(m.det()) is type(m.rows[0][0])
             if det == 0:
-                singular += 1
+                singular[m.kind] += 1
                 with pytest.raises(ZeroDivisionError):
                     m.inverse()
+            elif m.kind == "float":
+                inverse = field_inverse(exact)
+                assert m.inverse().rows == tuple(tuple(map(float, row)) for row in inverse)
             else:
                 assert m.inverse() == Matrix(field_inverse(entries))
-    assert singular > 0
+        # the elimination also inverts in Z[sqrt3]: adj N / det N, over D
+        a, b, den = zsqrt3_rows(rows)
+        field = field_det(rows)
+        det, adj = eliminate(a, b, field != 0)
+        assert Quad3(det.p, det.q) == field * den ** len(rows)
+        if field:
+            inverse = [[Quad3(x.p, x.q) * den / Quad3(det.p, det.q) for x in row] for row in adj]
+            assert inverse == field_inverse(rows)
+    assert min(singular.values()) > 0
     # rank one, so every minor of order two vanishes
     assert Matrix([[SQRT3, Quad3(3)], [Quad3(1), SQRT3]]).det() == 0
+    m = Matrix(SINGULAR_FLOAT_ROWS)
+    assert field_det([[Fraction(x) for x in row] for row in m.rows]) == 0
+    assert m.det() == 0.0
+    with pytest.raises(ZeroDivisionError):
+        m.inverse()
 
 
 def test_kind_inference_and_promotion():

@@ -353,10 +353,11 @@ def test_exact_rows_on_the_boundary_match_the_box_sweep():
 
 def test_array_decision_matches_its_definition(monkeypatch):
     # exact keys run in int64 where sum_j |a_ij| max(b_j, 1) < 2^62 proves
-    # them exact, and in Python ints otherwise: the pseudo-compound rows of
-    # these float d=5 instances (about 110 bits) take the object path, their
-    # body rows (about 57 bits) int64, and both match the per-candidate
-    # definition
+    # them exact, and in Python ints otherwise: the body rows of these float
+    # d=5 instances (about 54 bits) run in int64, the same bodies moved by a
+    # float map within 2^-40 of the identity (entries near zero put the
+    # rows at about 94 bits) take the object path, and both match the
+    # per-candidate definition
     searches = []
     dtypes = []
 
@@ -376,8 +377,10 @@ def test_array_decision_matches_its_definition(monkeypatch):
     monkeypatch.setattr(minima, "_exact_product", product)
     objects = np.dtype(object)
     for seed in (0, 4):
+        rng = random.Random(seed)
         body = det_normalized(gen_instance(5, seed))
-        for body, wide in ((body, False), (pseudo_compound(body), True)):
+        near = Matrix([[float(i == j) + 2.0**-40 * rng.gauss(0, 1) for j in range(5)] for i in range(5)])
+        for body, wide in ((body, False), (body.apply_linear(near), True)):
             searches.clear()
             successive_minima(body)
             ((c_rows, mu, basis, points, kinds),) = searches

@@ -1,10 +1,10 @@
 """Pinned sha256 digests of verification report payloads.
 
 Enumeration and section changes must leave every reported float bit where it
-was. The enumerator's float gauges and the section values are exact values
-rounded once, so they do not depend on the float search or on summation
-order; a float computed along another code path elsewhere can still move in
-its last bit.
+was. The enumerator's float gauges, the section values and every float
+determinant and inverse are exact values rounded once, so they do not depend
+on the float search, on pivoting or on summation order; a float computed
+along another code path elsewhere can still move in its last bit.
 These pins hold the JSON payload (with runtime_ms fixed at zero) of seven
 standard suites of 8 trials each; the two at seed 1 are the slices that the
 benchmark's verify workloads run, and d=2 is where T7 is skipped by design.
@@ -17,17 +17,19 @@ from fractions import Fraction
 
 import pytest
 
+from dualpiped import harness
+from dualpiped.bodies import det_normalized
 from dualpiped.harness import TrialConfig, aggregate_outcomes, emit_report, evaluate_trial
 from dualpiped.witness import format_sharpness_report, sharpness_report
 
 PINS = [
-    (3, "float", 42, "2510f579aaaf7b3b90536dae48eeff42415a997ac596f6f817a5ccd905f591b6"),
-    (4, "float", 42, "5d9316ef9eaba1120d0665d506acd926787ea57c3881e795041d3bdab8b8600c"),
-    (5, "float", 42, "8f39771fac1c37decd64035c1617ae2521c580b27ef20cfbe1a65758351c5233"),
-    (3, "exact", 7, "2623d00f3cf533c110068e07abe44b351500744f4549a3230fa0174bc6b50f28"),
-    (5, "float", 1, "3f5e83e91e311450876fdc31da5b4aeb3426a3871b7582ec12f8fe831e7b9326"),
-    (3, "exact", 1, "33706c2592c433730f3351e2280e5b69834f9cf50fc8b65738b9576a42b5062f"),
-    (2, "float", 42, "49729492d26ca866a1637138350c60cdebd8d5e238a2251f76b8d1f09e0bc760"),
+    (3, "float", 42, "15e090d994496d486824cbaa7ec1aa7e6ee52dbb6697e646b18bc9d0854e4424"),
+    (4, "float", 42, "5b1a178fd5830343d93c0f1cdffb1f443db50b4168abd7a03e06a9ab8511612f"),
+    (5, "float", 42, "184ce45a2f02c93dd23d6445dff5defcb0e4c3a7620d31b74b9b264f46d9af6f"),
+    (3, "exact", 7, "4ac4b992601db9d977b1d37501f418cff7362ec57f78a332421b995d44741743"),
+    (5, "float", 1, "5714147d68f3d409af38baccd4e2852d0dc64324642feb72691c9faaf155e5bc"),
+    (3, "exact", 1, "8ac026a68e922157109d22a23d8c1ea2a95da21c579499aeb14acbc09e13f1bf"),
+    (2, "float", 42, "bfbf2cfdeeec6623df290681a26239c464887ef68f52a3e6a078f6f5ff88fb1a"),
 ]
 
 
@@ -37,9 +39,30 @@ def payload(dimension, mode, seed) -> str:
     return emit_report(aggregate_outcomes(config, outcomes, runtime_ms=0.0), "json")
 
 
-@pytest.mark.parametrize("dimension, mode, seed, digest", PINS)
+# the ids leave the digest out, so a pin that moves keeps its test's name
+@pytest.mark.parametrize("dimension, mode, seed, digest", PINS, ids=[f"{d}-{m}-{s}" for d, m, s, _ in PINS])
 def test_report_payload_digest(dimension, mode, seed, digest):
     assert hashlib.sha256(payload(dimension, mode, seed).encode()).hexdigest() == digest
+
+
+def test_pinned_float_bodies_have_unit_determinant(monkeypatch):
+    # harness forms are unimodular integer matrices and a float det is the
+    # exact value rounded once, so det_normalized returns each body unchanged
+    bodies = []
+
+    def recording(piped, claims, *, directions):
+        bodies.append(piped)
+        return ()
+
+    monkeypatch.setattr(harness, "check_claims", recording)
+    for dimension, mode, seed, _ in PINS:
+        if mode == "float":
+            for index in range(8):
+                evaluate_trial(TrialConfig(dimension=dimension, trials=8, seed=seed), index)
+    assert len(bodies) == 40
+    for piped in bodies:
+        assert piped.forms.det() in (1.0, -1.0)
+        assert det_normalized(piped) is piped
 
 
 # the sharpness witness report text, certified boxes and point sets included

@@ -15,6 +15,7 @@ from dualpiped.sections import (
     v_tau_squared,
 )
 from dualpiped.scalars import Quad3
+from dualpiped.transference import sample_directions
 
 from oracle_utils import monte_carlo_section_volume, random_unimodular, section3_area
 
@@ -239,6 +240,28 @@ def test_section_dual_gauge_quasiconvex():
         mix = tuple(t * a + (1 - t) * b for a, b in zip(z1, z2))
         g = section_dual_gauge(piped, mix)
         assert g <= max(section_dual_gauge(piped, z1), section_dual_gauge(piped, z2)) + 1e-9
+
+
+@pytest.mark.parametrize("kind", ["float", "rational"])
+def test_sharp_vertex_identity_is_exact(kind):
+    # gauge(raw)^2 v_tau(raw)^2 = sum raw^2 for every positive direction, by
+    # algebra: the gauge is 2^(d-1) / ratio and v_tau^2 is
+    # |raw|^2 ratio^2 / 4^(d-1). So the vertex of the sharp surface has gauge
+    # exactly 1, and the family claims need not check it. Float directions
+    # are read as the dyadic rationals they are; on the float cube their
+    # gauge is the exact gauge rounded once.
+    rng = random.Random(f"vertex-{kind}")
+    for d in range(2, 7):
+        if kind == "float":
+            directions = sample_directions(rng, d, 10)
+        else:
+            directions = [tuple(Fraction(rng.randint(1, 40), rng.randint(1, 40)) for _ in range(d)) for _ in range(10)]
+        for raw in directions:
+            exact = tuple(map(Fraction, raw))
+            gauge = section_dual_gauge(Parallelepiped.cube(d), exact)
+            assert gauge * gauge * v_tau_squared(exact) == sum(t * t for t in exact)
+            if kind == "float":
+                assert section_dual_gauge(Parallelepiped.cube(d, kind="float"), raw) == float(gauge)
 
 
 def test_cube_vertices_within_sqrt_d_of_section_dual():
