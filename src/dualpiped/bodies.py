@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -111,6 +112,12 @@ class Parallelepiped:
     @property
     def kind(self) -> str:
         return self.forms.kind
+
+    @cached_property
+    def pullback(self) -> tuple:
+        """A = H^{-1} diag(eta), so that Pi = A B_d, and det A; computed once per body."""
+        a = self.forms.inverse().matmul(Matrix.diagonal(self.bounds))
+        return a, a.det()
 
     def gauge(self, x: Sequence[Scalar]) -> Scalar:
         """Minkowski functional: max_i |h_i(x)| / eta_i."""

@@ -1,11 +1,12 @@
 """Small dense matrices over one scalar kind, plus bracketed root finding.
 
-Every determinant, and every rational and float inverse, is one fraction-free
-elimination in Python ints (`eliminate`): the rows are cleared once to
-integers over one denominator, in Z[sqrt3] for Q(sqrt3) rows, so float
-results are the exact dyadic values rounded once. Q(sqrt3) inverses still
-use plain field operations. The rank tracker `RationalSpan` eliminates
-fraction-free too.
+Matrices are immutable, and every det and inverse computed once per matrix
+is kept on it. Every determinant, and every rational and float inverse, is
+one fraction-free elimination in Python ints (`eliminate`): the rows are
+cleared once to integers over one denominator, in Z[sqrt3] for Q(sqrt3)
+rows, so float results are the exact dyadic values rounded once. Q(sqrt3)
+inverses still use plain field operations. The rank tracker `RationalSpan`
+eliminates fraction-free too.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ def _normalize_entry(x):
 class Matrix:
     """Immutable row-major matrix; all entries share one scalar kind."""
 
-    __slots__ = ("rows", "kind", "nrows", "ncols", "_det")
+    __slots__ = ("rows", "kind", "nrows", "ncols", "_det", "_inverse")
 
     def __init__(self, rows: Iterable[Sequence[Scalar]]) -> None:
         mat = [tuple(_normalize_entry(x) for x in row) for row in rows]
@@ -50,6 +51,7 @@ class Matrix:
         object.__setattr__(self, "nrows", len(mat))
         object.__setattr__(self, "ncols", len(mat[0]))
         object.__setattr__(self, "_det", None)
+        object.__setattr__(self, "_inverse", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -122,23 +124,32 @@ class Matrix:
         return self._det
 
     def inverse(self) -> "Matrix":
-        """The exact inverse, each float entry rounded once; ZeroDivisionError if singular."""
-        self.dim  # rejects non-square matrices
-        # Q(sqrt3) inverses stay in field arithmetic for now: in Z[sqrt3]
-        # ints (eliminate(a, b, inverse=True)) the benchmark's witness ran
-        # 72-77 operations a second, past the about 54 at which its pool of
-        # 276 eps runs dry and the run fails; switch once the pool can cycle
-        if self.kind == "quad3":
-            return Matrix(_gauss_jordan_exact([list(r) for r in self.rows]))
-        a, _, den = integer_rows(self.rows)
-        det, adj = eliminate(a, inverse=True)
-        # A^-1 = adj A / det A, and the matrix is A / den; a positive divisor
-        # keeps zero entries +0.0, and int / int rounds once
-        num = den if det > 0 else -den
-        det = abs(det)
-        if self.kind == "float":
-            return Matrix([[num * x / det for x in row] for row in adj])
-        return Matrix([[Fraction(num * x, det) for x in row] for row in adj])
+        """The exact inverse, each float entry rounded once; computed once per matrix.
+
+        ZeroDivisionError if singular. The inverse keeps no link back to this
+        matrix, so no reference cycle forms.
+        """
+        if self._inverse is None:
+            self.dim  # rejects non-square matrices
+            # Q(sqrt3) inverses stay in field arithmetic for now: in Z[sqrt3]
+            # ints (eliminate(a, b, inverse=True)) the benchmark's witness ran
+            # 72-77 operations a second, past the about 54 at which its pool of
+            # 276 eps runs dry and the run fails; switch once the pool can cycle
+            if self.kind == "quad3":
+                rows = _gauss_jordan_exact([list(r) for r in self.rows])
+            else:
+                a, _, den = integer_rows(self.rows)
+                det, adj = eliminate(a, inverse=True)
+                # A^-1 = adj A / det A, and the matrix is A / den; a positive
+                # divisor keeps zero entries +0.0, and int / int rounds once
+                num = den if det > 0 else -den
+                det = abs(det)
+                if self.kind == "float":
+                    rows = [[num * x / det for x in row] for row in adj]
+                else:
+                    rows = [[Fraction(num * x, det) for x in row] for row in adj]
+            object.__setattr__(self, "_inverse", Matrix(rows))
+        return self._inverse
 
     def cofactor(self) -> "Matrix":
         """M' with M (M')^T = (det M) I; equals (det M)(M^T)^{-1} when invertible."""

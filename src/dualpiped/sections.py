@@ -25,11 +25,13 @@ whose integers fit one 64-bit word may have up to 18 nonzero coordinates.
 The section-dual body of Pi = A B_d collects the points A'z whose defining
 hyperplane cuts a unit-volume section out of Pi; its gauge at z works out to
 |w| / (2^{1-d} vol(w-section)) with w = A^T z / det A, a ratio in which the
-irrational |w| cancels, so exact scalar kinds stay exact.
+irrational |w| cancels, so exact scalar kinds stay exact. A and det A are
+kept once per body (`Parallelepiped.pullback`). For a det-normalized body the
+pseudo-compound's vertex H^T diag(eta*) sigma pulls back to w = +-sigma, so
+every such vertex has the cube's gauge at (1, ..., 1).
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -168,18 +170,6 @@ def _wedge_gauge(w) -> Scalar:
     return float(gauge) if is_float else gauge
 
 
-def _pullback(piped: Parallelepiped) -> tuple:
-    """A = H^{-1} diag(eta), so that Pi = A B_d, and det A; once per body."""
-    return _pullback_of(piped, piped.kind)
-
-
-@functools.lru_cache(maxsize=256)
-def _pullback_of(piped: Parallelepiped, kind: str) -> tuple:
-    # the kind is part of the key: a Quad3 body equals its rational twin
-    a = piped.forms.inverse().matmul(Matrix.diagonal(piped.bounds))
-    return a, a.det()
-
-
 def section_dual_gauge(piped: Parallelepiped, z: Sequence[Scalar]) -> Scalar:
     """Gauge of the section-dual body of the parallelepiped at the point z.
 
@@ -187,7 +177,7 @@ def section_dual_gauge(piped: Parallelepiped, z: Sequence[Scalar]) -> Scalar:
     w = A^T z / det A and measured against the section-dual of the cube.
     Exact kinds return exact values; membership in the body is gauge <= 1.
     """
-    a, det = _pullback(piped)
+    a, det = piped.pullback
     w = tuple(x / det for x in a.transpose().matvec(tuple(z)))
     return _wedge_gauge(w)
 
@@ -205,7 +195,7 @@ def first_minimum_section_dual(piped: Parallelepiped) -> Scalar:
     d = piped.dimension
     if not 2 <= d <= 6:
         raise ValueError("section-dual minimum supports dimensions 2 through 6")
-    a, det = _pullback(piped)
+    a, det = piped.pullback
     c_rows = GaugeRows(tuple(x / det for x in row) for row in a.transpose().rows)
     cmat = Matrix(c_rows)
     basis = reduced_basis(c_rows)

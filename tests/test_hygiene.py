@@ -4,7 +4,9 @@ No module imports a name it never reads, no library module keeps a private
 top-level name that it never reads itself, and every public top-level name
 of the library, and every public method and property of its classes, is
 read by the library or the benchmark, unless it is allowlisted below with
-its reason.
+its reason. No top-level library function keeps a module-level cache
+(functools.lru_cache or functools.cache): derived values live on the
+objects that determine them.
 """
 import ast
 from pathlib import Path
@@ -187,3 +189,33 @@ def test_every_public_method_is_read_outside_the_tests():
     # an allowlisted method that the library or the benchmark reads again is
     # dropped from the list
     assert sorted(name for name in TEST_ONLY_METHODS if name.split(".")[1] in read) == []
+
+
+def cached_top_level_functions(source: str) -> list:
+    """Top-level functions decorated with functools.lru_cache or functools.cache."""
+
+    def decorator_name(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    return [
+        f"line {node.lineno}: {node.name}" for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list)
+    ]
+
+
+def test_the_checker_sees_cached_top_level_functions():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n\n"
+        "@functools.lru_cache(maxsize=8)\ndef a():\n    pass\n\n"
+        "@cache\ndef b():\n    pass\n\n@lru_cache\ndef c():\n    pass\n\n"
+        "def e():\n    @functools.cache\n    def f():\n        pass\n"
+    )
+    assert cached_top_level_functions(source) == ["line 5: a", "line 9: b", "line 13: c"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_level_cache(path):
+    assert cached_top_level_functions(path.read_text()) == []

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualpiped.harness import TrialConfig, evaluate_trial
 from dualpiped.linalg import Matrix, RationalSpan, eliminate, monotone_root, zsqrt3_rows
 from dualpiped.scalars import Quad3, SQRT3
 
@@ -151,6 +152,50 @@ def test_exact_det_and_inverse_match_the_field():
     assert m.det() == 0.0
     with pytest.raises(ZeroDivisionError):
         m.inverse()
+
+
+def test_inverse_is_kept_on_the_matrix():
+    # the inverse is computed once and kept: a second call returns the same
+    # object, whose rows equal a fresh matrix's inverse bit for bit; a
+    # singular matrix raises on every call, so no failure is kept
+    rng = random.Random(23)
+    kinds = set()
+    for _ in range(40):
+        rows = random_quad3_rows(rng, rng.randint(1, 4))
+        rational = [[x.a for x in row] for row in rows]
+        for entries in (rows, rational, [[float(x) for x in row] for row in rational]):
+            m = Matrix(entries)
+            if m.det() == 0:
+                continue
+            kinds.add(m.kind)
+            inverse = m.inverse()
+            assert m.inverse() is inverse
+            # repr tells 0.0 from -0.0 and each scalar type from the others
+            assert repr(inverse.rows) == repr(Matrix(m.rows).inverse().rows)
+    assert kinds == {"quad3", "rational", "float"}
+    for singular in (Matrix([[1, 2], [2, 4]]), Matrix(SINGULAR_FLOAT_ROWS)):
+        for _ in range(2):
+            with pytest.raises(ZeroDivisionError):
+                singular.inverse()
+
+
+@pytest.mark.parametrize("dimension, mode", [(5, "float"), (3, "exact")])
+def test_one_forms_inverse_per_trial(monkeypatch, dimension, mode):
+    # the harness, the pseudo-compound and the section-dual pullback share
+    # the body's forms object, so ten trials compute ten inverses, one each
+    inverse = Matrix.inverse
+    computed = []
+
+    def counting(m):
+        if m._inverse is None:
+            computed.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(Matrix, "inverse", counting)
+    config = TrialConfig(dimension=dimension, trials=10, seed=1, mode=mode)
+    for index in range(config.trials):
+        assert evaluate_trial(config, index).error is None
+    assert len(computed) == 10
 
 
 def test_kind_inference_and_promotion():

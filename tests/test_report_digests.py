@@ -23,13 +23,13 @@ from dualpiped.harness import TrialConfig, aggregate_outcomes, emit_report, eval
 from dualpiped.witness import format_sharpness_report, sharpness_report
 
 PINS = [
-    (3, "float", 42, "15e090d994496d486824cbaa7ec1aa7e6ee52dbb6697e646b18bc9d0854e4424"),
-    (4, "float", 42, "5b1a178fd5830343d93c0f1cdffb1f443db50b4168abd7a03e06a9ab8511612f"),
-    (5, "float", 42, "184ce45a2f02c93dd23d6445dff5defcb0e4c3a7620d31b74b9b264f46d9af6f"),
+    (3, "float", 42, "0609c56d6ba7b1ae03e3a4cd6fb23212e2b9de0fa5d910de6fd6183e3edd480d"),
+    (4, "float", 42, "1e839568a50d2604add2ed6eb2f054296e5b7358ad6300e14d25c94964086759"),
+    (5, "float", 42, "efc5e83fad70c1373c18eb9cf077c87d000110c79602383e6e454c607921d7ab"),
     (3, "exact", 7, "4ac4b992601db9d977b1d37501f418cff7362ec57f78a332421b995d44741743"),
-    (5, "float", 1, "5714147d68f3d409af38baccd4e2852d0dc64324642feb72691c9faaf155e5bc"),
+    (5, "float", 1, "e67af2b95bf732bf96826ab33d1d32d98bab9618de190e4e56f9ff6cb80e5702"),
     (3, "exact", 1, "8ac026a68e922157109d22a23d8c1ea2a95da21c579499aeb14acbc09e13f1bf"),
-    (2, "float", 42, "bfbf2cfdeeec6623df290681a26239c464887ef68f52a3e6a078f6f5ff88fb1a"),
+    (2, "float", 42, "0bae587151188606733595499b22dca7f15c2fb5cebcdec4d103c598324acf00"),
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dualpiped import sections
-from dualpiped.bodies import Parallelepiped
+from dualpiped.bodies import Parallelepiped, pseudo_compound
 from dualpiped.linalg import Matrix
 from dualpiped.sections import (
     cube_section_volume,
@@ -15,7 +16,7 @@ from dualpiped.sections import (
     v_tau_squared,
 )
 from dualpiped.scalars import Quad3
-from dualpiped.transference import sample_directions
+from dualpiped.transference import check_claims, sample_directions
 
 from oracle_utils import monte_carlo_section_volume, random_unimodular, section3_area
 
@@ -264,9 +265,33 @@ def test_sharp_vertex_identity_is_exact(kind):
                 assert section_dual_gauge(Parallelepiped.cube(d, kind="float"), raw) == float(gauge)
 
 
-def test_cube_vertices_within_sqrt_d_of_section_dual():
-    import itertools
+@pytest.mark.parametrize("kind", ["float", "rational"])
+def test_pseudo_compound_vertices_have_the_cube_gauge(kind):
+    # on a det-normalized body (H, eta) the pseudo-compound vertex
+    # H^T diag(eta*) sigma pulls back to w = A^T z / det A = +-sigma, so every
+    # vertex of every body has the cube's section-dual gauge g_d at
+    # (1, ..., 1); check_claims decides C12 by this constant alone
+    rng = random.Random(f"c12-{kind}")
+    for d in range(2, 7):
+        g = section_dual_gauge(Parallelepiped.cube(d), (1,) * d)
+        one = 1.0 if kind == "float" else 1
+        for _ in range(3):
+            eta = tuple(Fraction(rng.randint(2, 8), 4) for _ in range(d))
+            body = Parallelepiped(random_unimodular(rng, d), eta)
+            if kind == "float":
+                body = body.to_float()
+            vertex_map = body.forms.transpose().matmul(Matrix.diagonal(pseudo_compound(body).bounds))
+            for sigma in itertools.product((one, -one), repeat=d):
+                gauge = section_dual_gauge(body, vertex_map.matvec(sigma))
+                if kind == "float":
+                    assert gauge == pytest.approx(float(g), rel=1e-12)
+                else:
+                    assert gauge == g
+            (c12,) = check_claims(body, ["C12"], directions=())
+            assert c12.status == "pass" and c12.margin == math.sqrt(d) - float(g)
 
+
+def test_cube_vertices_within_sqrt_d_of_section_dual():
     for d in range(2, 8):
         bd = Parallelepiped.cube(d)
         for signs in itertools.product((1, -1), repeat=d):
@@ -284,8 +309,6 @@ def test_first_minimum_section_dual_frozen():
 
 @pytest.mark.slow
 def test_first_minimum_section_dual_matches_brute_force():
-    import itertools
-
     rng = random.Random(61)
     for _ in range(10):
         h = random_unimodular(rng, 3, ops=4)
