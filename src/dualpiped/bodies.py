@@ -115,9 +115,9 @@ class Parallelepiped:
 
     @cached_property
     def pullback(self) -> tuple:
-        """A = H^{-1} diag(eta), so that Pi = A B_d, and det A; computed once per body."""
+        """A^T and det A for A = H^{-1} diag(eta), so that Pi = A B_d; computed once per body."""
         a = self.forms.inverse().matmul(Matrix.diagonal(self.bounds))
-        return a, a.det()
+        return a.transpose(), a.det()
 
     def gauge(self, x: Sequence[Scalar]) -> Scalar:
         """Minkowski functional: max_i |h_i(x)| / eta_i."""

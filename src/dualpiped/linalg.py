@@ -6,12 +6,13 @@ one fraction-free elimination in Python ints (`eliminate`): the rows are
 cleared once to integers over one denominator, in Z[sqrt3] for Q(sqrt3)
 rows, so float results are the exact dyadic values rounded once. Q(sqrt3)
 inverses still use plain field operations. The rank tracker `RationalSpan`
-eliminates fraction-free too.
+keeps integer normals to its span, so a vector is tested by dot products.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .scalars import Quad3, Scalar, scalar_sign, zsqrt3_parts
@@ -217,35 +218,57 @@ def _gauss_jordan_exact(m):
 class RationalSpan:
     """Incremental exact rank tracker for rational vectors.
 
-    Each vector is scaled to integers on entry and reduced fraction-free
-    against the stored rows (Bareiss 1968): r <- p r - a row for the pivot p
-    of a row and the entry a of r under it, then r is divided by its gcd.
-    Every stored row is a nonzero multiple of the row that elimination over
-    the field would store, so the same vectors are accepted.
+    It keeps primitive integer normals n_1..n_m that span the orthogonal
+    complement of the span, m = dim - rank; before the first vector they
+    are the unit vectors, left implicit. A vector lies in the span iff
+    every r_i = vec . n_i is zero, so a test at rank dim - 1 is one dot
+    product, in ints for an int vector. On acceptance the r_i are scaled to
+    integers, and for one r_t != 0 each other normal becomes
+    r_t n_i - r_i n_t, divided by its gcd, and n_t is dropped. The new
+    normals are orthogonal to vec and stay independent, so they span the
+    new complement, and the same vectors are accepted as by elimination.
     """
 
     def __init__(self, dim: int) -> None:
         self.dim = dim
-        self._reduced: list[tuple[int, list]] = []
+        self._normals: list | None = None
 
     @property
     def rank(self) -> int:
-        return len(self._reduced)
+        return 0 if self._normals is None else self.dim - len(self._normals)
 
     def add(self, vec: Sequence[int | Fraction]) -> bool:
         """Add vec if it enlarges the span; return whether it did."""
-        scale = math.lcm(*(x.denominator for x in vec))
-        r = [x.numerator * (scale // x.denominator) for x in vec]
-        for piv, row in self._reduced:
-            a = r[piv]
-            if a:
-                p = row[piv]
-                r = [p * x - a * y for x, y in zip(r, row)]
-        piv = next((i for i, x in enumerate(r) if x), None)
-        if piv is None:
+        normals = self._normals
+        dots = vec if normals is None else [sum(map(mul, vec, n)) for n in normals]
+        if not any(dots):
             return False
-        g = math.gcd(*r)
-        self._reduced.append((piv, [x // g for x in r]))
+        t = next(i for i, x in enumerate(dots) if x)
+        # only the ratios of the dots matter, so they are scaled to integers
+        scale = math.lcm(*(x.denominator for x in dots))
+        dots = [x.numerator * (scale // x.denominator) for x in dots]
+        rt = dots[t]
+        if normals is None:
+            # r_t e_i - r_i e_t for the unit vectors, built sparse
+            self._normals = []
+            for i, ri in enumerate(dots):
+                if i != t:
+                    g = math.gcd(rt, ri)
+                    n = [0] * self.dim
+                    n[i], n[t] = rt // g, -ri // g
+                    self._normals.append(n)
+            return True
+        nt = normals[t]
+        kept = []
+        for i, (ri, n) in enumerate(zip(dots, normals)):
+            if ri:
+                if i == t:
+                    continue
+                n = [rt * x - ri * y for x, y in zip(n, nt)]
+                g = math.gcd(*n)
+                n = [x // g for x in n]
+            kept.append(n)
+        self._normals = kept
         return True
 
 

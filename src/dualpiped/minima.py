@@ -12,12 +12,15 @@ its exact gauge, and float gauges are exact dyadic gauges rounded once.
 Rational and float rows decide their candidates as arrays, by one exact
 integer matmul, in int64 where a bound proves it exact and over Python ints
 otherwise. A box of more than GRID_CELL_CAP cells is refused before the
-grid is built.
+grid is built. Each search runs in the coordinates of an exact LLL
+reduction of its rows, which may start from a given basis: a body's
+hyperbolic shifts start from the body's own reduced basis. No answer
+depends on the basis, only the size of the box does.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
 from operator import mul
@@ -57,6 +60,20 @@ class GaugeRows(tuple):
             return zsqrt3_rows(self)
         return integer_rows(self)
 
+    def times(self, basis) -> tuple:
+        """The reduced rows: the cleared a and b times the basis vectors as columns, and D.
+
+        The product with the last basis asked for is kept, so the radius and
+        the enumeration of one search build it once.
+        """
+        basis = tuple(map(tuple, basis))
+        kept = self.__dict__.get("_times")
+        if kept is None or kept[0] != basis:
+            a, b, den = self.cleared
+            kept = (basis, _times(a, basis), None if b is None else _times(b, basis), den)
+            self.__dict__["_times"] = kept
+        return kept[1:]
+
 
 def gauge_rows(piped: Parallelepiped, lattice: Lattice | None = None) -> GaugeRows:
     """Rows of diag(1/eta) H B, B = I without a lattice; gauge of Bk is the sup norm of (rows) k."""
@@ -81,10 +98,10 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     the box has more than GRID_CELL_CAP cells. The grid only proposes
     candidates. Each is kept iff its exact gauge is at most the limit, mu
     for exact rows and widen(mu) for float rows, and then mapped back, so
-    no point or bit depends on the snapshot. The reduced rows are exact
-    integer rows over one denominator den, or for Q(sqrt3) rows pairs of
-    integer rows in Z[sqrt3]; only the box of Q(sqrt3) rows is still a
-    field inverse.
+    no point or bit depends on the snapshot. The reduced rows, kept for
+    the basis by GaugeRows.times, are exact integer rows over one
+    denominator den, or for Q(sqrt3) rows pairs of integer rows in
+    Z[sqrt3]; only the box of Q(sqrt3) rows is still a field inverse.
 
     Rational and float rows decide all candidates at once. Their keys
     max_i |a_i . k| are one integer matmul by the reduced rows a (see
@@ -118,9 +135,7 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
         return []
     is_float = isinstance(c_rows[0][0], float)
     limit = widen(float(mu)) if is_float else mu
-    a, b, den = _integer_rows(c_rows)
-    a = _times(a, basis)
-    b = None if b is None else _times(b, basis)
+    a, b, den = _as_gauge_rows(c_rows).times(basis)
     scaled_mu = _exact(limit) * den
     box = _box(a, b, scaled_mu)
     cells = math.prod(2 * bj + 1 for bj in box)
@@ -163,7 +178,8 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
         keep = key <= limit
     else:
         key = m
-        keep = m <= scalar_floor(scaled_mu)
+        num, div = scaled_mu.as_integer_ratio()
+        keep = m <= num // div
     k = _exact_product(candidates[keep], tuple(zip(*basis)), box)
     key = key[keep]
     del candidates, m, keep  # before the lists are built: they set the peak on large boxes
@@ -171,11 +187,12 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     k[lead < 0] *= -1
     order = np.lexsort((*k.T[::-1], key))
     key = key[order].tolist()
-    k = k[order].tolist()
+    # one list per coordinate, not per point: zip then builds each point's tuple
+    k = k[order].T.tolist()
     if not is_float:
         fractions = {g: Fraction(g, den) for g in set(key)}
         key = [fractions[g] for g in key]
-    return list(zip(key, map(tuple, k)))
+    return list(zip(key, zip(*k)))
 
 
 def _exact_product(k, rows, box):
@@ -194,38 +211,38 @@ def _exact_product(k, rows, box):
 def _quadratic_points(candidates, a, b, den, scaled_mu, basis) -> list:
     """The (gauge, k) of the candidates of Q(sqrt3) rows within the limit, one by one.
 
-    Each gauge is a pair of ints in Z[sqrt3] (see _gauge_of), compared with
-    the limit times den by an integer sign.
+    Each gauge is a pair of ints in Z[sqrt3] (see _zsqrt3_max), compared
+    with the limit times den by an integer sign.
     """
-    key, value = _gauge_of(a, b, den, False)
     p, q, r = zsqrt3_parts(scaled_mu)
     u = tuple(zip(*basis))  # row-major, the basis vectors as columns
     points = []
     for kp in candidates:
-        gauge = key(kp)
+        gauge = _zsqrt3_max([sum(map(mul, row, kp)) for row in a],
+                            [sum(map(mul, row, kp)) for row in b])
         if zsqrt3_sign(p - r * gauge[0], q - r * gauge[1]) >= 0:
             k = [sum(map(mul, row, kp)) for row in u]
             if next(filter(None, k)) < 0:
                 k = [-x for x in k]
             points.append((gauge, tuple(k)))
     points.sort(key=_zsqrt3_order)
-    return [(value(gauge), k) for gauge, k in points]
+    return [(Quad3(Fraction(g, den), Fraction(h, den)), k) for (g, h), k in points]
 
 
 def _box(a, b, mu) -> list:
     """Per-coordinate bound floor(mu * l1 norm of each row of n^-1), exact.
 
     n = a for integer rows, which stay in integers: linalg.eliminate gives
-    det(n) n^-1. n = a + b sqrt3 is inverted in its field, by
-    Matrix.inverse, which says why.
+    det(n) n^-1, and each bound is one integer division. n = a + b sqrt3 is
+    inverted in its field, by Matrix.inverse, which says why.
     """
     if b is None:
         det, rows = eliminate(a, inverse=True)
-        mu = _exact(mu) / abs(det)
-    else:
-        n = Matrix([[Quad3(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
-        rows = n.inverse().rows
-    return [scalar_floor(mu * sum(map(abs, row))) for row in rows]
+        num, div = mu.as_integer_ratio()
+        div *= abs(det)
+        return [num * sum(map(abs, row)) // div for row in rows]
+    n = Matrix([[Quad3(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+    return [scalar_floor(mu * sum(map(abs, row))) for row in n.inverse().rows]
 
 
 def dilate_box(c_rows, mu) -> list:
@@ -234,46 +251,59 @@ def dilate_box(c_rows, mu) -> list:
     return _box(a, b, _exact(mu) * den)
 
 
-def _reduction_transform(c_rows):
-    """Integer unimodular u such that the columns of (c_rows) u are short.
+def _reduction_transform(c_rows, start) -> tuple:
+    """A start basis S and an integer unimodular u, the columns of (c_rows) S u short.
 
-    The reduction runs on a float snapshot of the rows, so it applies to
-    float, rational, and quadratic entries alike; u is exactly unimodular in
-    every case, and None means the coordinates are already fine. The LLL
-    reads each snapshot entry as the exact dyadic rational it is, scaled to
-    an integer over the lcm of the denominators: it is scale invariant, so
-    nothing is rounded. Float rows are their own snapshot, and those
-    integers are the rows that the search clears once (see GaugeRows).
-    Each search computes the transform once, through reduced_basis, and
-    hands that basis to the enumeration.
+    S holds the vectors of `start` as columns, or the unit vectors when it
+    is None. A given start must be a basis of Z^d, such as the reduced basis
+    of rows that differ from these by a diagonal scaling (a hyperbolic
+    shift); its vectors are ordered by the exact squared norm of their
+    integer images, so the LLL only confirms or improves it. u is exactly
+    unimodular, and None means S is already fine. Rational and float rows
+    are reduced exactly, on the integer rows that the search clears once
+    (see GaugeRows; a float is the dyadic rational it stores), since the LLL
+    is scale invariant. Q(sqrt3) rows are reduced on their float snapshot,
+    read exactly in the same way. Each search computes the transform once,
+    through reduced_basis, and hands that basis to the enumeration.
     """
     d = len(c_rows)
-    if d < 2:
-        return None
-    snapshot = [[float(x) for x in row] for row in c_rows]
-    if not all(math.isfinite(x) for row in snapshot for x in row):
-        return None
-    a = _integer_rows(c_rows if isinstance(c_rows[0][0], float) else snapshot)[0]
-    return _lll_unimodular(list(zip(*a)))
+    unit = start is None
+    if unit:
+        start = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    if d < 2 or not all(math.isfinite(x) for row in c_rows for x in row if isinstance(x, float)):
+        return start, None
+    a, b, _ = _integer_rows(c_rows)
+    if b is not None:
+        a = integer_rows([[float(x) for x in row] for row in c_rows])[0]
+    if unit:
+        return start, _lll_unimodular(list(zip(*a)))
+    cols = [[sum(map(mul, row, v)) for row in a] for v in start]
+    order = sorted(range(d), key=lambda j: sum(x * x for x in cols[j]))
+    return [start[j] for j in order], _lll_unimodular([cols[j] for j in order])
 
 
-def reduced_basis(c_rows) -> list:
+def reduced_basis(c_rows, start=None) -> list:
     """d independent integer vectors k with short images (c_rows) k.
 
-    These are the columns of the reduction transform, or the unit vectors
-    when the rows need none; the j-th smallest gauge among them is an upper
-    bound for the j-th successive minimum.
+    These are the start vectors (the unit vectors by default; see
+    _reduction_transform) times the reduction transform, or the start
+    vectors themselves when they need none; the j-th smallest gauge among
+    them is an upper bound for the j-th successive minimum.
     """
-    d = len(c_rows)
-    u = _reduction_transform(c_rows)
+    start, u = _reduction_transform(c_rows, start)
     if u is None:
-        return [tuple(int(i == j) for i in range(d)) for j in range(d)]
-    return [tuple(u[i][j] for i in range(d)) for j in range(d)]
+        return list(start)
+    d = len(u)
+    return [tuple(sum(v[i] * w[j] for v, w in zip(start, u)) for i in range(d)) for j in range(d)]
+
+
+def _as_gauge_rows(c_rows) -> GaugeRows:
+    return c_rows if isinstance(c_rows, GaugeRows) else GaugeRows(c_rows)
 
 
 def _integer_rows(c_rows) -> tuple:
     """The integer form of the rows (see GaugeRows.cleared); callers do not modify it."""
-    return (c_rows if isinstance(c_rows, GaugeRows) else GaugeRows(c_rows)).cleared
+    return _as_gauge_rows(c_rows).cleared
 
 
 def _times(rows, basis):
@@ -281,33 +311,31 @@ def _times(rows, basis):
     return [[sum(map(mul, row, v)) for v in basis] for row in rows]
 
 
-def _gauge_of(a, b, den, rounded: bool):
-    """Key and value of the exact gauge k -> max_i |c_i . k| of c = (a + b sqrt3) / den.
+def _column_gauges(a, b, den, rounded: bool) -> list:
+    """The exact gauges of the basis vectors: the column maxima of the reduced rows.
 
-    The key is the maximum before its division by den: an int for rational
-    rows, which sorts as the gauge does since den > 0, and for Q(sqrt3)
-    rows a pair (p, q) of ints standing for p + q sqrt3, whose signs are
-    decided in ints (see _zsqrt3_order). value divides it once into a
-    Fraction or a Quad3. Float rows key by the gauge itself: the exact
-    maximum divided once into a correctly rounded float, whatever the order
-    of the sums, since two maxima that round alike must sort by k.
+    A column of rational rows gives Fraction(max |a_ij|, den), of float rows
+    that maximum divided once by den into a correctly rounded float, and of
+    Q(sqrt3) rows a Quad3 from its Z[sqrt3] maximum (see _zsqrt3_max).
     """
+    if b is not None:
+        return [Quad3(Fraction(p, den), Fraction(q, den))
+                for p, q in map(_zsqrt3_max, zip(*a), zip(*b))]
+    maxima = [max(map(abs, col)) for col in zip(*a)]
     if rounded:
-        return (lambda k: max([abs(sum(map(mul, row, k))) for row in a]) / den), (lambda g: g)
-    if b is None:
-        return (lambda k: max([abs(sum(map(mul, row, k))) for row in a])), (lambda m: Fraction(m, den))
+        return [m / den for m in maxima]
+    return [Fraction(m, den) for m in maxima]
 
-    def key(k):
-        best = (0, 0)
-        for ra, rb in zip(a, b):
-            p, q = sum(map(mul, ra, k)), sum(map(mul, rb, k))
-            if zsqrt3_sign(p, q) < 0:
-                p, q = -p, -q
-            if zsqrt3_sign(p - best[0], q - best[1]) > 0:
-                best = (p, q)
-        return best
 
-    return key, lambda g: Quad3(Fraction(g[0], den), Fraction(g[1], den))
+def _zsqrt3_max(ps, qs) -> tuple:
+    """max_i |p_i + q_i sqrt3| as a pair of ints, the signs decided in ints."""
+    best = (0, 0)
+    for p, q in zip(ps, qs):
+        if zsqrt3_sign(p, q) < 0:
+            p, q = -p, -q
+        if zsqrt3_sign(p - best[0], q - best[1]) > 0:
+            best = (p, q)
+    return best
 
 
 @cmp_to_key
@@ -355,7 +383,7 @@ def _lll_unimodular(cols):
     lam = [[0] * n for _ in range(n)]
     for k in range(n):
         for j in range(k + 1):
-            acc = sum(p * q for p, q in zip(cols[k], cols[j]))
+            acc = sum(map(mul, cols[k], cols[j]))
             for i in range(j):
                 acc = (d[i + 1] * acc - lam[k][i] * lam[j][i]) // d[i]
             if j < k:
@@ -419,10 +447,15 @@ def _grid_points(rows, radius: float, box):
 
 @dataclass(frozen=True)
 class MinimaProfile:
-    """Successive minima values with independent witness coefficient vectors."""
+    """Successive minima values with independent witness coefficient vectors.
+
+    basis is the reduced basis the search ran in, a start for the searches
+    of the body's hyperbolic shifts; it takes no part in equality.
+    """
 
     values: tuple
     witnesses: tuple
+    basis: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.values) != len(self.witnesses):
@@ -441,13 +474,17 @@ def successive_minima(
     piped: Parallelepiped,
     lattice: Lattice | None = None,
     k_max: int | None = None,
+    *,
+    start=None,
 ) -> MinimaProfile:
     """First k_max successive minima of the lattice with respect to the body.
 
     Any j independent lattice vectors bound the j-th minimum, so the k_max-th
     smallest gauge among the reduced basis vectors sizes one dilate that holds
     every witness. That dilate is enumerated once, and an independent subset
-    is extracted greedily in (gauge, k) order.
+    is extracted greedily in (gauge, k) order. The reduction starts from the
+    basis `start` when one is given (see reduced_basis); the answer does not
+    depend on it.
     """
     d = piped.dimension
     if k_max is None:
@@ -455,9 +492,9 @@ def successive_minima(
     if not 1 <= k_max <= d:
         raise ValueError("k_max must lie in 1..dimension")
     rows = gauge_rows(piped, lattice)
-    basis = reduced_basis(rows)
-    key, value = _gauge_of(*_integer_rows(rows), piped.kind == "float")
-    radius = sorted(value(key(k)) for k in basis)[k_max - 1]
+    basis = reduced_basis(rows, start)
+    gauges = _column_gauges(*rows.times(basis), piped.kind == "float")
+    radius = sorted(gauges)[k_max - 1]
     span = RationalSpan(d)
     values = []
     witnesses = []
@@ -466,13 +503,13 @@ def successive_minima(
             values.append(gauge)
             witnesses.append(k)
             if len(values) == k_max:
-                return MinimaProfile(tuple(values), tuple(witnesses))
+                return MinimaProfile(tuple(values), tuple(witnesses), tuple(basis))
     raise EnumerationBudgetError(
         f"fewer than {k_max} independent lattice points found within the reduced-basis bound"
     )
 
 
-def first_minimum(piped: Parallelepiped, lattice: Lattice | None = None):
+def first_minimum(piped: Parallelepiped, lattice: Lattice | None = None, *, start=None):
     """The first minimum and one witness coefficient vector."""
-    profile = successive_minima(piped, lattice, 1)
+    profile = successive_minima(piped, lattice, 1, start=start)
     return profile.values[0], profile.witnesses[0]

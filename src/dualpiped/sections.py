@@ -25,8 +25,9 @@ whose integers fit one 64-bit word may have up to 18 nonzero coordinates.
 The section-dual body of Pi = A B_d collects the points A'z whose defining
 hyperplane cuts a unit-volume section out of Pi; its gauge at z works out to
 |w| / (2^{1-d} vol(w-section)) with w = A^T z / det A, a ratio in which the
-irrational |w| cancels, so exact scalar kinds stay exact. A and det A are
-kept once per body (`Parallelepiped.pullback`). For a det-normalized body the
+irrational |w| cancels, so exact scalar kinds stay exact. A^T and det A
+are kept once per body (`Parallelepiped.pullback`), and each sum A^T z is
+divided by det A after it is formed. For a det-normalized body the
 pseudo-compound's vertex H^T diag(eta*) sigma pulls back to w = +-sigma, so
 every such vertex has the cube's gauge at (1, ..., 1).
 """
@@ -177,8 +178,8 @@ def section_dual_gauge(piped: Parallelepiped, z: Sequence[Scalar]) -> Scalar:
     w = A^T z / det A and measured against the section-dual of the cube.
     Exact kinds return exact values; membership in the body is gauge <= 1.
     """
-    a, det = piped.pullback
-    w = tuple(x / det for x in a.transpose().matvec(tuple(z)))
+    a_t, det = piped.pullback
+    w = tuple(x / det for x in a_t.matvec(tuple(z)))
     return _wedge_gauge(w)
 
 
@@ -195,8 +196,8 @@ def first_minimum_section_dual(piped: Parallelepiped) -> Scalar:
     d = piped.dimension
     if not 2 <= d <= 6:
         raise ValueError("section-dual minimum supports dimensions 2 through 6")
-    a, det = piped.pullback
-    c_rows = GaugeRows(tuple(x / det for x in row) for row in a.transpose().rows)
+    a_t, det = piped.pullback
+    c_rows = GaugeRows(tuple(x / det for x in row) for row in a_t.rows)
     cmat = Matrix(c_rows)
     basis = reduced_basis(c_rows)
     radius = min(_wedge_gauge(cmat.matvec(k)) for k in basis)

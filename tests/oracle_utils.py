@@ -52,6 +52,38 @@ def brute_force_minima(piped, lattice, k_max, box=6):
     return values, witnesses
 
 
+class BareissSpan:
+    """The former RationalSpan: reference for the rank tracker of linalg.
+
+    Each vector is scaled to integers on entry and reduced fraction-free
+    against the stored rows (Bareiss 1968): r <- p r - a row for the pivot p
+    of a row and the entry a of r under it, then r is divided by its gcd.
+    """
+
+    def __init__(self, dim: int) -> None:
+        self.dim = dim
+        self._reduced = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._reduced)
+
+    def add(self, vec) -> bool:
+        scale = math.lcm(*(x.denominator for x in vec))
+        r = [x.numerator * (scale // x.denominator) for x in vec]
+        for piv, row in self._reduced:
+            a = r[piv]
+            if a:
+                p = row[piv]
+                r = [p * x - a * y for x, y in zip(r, row)]
+        piv = next((i for i, x in enumerate(r) if x), None)
+        if piv is None:
+            return False
+        g = math.gcd(*r)
+        self._reduced.append((piv, [x // g for x in r]))
+        return True
+
+
 def dilate_points_oracle(c_rows, mu, basis):
     """lattice_points_in_dilate by its definition, one candidate at a time.
 

@@ -2,9 +2,10 @@
 
 Seven gates, each with pinned tolerances: the exact three-dimensional
 witness, the second-minimum constant table, the cube section formulas
-against independent oracles, the randomized claim suite at seed 42, the
-enumeration engine against brute force, the exact structural identities,
-and the fixed points of the second-minimum root.
+against independent oracles, the randomized claim suite at seed 42 (float
+d=3-5 and exact d=3), the enumeration engine against brute force, the
+exact structural identities, and the fixed points of the second-minimum
+root.
 """
 import math
 import random
@@ -104,6 +105,15 @@ def test_randomized_claim_suite_zero_violations():
             assert summary.instances == 500
             assert summary.violations == 0, (d, summary.claim, summary.extremal_instance)
             assert summary.passes + summary.skips == 500
+    # the exact leg: an error in a trial would turn into a skip with a note
+    config = TrialConfig(dimension=3, trials=300, seed=42, mode="exact", tau_samples=8)
+    report = run_suite(config)
+    assert tuple(summary.claim for summary in report.claims) == ALL_CLAIMS
+    for summary in report.claims:
+        assert summary.instances == 300
+        assert summary.violations == 0, (summary.claim, summary.extremal_instance)
+        assert summary.passes + summary.skips == 300
+        assert summary.notes == (), (summary.claim, summary.notes[:3])
 
 
 def test_enumeration_matches_brute_force():

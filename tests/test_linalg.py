@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from dualpiped import minima
+from dualpiped.bodies import Parallelepiped
 from dualpiped.harness import TrialConfig, evaluate_trial
 from dualpiped.linalg import Matrix, RationalSpan, eliminate, monotone_root, zsqrt3_rows
+from dualpiped.minima import successive_minima
 from dualpiped.scalars import Quad3, SQRT3
 
 from oracle_utils import (
+    BareissSpan,
     SINGULAR_FLOAT_ROWS,
     field_det,
     field_inverse,
@@ -252,6 +256,46 @@ def test_rational_span_matches_fraction_rank():
             if expected:
                 kept.append(vec)
             assert span.rank == len(kept)
+
+
+def test_rational_span_matches_its_bareiss_version():
+    rng = random.Random(2468)
+    for trial in range(400):
+        d = 1 + trial % 8
+        exact = trial % 3 == 2
+
+        def entry():
+            if exact:
+                return Fraction(rng.randint(-7, 7), rng.randint(1, 9))
+            return rng.randint(-5, 5)
+
+        span, reference = RationalSpan(d), BareissSpan(d)
+        kept = []
+        for _ in range(3 * d + 2):
+            roll = rng.random()
+            if kept and roll < 0.4:
+                # a planted dependency: a combination of vectors fed before
+                coeffs = [entry() for _ in kept]
+                vec = [sum(c * v[i] for c, v in zip(coeffs, kept)) for i in range(d)]
+            elif roll < 0.5:
+                vec = [0 * entry()] * d
+            else:
+                vec = [entry() for _ in range(d)]
+            accepted = span.add(tuple(vec))
+            assert accepted == reference.add(tuple(vec))
+            assert span.rank == reference.rank
+            kept.append(vec)
+
+
+def test_cube_profile_matches_the_bareiss_tracker(monkeypatch):
+    # all 3^10 - 1 nonzero points of the box have gauge 1, so the greedy
+    # extraction runs through thousands of dependent points
+    cube = Parallelepiped.cube(10)
+    profile = successive_minima(cube)
+    monkeypatch.setattr(minima, "RationalSpan", BareissSpan)
+    reference = successive_minima(cube)
+    assert profile.values == reference.values == (1,) * 10
+    assert profile.witnesses == reference.witnesses
 
 
 def test_monotone_root_float():

@@ -146,9 +146,9 @@ def test_each_search_enumerates_once(monkeypatch):
         calls.append(mu)
         return lattice_points_in_dilate(c_rows, mu, basis)
 
-    def counting_reduction(c_rows):
+    def counting_reduction(c_rows, start):
         reductions.append(c_rows)
-        return reduction(c_rows)
+        return reduction(c_rows, start)
 
     reduction = minima._reduction_transform
     monkeypatch.setattr(minima, "lattice_points_in_dilate", counting)

@@ -302,9 +302,9 @@ def test_family_claims_by_homogeneity_match_the_normalized_shift(monkeypatch, d,
         expected = [normalized_family(piped, directions, mode) for mode in ("plain", "sharp")]
         calls = []
 
-        def counted(shifted):
+        def counted(shifted, **options):
             calls.append(shifted.kind)
-            return first_minimum(shifted)
+            return first_minimum(shifted, **options)
 
         with monkeypatch.context() as patch:
             patch.setattr(transference, "first_minimum", counted)
@@ -316,6 +316,44 @@ def test_family_claims_by_homogeneity_match_the_normalized_shift(monkeypatch, d,
         for report, (status, margin) in zip(reports, expected):
             assert report.status == status
             assert abs(report.margin - margin) <= 1e-12
+
+
+def generic_body(rng, d, kind):
+    """A body with non-integer forms of determinant 1: U diag(s) V, with s in pairs q, 1/q."""
+    scales = [Fraction(1)] * d
+    for i in range(0, d - 1, 2):
+        q = Fraction(rng.randint(2, 5), rng.randint(2, 5))
+        scales[i:i + 2] = [q, 1 / q]
+    diagonal = Matrix.diagonal(scales)
+    forms = random_unimodular(rng, d, ops=2 * d).matmul(diagonal).matmul(random_unimodular(rng, d, ops=2 * d))
+    eta = tuple(Fraction(rng.randint(2, 9), rng.randint(1, 4)) for _ in range(d))
+    body = Parallelepiped(forms, eta)
+    return body.to_float() if kind == "float" else body
+
+
+@pytest.mark.parametrize("kind", ["float", "exact"])
+def test_family_warm_start_matches_cold_searches_on_generic_bodies(monkeypatch, kind):
+    # each shifted search starts from the body's reduced basis; a cold
+    # search of the same shift must give the same minimum and witness
+    rng = random.Random(f"warm-start-{kind}")
+    for d in range(2, 7):
+        for _ in range(2):
+            piped = generic_body(rng, d, kind)
+            directions = sample_directions(rng, d, 4) + [
+                (1e-200,) + (1.0,) * (d - 1),
+                (1.0, 1e6) + (1.0,) * (d - 2),
+            ]
+            warm = check_claims(piped, ("FAM", "FAMSHARP"), directions=directions)
+            with monkeypatch.context() as patch:
+                patch.setattr(transference, "first_minimum",
+                              lambda shifted, **options: first_minimum(shifted))
+                cold = check_claims(piped, ("FAM", "FAMSHARP"), directions=directions)
+            assert warm == cold
+            body = det_normalized(piped)
+            start = successive_minima(body).basis
+            for raw in directions:
+                shifted = apply_hyperbolic(body, raw if kind == "float" else tuple(map(Fraction, raw)))
+                assert first_minimum(shifted, start=start) == first_minimum(shifted)
 
 
 def test_family_directions_must_be_finite():
