@@ -1,4 +1,4 @@
-"""Lattices and parallelepipeds, their duals, and a plain-text file format.
+"""Lattices and parallelepipeds, the pseudo-compound, and a plain-text file format.
 
 A parallelepiped is stored by its defining forms: row i of `forms` is the
 linear form h_i and membership means |h_i(z)| <= bounds[i] for every i.
@@ -63,16 +63,8 @@ class Lattice:
     def kind(self) -> str:
         return self.basis.kind
 
-    def covolume(self) -> Scalar:
-        return abs(self.basis.det())
-
     def to_float(self) -> "Lattice":
         return Lattice(self.basis.to_float())
-
-
-def dual_lattice(lat: Lattice) -> Lattice:
-    """Basis of the dual: inverse transpose, so <b_i, b*_j> = delta_ij."""
-    return Lattice(lat.basis.inverse().transpose())
 
 
 @dataclass(frozen=True)
@@ -98,13 +90,6 @@ class Parallelepiped:
         one = 1.0 if kind == "float" else Fraction(1)
         return cls(Matrix.identity(d, kind=kind), (one,) * d)
 
-    @classmethod
-    def axis_box(cls, eta: Sequence[Scalar]) -> "Parallelepiped":
-        kind = "float" if any(isinstance(e, float) for e in eta) else (
-            "quad3" if any(isinstance(e, Quad3) for e in eta) else "rational"
-        )
-        return cls(Matrix.identity(len(eta), kind=kind), tuple(eta))
-
     @property
     def dimension(self) -> int:
         return self.forms.dim
@@ -129,12 +114,6 @@ class Parallelepiped:
                 best = g
         return best
 
-    def contains(self, x: Sequence[Scalar], dilate: Scalar = 1) -> bool:
-        return self.gauge(x) <= dilate
-
-    def contains_interior(self, x: Sequence[Scalar], dilate: Scalar = 1) -> bool:
-        return self.gauge(x) < dilate
-
     def volume(self) -> Scalar:
         d = self.dimension
         prod = self.bounds[0]
@@ -147,10 +126,6 @@ class Parallelepiped:
         if scalar_sign(t) <= 0:
             raise ValueError("scale factor must be positive")
         return Parallelepiped(self.forms, tuple(t * e for e in self.bounds))
-
-    def apply_linear(self, t: Matrix) -> "Parallelepiped":
-        """The image T(Pi): forms become H T^{-1}, bounds stay."""
-        return Parallelepiped(self.forms.matmul(t.inverse()), self.bounds)
 
     def to_float(self) -> "Parallelepiped":
         return Parallelepiped(self.forms.to_float(), tuple(float(e) for e in self.bounds))

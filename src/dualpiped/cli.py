@@ -6,6 +6,7 @@ certificate, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -76,15 +77,32 @@ def _cmd_cd(args) -> int:
     return 0
 
 
-def _cmd_section(args) -> int:
-    tokens = [t.strip() for t in args.direction.split(",") if t.strip()]
+def _parse_direction(text: str) -> tuple:
+    """Comma-separated coordinates, all floats if one has a point or an exponent, else rationals.
+
+    Every coordinate is read in that one kind and must be a finite number of
+    it; the first that is not is named.
+    """
+    tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
         raise ValueError("--direction needs at least one coordinate")
     is_float = any("." in t or "e" in t.lower() for t in tokens)
-    if is_float:
-        direction = tuple(float(t) for t in tokens)
-    else:
-        direction = tuple(Fraction(t) for t in tokens)
+    direction = []
+    for i, token in enumerate(tokens, start=1):
+        try:
+            value = float(token) if is_float else Fraction(token)
+            finite = not is_float or math.isfinite(value)
+        except (ValueError, ZeroDivisionError):
+            finite = False
+        if not finite:
+            kind = "float" if is_float else "rational"
+            raise ValueError(f"--direction coordinate {i} is {token!r}, not a finite {kind}")
+        direction.append(value)
+    return tuple(direction)
+
+
+def _cmd_section(args) -> int:
+    direction = _parse_direction(args.direction)
     d = len(direction)
     if args.dim is not None and args.dim != d:
         raise ValueError("--dim disagrees with the direction length")

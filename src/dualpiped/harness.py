@@ -22,7 +22,6 @@ from .bodies import Parallelepiped, pseudo_compound
 from .linalg import Matrix
 from .minima import first_minimum
 from .scalars import REL_SLACK, STRICT_DELTA
-from .sections import v_tau
 from .transference import ALL_CLAIMS, check_claims, sample_directions
 
 _MODES = ("float", "exact")
@@ -121,7 +120,8 @@ def evaluate_trial(config: TrialConfig, index: int) -> TrialOutcome:
     try:
         piped = gen_instance(config.dimension, trial_seed, mode=config.mode)
         directions = sample_directions(rng, config.dimension, config.tau_samples)
-        v_values = tuple(float(v_tau(raw)) for raw in directions)
+        # v_tau rounded once, from the square that FAMSHARP reads too
+        v_values = tuple(math.sqrt(raw.v_squared) for raw in directions)
         reports = tuple(check_claims(piped, config.claims, directions=directions))
         return TrialOutcome(index, identifier, reports, None, v_values)
     except (ValueError, RuntimeError) as exc:

@@ -152,29 +152,6 @@ class Matrix:
             object.__setattr__(self, "_inverse", Matrix(rows))
         return self._inverse
 
-    def cofactor(self) -> "Matrix":
-        """M' with M (M')^T = (det M) I; equals (det M)(M^T)^{-1} when invertible."""
-        det = self.det()
-        if scalar_sign(det) != 0:
-            return self.inverse().transpose().scale(det)
-        return self._cofactor_minors()
-
-    def _cofactor_minors(self) -> "Matrix":
-        d = self.dim
-        out = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                minor = [
-                    [self.rows[r][c] for c in range(d) if c != j]
-                    for r in range(d)
-                    if r != i
-                ]
-                sub = Matrix(minor).det()
-                row.append(sub if (i + j) % 2 == 0 else -sub)
-            out.append(row)
-        return Matrix(out)
-
     # 1.0 == Fraction(1), so a float matrix and its exact twin would compare
     # and hash alike by entries alone; exact kinds still compare by value
     def __eq__(self, other: object) -> bool:

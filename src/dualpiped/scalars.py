@@ -148,9 +148,6 @@ class Quad3:
         return format_scalar(self)
 
 
-SQRT3 = Quad3(0, 1)
-
-
 def quad_sign(x: Quad3 | Fraction | int) -> int:
     """Exact sign of a + b*sqrt3 decided by rational comparisons only."""
     if not isinstance(x, Quad3):

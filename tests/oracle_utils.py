@@ -1,4 +1,4 @@
-"""Brute-force reference implementations used only by the test suite."""
+"""Brute-force reference implementations and paper constructions used only by the test suite."""
 import itertools
 import math
 from dataclasses import dataclass
@@ -7,8 +7,11 @@ from typing import Sequence
 
 import numpy as np
 
-from dualpiped.linalg import Matrix, RationalSpan
-from dualpiped.scalars import Quad3, scalar_sign, sqrt_exact, widen
+from dualpiped.bodies import Lattice, Parallelepiped
+from dualpiped.linalg import Matrix, RationalSpan, monotone_root
+from dualpiped.scalars import Quad3, exact_nth_root, float_leq, scalar_sign, sqrt_exact, widen
+from dualpiped.sections import v_tau_squared
+from dualpiped.transference import c_d
 
 
 def random_unimodular(rng, d, ops=None):
@@ -418,3 +421,161 @@ def _column_hnf(cols, d: int) -> tuple:
                 cols[j] = [a - q * b for a, b in zip(cols[j], cols[placed])]
         placed += 1
     return tuple(tuple(c) for c in cols)
+
+
+# ---------------------------------------------------------------------------
+# paper constructions that only the tests check; the library does not need them
+
+SQRT3 = Quad3(0, 1)
+
+
+def cofactor(m: Matrix) -> Matrix:
+    """M' with M (M')^T = (det M) I; equals (det M)(M^T)^{-1} when invertible."""
+    det = m.det()
+    if scalar_sign(det) != 0:
+        return m.inverse().transpose().scale(det)
+    return _cofactor_minors(m)
+
+
+def _cofactor_minors(m: Matrix) -> Matrix:
+    d = m.dim
+    out = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            minor = [
+                [m.rows[r][c] for c in range(d) if c != j]
+                for r in range(d)
+                if r != i
+            ]
+            sub = Matrix(minor).det()
+            row.append(sub if (i + j) % 2 == 0 else -sub)
+        out.append(row)
+    return Matrix(out)
+
+
+def covolume(lat: Lattice):
+    return abs(lat.basis.det())
+
+
+def dual_lattice(lat: Lattice) -> Lattice:
+    """Basis of the dual: inverse transpose, so <b_i, b*_j> = delta_ij."""
+    return Lattice(lat.basis.inverse().transpose())
+
+
+def axis_box(eta: Sequence) -> Parallelepiped:
+    kind = "float" if any(isinstance(e, float) for e in eta) else (
+        "quad3" if any(isinstance(e, Quad3) for e in eta) else "rational"
+    )
+    return Parallelepiped(Matrix.identity(len(eta), kind=kind), tuple(eta))
+
+
+def contains(piped: Parallelepiped, x: Sequence, dilate=1) -> bool:
+    return piped.gauge(x) <= dilate
+
+
+def contains_interior(piped: Parallelepiped, x: Sequence, dilate=1) -> bool:
+    return piped.gauge(x) < dilate
+
+
+def apply_linear(piped: Parallelepiped, t: Matrix) -> Parallelepiped:
+    """The image T(Pi): forms become H T^{-1}, bounds stay."""
+    return Parallelepiped(piped.forms.matmul(t.inverse()), piped.bounds)
+
+
+def khintchine_pair(theta: Sequence):
+    """Dual form matrices (F, G) of the two classical approximation problems.
+
+    Row i of F is x_i - theta_i x_{n+1} (last row x_{n+1}); row i of G is x_i
+    (last row theta.x + x_{n+1}). Always F^T G = I, exactly.
+    """
+    n = len(theta)
+    if n < 1:
+        raise ValueError("need at least one coefficient")
+    is_float = any(isinstance(t, float) for t in theta)
+    one = 1.0 if is_float else Fraction(1)
+    zero = 0.0 if is_float else Fraction(0)
+    f_rows = []
+    g_rows = []
+    for i in range(n):
+        f_row = [zero] * (n + 1)
+        f_row[i] = one
+        f_row[n] = -theta[i] if is_float else -Fraction(theta[i]) if isinstance(theta[i], int) else -theta[i]
+        f_rows.append(f_row)
+        g_row = [zero] * (n + 1)
+        g_row[i] = one
+        g_rows.append(g_row)
+    f_rows.append([zero] * n + [one])
+    g_rows.append(list(theta) + [one])
+    return Matrix(f_rows), Matrix(g_rows)
+
+
+def mahler_dual_box(lam: Sequence, det):
+    """Mahler's dual bounds: lam_bar = (|D| prod lam)^{1/(d-1)}, (d-1)lam_bar/lam_i.
+
+    Exact inputs stay exact when the root does; otherwise floats are returned.
+    """
+    d = len(lam)
+    if d < 2:
+        raise ValueError("need at least two bounds")
+    if scalar_sign(det) == 0:
+        raise ValueError("determinant must be nonzero")
+    if any(scalar_sign(x) <= 0 for x in lam):
+        raise ValueError("all bounds must be positive")
+    prod = abs(det)
+    for x in lam:
+        prod = prod * x
+    if isinstance(prod, float):
+        lam_bar = prod ** (1.0 / (d - 1))
+    else:
+        lam_bar = exact_nth_root(prod, d - 1)
+        if lam_bar is None:
+            lam_bar = float(prod) ** (1.0 / (d - 1))
+    if isinstance(lam_bar, float):
+        return lam_bar, tuple((d - 1) * lam_bar / float(x) for x in lam)
+    return lam_bar, tuple((d - 1) * lam_bar / x for x in lam)
+
+
+def hyperbolic_map(piped: Parallelepiped, tau: Sequence) -> Matrix:
+    """The shift A^{-1} diag(tau) A in the parallelepiped's eigenbasis A = diag(1/eta)H."""
+    d = piped.dimension
+    if len(tau) != d:
+        raise ValueError("tau length must equal the dimension")
+    a = Matrix.diagonal(tuple(1 / e for e in piped.bounds)).matmul(piped.forms)
+    return a.inverse().matmul(Matrix.diagonal(tuple(tau))).matmul(a)
+
+
+def on_surface(tau: Sequence, mode: str = "plain") -> bool:
+    """Whether sum tau^2 = v^2 prod tau^2 (v = 1, or v_tau when sharp), exactly or within REL_SLACK."""
+    if mode not in ("plain", "sharp"):
+        raise ValueError("mode must be plain or sharp")
+    if any(scalar_sign(t) <= 0 for t in tau):
+        return False
+    if any(isinstance(t, float) for t in tau):
+        tau = tuple(float(t) for t in tau)
+        v2 = 1.0 if mode == "plain" else float(v_tau_squared(tau))
+    else:
+        tau = [Fraction(t) if isinstance(t, int) else t for t in tau]
+        v2 = 1 if mode == "plain" else v_tau_squared(tau)
+    sum_sq = sum(t * t for t in tau)
+    target = v2 * math.prod(tau) ** 2
+    if isinstance(target, float):
+        return float_leq(sum_sq, target) and float_leq(target, sum_sq)
+    return sum_sq == target
+
+
+def t2_root(t1: float, d: int) -> float:
+    """Positive root t of t1^2 t^{2(d-1)} = t1^2 + (d-1)t^2; decreasing in t1."""
+    if d < 3:
+        raise ValueError("the root equation degenerates below dimension 3")
+    t1 = float(t1)
+    if t1 < 1.0:
+        raise ValueError("t1 must be at least 1")
+    t1_sq = t1 * t1
+    # at t1 = 1 the root sits exactly on c_d^2; inflate the bracket end so
+    # float rounding cannot lose the sign change
+    hi = c_d(d) ** 2 * (1 + 1e-9)
+    root = monotone_root(
+        lambda s: t1_sq * s ** (d - 1) - (d - 1) * s - t1_sq, 1.0, hi
+    )
+    return math.sqrt(root)

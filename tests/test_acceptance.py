@@ -14,20 +14,24 @@ from fractions import Fraction
 
 import pytest
 
-from dualpiped.bodies import Lattice, Parallelepiped, dual_lattice, pseudo_compound
+from dualpiped.bodies import Lattice, Parallelepiped, pseudo_compound
 from dualpiped.harness import TrialConfig, run_suite
 from dualpiped.linalg import Matrix
 from dualpiped.minima import successive_minima
 from dualpiped.scalars import REL_SLACK, Quad3
 from dualpiped.sections import cube_section_volume, v_tau
-from dualpiped.transference import ALL_CLAIMS, c_d, hyperbolic_map, khintchine_pair, t2_root
+from dualpiped.transference import ALL_CLAIMS, c_d
 from dualpiped.witness import sharpness_report
 
 from oracle_utils import (
     brute_force_minima,
+    dual_lattice,
+    hyperbolic_map,
+    khintchine_pair,
     monte_carlo_section_volume,
     random_unimodular,
     section3_area,
+    t2_root,
 )
 
 

@@ -128,6 +128,17 @@ def test_section_command(capsys):
     assert main(["section", "--dim", "4", "--direction", "1,1,1"]) == 2
     assert main(["section", "--direction", "0,0"]) == 2
     assert main(["section", "--direction", "1e999,1,1"]) == 2
+    # every coordinate is read by one rule, and the one that fails is named
+    capsys.readouterr()
+    for direction, message in (
+        ("1/0,1", "coordinate 1 is '1/0', not a finite rational"),
+        ("1,inf", "coordinate 2 is 'inf', not a finite rational"),
+        ("1.0,1,nan", "coordinate 3 is 'nan', not a finite float"),
+        ("1,1e999", "coordinate 2 is '1e999', not a finite float"),
+        ("0.5,1/2", "coordinate 2 is '1/2', not a finite float"),
+    ):
+        assert main(["section", "--direction", direction]) == 2
+        assert message in capsys.readouterr().err
     # 2^40 sign patterns: refused before any work starts
     assert main(["section", "--direction", ",".join(["1"] * 40)]) == 2
     # 2^16 sign patterns of 301-bit integers: refused by their bits

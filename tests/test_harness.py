@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualpiped import sections, transference
 from dualpiped.bodies import pseudo_compound
 from dualpiped.harness import (
     TrialConfig,
@@ -127,6 +128,50 @@ def test_t7_skips_on_second_witness_form():
     (report,) = check_claims(piped, ("T7",), directions=directions)
     assert report.status == "skip"
     assert report.hypothesis is False
+
+
+def counting(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records the arguments of each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_trial_derives_its_values_once(monkeypatch):
+    # 8 section ratios serve both FAMSHARP and the v_tau range; C12 takes one
+    # and WM six (five basis vectors and the one point of its box); a claim
+    # filter makes only the profile searches that its claims read
+    ratios = counting(monkeypatch, sections, "_section_ratio")
+    searches = counting(monkeypatch, transference, "successive_minima")
+    for claims, ratio_calls, search_calls in (
+        (None, 15, 2), (("FAM",), 8, 1), (("FAMSHARP",), 8, 1), (("C12",), 9, 0),
+    ):
+        options = {} if claims is None else {"claims": claims}
+        config = TrialConfig(dimension=5, trials=3, seed=1, **options)
+        for index in range(config.trials):
+            ratios.clear()
+            searches.clear()
+            outcome = evaluate_trial(config, index)
+            assert outcome.error is None
+            assert (len(ratios), len(searches)) == (ratio_calls, search_calls)
+            # each profile search is made on the body alone, as the benchmark's trace expects
+            assert all(len(args) == 1 for args in searches)
+    monkeypatch.undo()
+    # the v_tau range reads the square that FAMSHARP reads, rounded once
+    for mode, dimension in (("float", 5), ("exact", 3)):
+        config = TrialConfig(dimension=dimension, trials=2, seed=1, mode=mode)
+        for index in range(config.trials):
+            outcome = evaluate_trial(config, index)
+            rng = random.Random((config.seed * 1_000_003 + index) ^ 0x5DEECE66D)
+            directions = sample_directions(rng, dimension, config.tau_samples)
+            expected = tuple(float(sections.v_tau(tuple(raw))) for raw in directions)
+            assert outcome.v_values == expected
 
 
 def test_emit_report_formats():

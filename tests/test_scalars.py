@@ -6,7 +6,6 @@ import pytest
 
 from dualpiped.scalars import (
     REL_SLACK,
-    SQRT3,
     STRICT_DELTA,
     Quad3,
     exact_nth_root,
@@ -20,6 +19,8 @@ from dualpiped.scalars import (
     widen,
     zsqrt3_sign,
 )
+
+from oracle_utils import SQRT3
 
 
 def test_quad_sign_frozen_cases():

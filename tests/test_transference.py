@@ -15,16 +15,20 @@ from dualpiped.transference import (
     apply_hyperbolic,
     c_d,
     check_claims,
+    normalize_tau,
+    sample_directions,
+)
+
+from oracle_utils import (
+    apply_linear,
     hyperbolic_map,
     khintchine_pair,
     mahler_dual_box,
-    normalize_tau,
     on_surface,
-    sample_directions,
+    random_unimodular,
     t2_root,
+    tau_vertex,
 )
-
-from oracle_utils import random_unimodular, tau_vertex
 
 
 def test_khintchine_pair_frozen():
@@ -96,7 +100,7 @@ def test_apply_hyperbolic_matches_linear_action():
         shortcut = apply_hyperbolic(piped, tau)
         assert shortcut.forms == piped.forms
         assert shortcut.bounds == tuple(t * e for t, e in zip(tau, eta))
-        moved = piped.apply_linear(hyperbolic_map(piped, tau))
+        moved = apply_linear(piped, hyperbolic_map(piped, tau))
         # the two descriptions name the same body: equal gauges everywhere
         for _ in range(5):
             x = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d))
@@ -217,6 +221,18 @@ def test_check_claims_on_cube():
         assert by_id["C12"].status == "pass"
         assert by_id["FAM"].status == "pass"
         assert by_id["FAMSHARP"].status == "pass"
+
+
+def test_family_claims_skip_without_directions():
+    # a family claim that sampled no direction has checked nothing
+    cube = Parallelepiped.cube(3)
+    fam, famsharp, c12 = check_claims(cube, ("FAM", "FAMSHARP", "C12"), directions=[])
+    for report in (fam, famsharp):
+        assert report.status == "skip"
+        assert report.hypothesis is None
+        assert report.margin is None
+        assert "no direction" in report.detail
+    assert c12.status == "pass"
 
 
 def test_check_claims_deterministic_and_filterable():
