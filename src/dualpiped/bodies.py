@@ -100,9 +100,10 @@ class Parallelepiped:
 
     @cached_property
     def pullback(self) -> tuple:
-        """A^T and det A for A = H^{-1} diag(eta), so that Pi = A B_d; computed once per body."""
+        """Rows of A^T / det A, for Pi = A B_d with A = H^{-1} diag(eta); kept once per body."""
         a = self.forms.inverse().matmul(Matrix.diagonal(self.bounds))
-        return a.transpose(), a.det()
+        det = a.det()
+        return tuple(tuple(x / det for x in row) for row in a.transpose().rows)
 
     def gauge(self, x: Sequence[Scalar]) -> Scalar:
         """Minkowski functional: max_i |h_i(x)| / eta_i."""

@@ -15,7 +15,7 @@ from .harness import TrialConfig, VerificationReport, emit_report, run_suite
 from .minima import EnumerationBudgetError, successive_minima
 from .scalars import format_scalar
 from .sections import cube_section_volume, v_tau
-from .transference import ALL_CLAIMS, c_d
+from .transference import ALL_CLAIMS, CD_MAX_DIM, c_d
 from .witness import CertificateError, format_sharpness_report, sharpness_report
 
 
@@ -57,8 +57,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_cd(args) -> int:
-    if args.dmax < args.dmin:
-        raise ValueError("--dmax must not be below --dmin")
+    if not 3 <= args.dmin <= args.dmax <= CD_MAX_DIM:
+        raise ValueError(f"need 3 <= --dmin <= --dmax; c_d supports dimensions 3 through {CD_MAX_DIM}")
     rows = []
     for d in range(args.dmin, args.dmax + 1):
         value = c_d(d)

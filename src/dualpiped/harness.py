@@ -45,8 +45,6 @@ class TrialConfig:
             raise ValueError("trials must be nonnegative")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
-        if self.mode == "exact" and self.dimension != 3:
-            raise ValueError("exact mode keeps enumeration tractable only in dimension 3")
         object.__setattr__(self, "claims", tuple(self.claims))
         unknown = [c for c in self.claims if c not in ALL_CLAIMS]
         if unknown or not self.claims:

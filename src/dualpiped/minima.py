@@ -5,17 +5,18 @@ the gauge of the lattice point Bk under a parallelepiped (H, eta) is the sup
 norm of C k where C = diag(1/eta) H B. Enumeration reports one canonical
 representative per antipodal pair (first nonzero coordinate positive) and
 never reports the origin. Points are ordered by (gauge, coefficient vector),
-with exact lexicographic tie-breaking, so results are deterministic. One
-float search, a numpy grid over the canonical half of the exact coefficient
-box, serves every scalar kind and only proposes points; each is decided by
-its exact gauge, and float gauges are exact dyadic gauges rounded once.
-Rational and float rows decide their candidates as arrays, by one exact
-integer matmul, in int64 where a bound proves it exact and over Python ints
-otherwise. A box of more than GRID_CELL_CAP cells is refused before the
-grid is built. Each search runs in the coordinates of an exact LLL
-reduction of its rows, which may start from a given basis: a body's
-hyperbolic shifts start from the body's own reduced basis. No answer
-depends on the basis, only the size of the box does.
+with exact lexicographic tie-breaking, so results are deterministic. Every
+scalar kind is searched in one exact arithmetic: a float is the dyadic
+rational it stores, so float rows keep, order and measure their points as
+their exact twins do, and only successive_minima rounds, once, the values of
+a float body. A numpy grid over the canonical half of the exact coefficient
+box only proposes points. Rational and float rows decide their candidates
+as arrays, by one exact integer matmul, in int64 where a bound proves it
+exact and over Python ints otherwise. A box of more than GRID_CELL_CAP
+cells is refused before the grid is built. Each search runs in the
+coordinates of an exact LLL reduction of its rows, which may start from a
+given basis: a body's hyperbolic shifts start from the body's own reduced
+basis. No answer depends on the basis, only the size of the box does.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .bodies import Lattice, Parallelepiped
 from .linalg import Matrix, RationalSpan, eliminate, integer_rows, zsqrt3_rows
-from .scalars import Quad3, scalar_floor, scalar_sign, widen, zsqrt3_parts, zsqrt3_sign
+from .scalars import Quad3, exact_scalar, scalar_floor, scalar_sign, zsqrt3_parts, zsqrt3_sign
 
 _SQRT3 = math.sqrt(3.0)
 GRID_CELL_CAP = 2_000_000
@@ -96,26 +97,26 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     no reduction), on a float snapshot of the reduced rows of any kind: a
     numpy grid over the exact box, refused with EnumerationBudgetError when
     the box has more than GRID_CELL_CAP cells. The grid only proposes
-    candidates. Each is kept iff its exact gauge is at most the limit, mu
-    for exact rows and widen(mu) for float rows, and then mapped back, so
-    no point or bit depends on the snapshot. The reduced rows, kept for
-    the basis by GaugeRows.times, are exact integer rows over one
-    denominator den, or for Q(sqrt3) rows pairs of integer rows in
+    candidates. Each is kept iff its exact gauge is at most mu, read exactly
+    for every kind (a float is the dyadic rational it stores), and then
+    mapped back, so no point or bit depends on the snapshot. The reduced
+    rows, kept for the basis by GaugeRows.times, are exact integer rows over
+    one denominator den, or for Q(sqrt3) rows pairs of integer rows in
     Z[sqrt3]; only the box of Q(sqrt3) rows is still a field inverse.
 
-    Rational and float rows decide all candidates at once. Their keys
-    max_i |a_i . k| are one integer matmul by the reduced rows a (see
-    _exact_product), one comparison tests them against the limit times den,
-    or, for float rows, divides them once by den into correctly rounded
-    gauges and compares those with the limit. One more matmul by the basis
-    maps the kept points back, array operations flip them to their
-    canonical sign, and one sort orders them by (key, k), which is the
-    (gauge, k) order since den > 0. Q(sqrt3) rows decide their candidates
-    one by one in Z[sqrt3] ints (see _quadratic_points).
+    Rational and float rows decide all candidates at once, by one rule.
+    Their integer keys m = max_i |a_i . k| are one integer matmul by the
+    reduced rows a (see _exact_product), and a candidate is kept iff
+    m <= floor(mu den). One more matmul by the basis maps the kept points
+    back, array operations flip them to their canonical sign, and one sort
+    orders them by (m, k), which is the (gauge, k) order since den > 0; each
+    gauge is the exact Fraction(m, den), float rows included. Q(sqrt3) rows
+    decide their candidates one by one in Z[sqrt3] ints (see
+    _quadratic_points).
 
-    The candidates hold every point within the limit. Rows of every kind
-    are taken exactly (a float is dyadic; see _integer_rows), so such a
-    point has |k_j| <= b_j, the box of their exact inverse at the limit.
+    The candidates hold every point within mu. Rows of every kind are taken
+    exactly (see _integer_rows), so such a point has |k_j| <= b_j, the box
+    of their exact inverse at mu.
     The snapshot is of the reduced rows times the power of two that brings
     the largest entry near 1, so none overflows. A snapshot entry s of a
     scaled entry x is off by at most 2^-53 w: w = |s| for a rational x,
@@ -124,8 +125,8 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     to four roundings in the subnormal range. A float row times k adds at
     most gamma_d sum_j |s_ij| b_j: products by integers, and sums that land
     in the subnormal range, are exact. The search radius adds twice both
-    bounds, and twice the rounding of the limit itself, to the scaled
-    limit; the second half is room for the float sums that form the radius,
+    bounds, and twice the rounding of mu itself, to the scaled mu; the
+    second half is room for the float sums that form the radius,
     and any extra candidate it admits fails its exact gauge.
     """
     d = len(c_rows)
@@ -133,10 +134,8 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
         raise ValueError("c_rows must be square")
     if scalar_sign(mu) <= 0:
         return []
-    is_float = isinstance(c_rows[0][0], float)
-    limit = widen(float(mu)) if is_float else mu
     a, b, den = _as_gauge_rows(c_rows).times(basis)
-    scaled_mu = _exact(limit) * den
+    scaled_mu = exact_scalar(mu) * den
     box = _box(a, b, scaled_mu)
     cells = math.prod(2 * bj + 1 for bj in box)
     if cells > GRID_CELL_CAP:
@@ -162,37 +161,27 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
         sum((w + 2.0**-1020 + (d + 1) * abs(s)) * bj for w, s, bj in zip(ws, ss, box))
         for ws, ss in zip(weights, snapshot)
     )
-    scaled_limit = _exact(limit) * shift
-    radius = float(scaled_limit) + 2.0**-52 * (
-        spread + _error_weight(scaled_limit, float(scaled_limit))
+    shifted_mu = exact_scalar(mu) * shift
+    radius = float(shifted_mu) + 2.0**-52 * (
+        spread + _error_weight(shifted_mu, float(shifted_mu))
     )
     candidates = _grid_points(snapshot, radius, box)
     if b is not None:
         return _quadratic_points(candidates.tolist(), a, b, den, scaled_mu, basis)
     m = np.abs(_exact_product(candidates, a, box)).max(axis=1)
-    if is_float:
-        # numpy's int64 division rounds m once to a double and divides by
-        # den, a power of two below 2^62, exactly; Python ints divide exactly
-        # and round once
-        key = (m if den < 2**62 else m.astype(object)) / den
-        keep = key <= limit
-    else:
-        key = m
-        num, div = scaled_mu.as_integer_ratio()
-        keep = m <= num // div
+    num, div = scaled_mu.as_integer_ratio()
+    keep = m <= num // div
     k = _exact_product(candidates[keep], tuple(zip(*basis)), box)
-    key = key[keep]
-    del candidates, m, keep  # before the lists are built: they set the peak on large boxes
+    m = m[keep]
+    del candidates, keep  # before the lists are built: they set the peak on large boxes
     lead = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
     k[lead < 0] *= -1
-    order = np.lexsort((*k.T[::-1], key))
-    key = key[order].tolist()
+    order = np.lexsort((*k.T[::-1], m))
+    m = m[order].tolist()
     # one list per coordinate, not per point: zip then builds each point's tuple
     k = k[order].T.tolist()
-    if not is_float:
-        fractions = {g: Fraction(g, den) for g in set(key)}
-        key = [fractions[g] for g in key]
-    return list(zip(key, zip(*k)))
+    gauges = {g: Fraction(g, den) for g in set(m)}
+    return list(zip(map(gauges.__getitem__, m), zip(*k)))
 
 
 def _exact_product(k, rows, box):
@@ -209,10 +198,10 @@ def _exact_product(k, rows, box):
 
 
 def _quadratic_points(candidates, a, b, den, scaled_mu, basis) -> list:
-    """The (gauge, k) of the candidates of Q(sqrt3) rows within the limit, one by one.
+    """The (gauge, k) of the candidates of Q(sqrt3) rows within mu, one by one.
 
     Each gauge is a pair of ints in Z[sqrt3] (see _zsqrt3_max), compared
-    with the limit times den by an integer sign.
+    with mu times den by an integer sign.
     """
     p, q, r = zsqrt3_parts(scaled_mu)
     u = tuple(zip(*basis))  # row-major, the basis vectors as columns
@@ -248,7 +237,7 @@ def _box(a, b, mu) -> list:
 def dilate_box(c_rows, mu) -> list:
     """The coefficient box floor(mu * l1 norm of each row of c_rows^-1), exact."""
     a, b, den = _integer_rows(c_rows)
-    return _box(a, b, _exact(mu) * den)
+    return _box(a, b, exact_scalar(mu) * den)
 
 
 def _reduction_transform(c_rows, start) -> tuple:
@@ -311,20 +300,16 @@ def _times(rows, basis):
     return [[sum(map(mul, row, v)) for v in basis] for row in rows]
 
 
-def _column_gauges(a, b, den, rounded: bool) -> list:
+def _column_gauges(a, b, den) -> list:
     """The exact gauges of the basis vectors: the column maxima of the reduced rows.
 
-    A column of rational rows gives Fraction(max |a_ij|, den), of float rows
-    that maximum divided once by den into a correctly rounded float, and of
-    Q(sqrt3) rows a Quad3 from its Z[sqrt3] maximum (see _zsqrt3_max).
+    A column of rational or float rows gives Fraction(max |a_ij|, den), and
+    of Q(sqrt3) rows a Quad3 from its Z[sqrt3] maximum (see _zsqrt3_max).
     """
     if b is not None:
         return [Quad3(Fraction(p, den), Fraction(q, den))
                 for p, q in map(_zsqrt3_max, zip(*a), zip(*b))]
-    maxima = [max(map(abs, col)) for col in zip(*a)]
-    if rounded:
-        return [m / den for m in maxima]
-    return [Fraction(m, den) for m in maxima]
+    return [Fraction(max(map(abs, col)), den) for col in zip(*a)]
 
 
 def _zsqrt3_max(ps, qs) -> tuple:
@@ -343,11 +328,6 @@ def _zsqrt3_order(x, y) -> int:
     """(key, k) pairs of Q(sqrt3) rows in (gauge, k) order."""
     (g, k), (h, m) = x, y
     return zsqrt3_sign(g[0] - h[0], g[1] - h[1]) or (k > m) - (k < m)
-
-
-def _exact(x):
-    """x as an exact scalar; a float is the dyadic rational it stores."""
-    return Fraction(x) if isinstance(x, (int, float)) else x
 
 
 def _error_weight(x, s: float) -> float:
@@ -484,7 +464,8 @@ def successive_minima(
     every witness. That dilate is enumerated once, and an independent subset
     is extracted greedily in (gauge, k) order. The reduction starts from the
     basis `start` when one is given (see reduced_basis); the answer does not
-    depend on it.
+    depend on it. The search is exact for every kind; a float body's values
+    are its exact values rounded once, the search's one float step.
     """
     d = piped.dimension
     if k_max is None:
@@ -493,7 +474,7 @@ def successive_minima(
         raise ValueError("k_max must lie in 1..dimension")
     rows = gauge_rows(piped, lattice)
     basis = reduced_basis(rows, start)
-    gauges = _column_gauges(*rows.times(basis), piped.kind == "float")
+    gauges = _column_gauges(*rows.times(basis))
     radius = sorted(gauges)[k_max - 1]
     span = RationalSpan(d)
     values = []
@@ -503,6 +484,8 @@ def successive_minima(
             values.append(gauge)
             witnesses.append(k)
             if len(values) == k_max:
+                if piped.kind == "float":
+                    values = map(float, values)
                 return MinimaProfile(tuple(values), tuple(witnesses), tuple(basis))
     raise EnumerationBudgetError(
         f"fewer than {k_max} independent lattice points found within the reduced-basis bound"

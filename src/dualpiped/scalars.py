@@ -171,6 +171,11 @@ def zsqrt3_parts(x) -> tuple:
     return a.numerator * (r // a.denominator), b.numerator * (r // b.denominator), r
 
 
+def exact_scalar(x: Scalar) -> Scalar:
+    """x as an exact scalar; a float is the dyadic rational it stores."""
+    return Fraction(x) if isinstance(x, (int, float)) else x
+
+
 def scalar_sign(x: Scalar) -> int:
     if isinstance(x, Quad3):
         return quad_sign(x)
@@ -201,8 +206,6 @@ def _fraction_sqrt(q: Fraction) -> Fraction | None:
 
 def sqrt_exact(x: Scalar) -> Scalar | None:
     """Square root staying in the input's field, or None if it leaves it."""
-    if isinstance(x, float):
-        return math.sqrt(x) if x >= 0 else None
     if isinstance(x, (int, Fraction)):
         return _fraction_sqrt(Fraction(x))
     if quad_sign(x) < 0:
@@ -238,8 +241,6 @@ def exact_nth_root(x: Scalar, n: int) -> Scalar | None:
         raise ValueError("n must be >= 1")
     if n == 1:
         return x
-    if isinstance(x, float):
-        return x ** (1.0 / n)
     if n % 2 == 0:
         s = sqrt_exact(x)
         if s is None and isinstance(x, (int, Fraction)):
@@ -308,8 +309,8 @@ def format_scalar(x: Scalar) -> str:
     return str(Fraction(x))
 
 
-# The one float tolerance policy: float comparisons and float enumeration
-# radii allow a relative slack of REL_SLACK; exact kinds never consult it.
+# The one float tolerance policy: only the claim decisions on float bodies
+# allow a relative slack of REL_SLACK; searches and exact kinds never read it.
 REL_SLACK = 1e-9
 STRICT_DELTA = 1e-6
 
@@ -320,8 +321,3 @@ def float_leq(a: float, b: float) -> bool:
 
 def float_strictly_greater(a: float, b: float) -> bool:
     return a > b + STRICT_DELTA * max(1.0, abs(b))
-
-
-def widen(mu: float) -> float:
-    """A float search radius widened by the same relative slack."""
-    return mu + REL_SLACK * max(1.0, mu)

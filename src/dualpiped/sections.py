@@ -25,23 +25,26 @@ whose integers fit one 64-bit word may have up to 18 nonzero coordinates.
 The section-dual body of Pi = A B_d collects the points A'z whose defining
 hyperplane cuts a unit-volume section out of Pi; its gauge at z works out to
 |w| / (2^{1-d} vol(w-section)) with w = A^T z / det A, a ratio in which the
-irrational |w| cancels, so exact scalar kinds stay exact. A^T and det A
-are kept once per body (`Parallelepiped.pullback`), and each sum A^T z is
-divided by det A after it is formed. For a det-normalized body the
-pseudo-compound's vertex H^T diag(eta*) sigma pulls back to w = +-sigma, so
-every such vertex has the cube's gauge at (1, ..., 1).
+irrational |w| cancels, so the gauge is exact. The rows of A^T / det A are
+kept once per body (`Parallelepiped.pullback`) and read exactly for every
+kind, so a float body's gauges and section-dual minimum are exact values
+rounded once. For a det-normalized body the pseudo-compound's vertex
+H^T diag(eta*) sigma pulls back to w = +-sigma, so every such vertex has the
+cube's gauge at (1, ..., 1).
 """
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .bodies import Parallelepiped
-from .linalg import Matrix
 from .minima import GaugeRows, lattice_points_in_dilate, reduced_basis
-from .scalars import Quad3, Scalar, exact_nth_root, scalar_sign, zsqrt3_parts
+from .scalars import Quad3, Scalar, exact_nth_root, exact_scalar, scalar_sign, zsqrt3_parts
+
+_SQRT3 = Quad3(0, 1)
 
 # sign patterns times 64-bit words of their integers that a sum may take:
 # 2^18 patterns of one-word integers take under a second
@@ -98,36 +101,29 @@ def _section_ratio(parts):
     )
 
 
-def _exact_parts(a) -> tuple:
-    """|a_i| of the nonzero coordinates, floats read exactly, and whether a has a float."""
-    is_float = any(isinstance(x, float) for x in a)
-    parts = [abs(x if isinstance(x, Quad3) else Fraction(x)) for x in a if x]
-    return parts, is_float
+def _exact_parts(a) -> list:
+    """|a_i| of the nonzero coordinates, floats read exactly."""
+    return [abs(exact_scalar(x)) for x in a if x]
 
 
-def _split_direction(a, d: int) -> tuple:
-    a = tuple(a)
+def _squared_volume(a, d: int):
+    """Exact square 4^zeros |a|^2 ratio^2 of the section volume."""
     if len(a) != d:
         raise ValueError("direction length must equal the dimension")
     if d < 2:
         raise ValueError("dimension must be at least 2")
     if not all(math.isfinite(x) for x in a if isinstance(x, float)):
         raise ValueError("direction must be finite")
-    parts, is_float = _exact_parts(a)
+    parts = _exact_parts(a)
     if not parts:
         raise ValueError("direction must be nonzero")
-    return parts, is_float
-
-
-def _squared_volume(a, d: int) -> tuple:
-    """Exact square 4^zeros |a|^2 ratio^2 of the section volume, and is_float."""
-    parts, is_float = _split_direction(a, d)
     ratio = _section_ratio(parts)
-    return 4 ** (d - len(parts)) * sum(x * x for x in parts) * ratio * ratio, is_float
+    return 4 ** (d - len(parts)) * sum(x * x for x in parts) * ratio * ratio
 
 
-def _root(square, is_float: bool) -> Scalar:
-    root = None if is_float else exact_nth_root(square, 2)
+def _root(square, a) -> Scalar:
+    """The root of an exact square: in its field when it lies there and a holds no float."""
+    root = None if any(isinstance(x, float) for x in a) else exact_nth_root(square, 2)
     return math.sqrt(square) if root is None else root
 
 
@@ -138,7 +134,8 @@ def cube_section_volume(a: Sequence[Scalar], d: int) -> Scalar:
     otherwise; float values are the exact volume rounded once. Invariant under
     permutations, sign flips, and positive scaling.
     """
-    return _root(*_squared_volume(a, d))
+    a = tuple(a)
+    return _root(_squared_volume(a, d), a)
 
 
 def v_tau(tau: Sequence[Scalar]) -> Scalar:
@@ -147,8 +144,7 @@ def v_tau(tau: Sequence[Scalar]) -> Scalar:
     Defined for every nonzero direction, invariant under signs and positive
     scaling; Vaaler's and Ball's theorems pin it into [1, sqrt(2)].
     """
-    square, is_float = _squared_volume(tau, len(tau))
-    return _root(square / 4 ** (len(tau) - 1), is_float)
+    return _root(_squared_volume(tau, len(tau)) / 4 ** (len(tau) - 1), tau)
 
 
 def v_tau_squared(tau: Sequence[Scalar]) -> Scalar:
@@ -157,18 +153,31 @@ def v_tau_squared(tau: Sequence[Scalar]) -> Scalar:
     The square drops the lone square root in v_tau, so comparisons against
     rational thresholds can be decided exactly.
     """
-    return _squared_volume(tau, len(tau))[0] / 4 ** (len(tau) - 1)
+    return _squared_volume(tau, len(tau)) / 4 ** (len(tau) - 1)
 
 
 def _wedge_gauge(w) -> Scalar:
     """Gauge of the section-dual of the cube at w: 2^(n-1) / ratio, exactly.
 
-    The ratio runs over the n nonzero |w_i|; float entries get the exact
-    gauge rounded once.
+    The ratio runs over the n nonzero |w_i|; floats are read exactly. The
+    gauge is homogeneous of degree 1.
     """
-    parts, is_float = _exact_parts(w)
-    gauge = 2 ** (len(parts) - 1) / _section_ratio(parts) if parts else Fraction(0)
-    return float(gauge) if is_float else gauge
+    parts = _exact_parts(w)
+    return 2 ** (len(parts) - 1) / _section_ratio(parts) if parts else Fraction(0)
+
+
+def _pullback_gauge(rows: GaugeRows, z) -> Scalar:
+    """The gauge at w = (rows) z for exact z, exactly, from the integer form of the rows.
+
+    The rows clear to (a + b sqrt3) / den (GaugeRows.cleared) and the gauge
+    is homogeneous of degree 1, so it is the gauge of a z (+ b z sqrt3),
+    divided by den.
+    """
+    a, b, den = rows.cleared
+    w = [sum(map(mul, row, z)) for row in a]
+    if b is not None:
+        w = [x + sum(map(mul, row, z)) * _SQRT3 for x, row in zip(w, b)]
+    return _wedge_gauge(w) / den
 
 
 def section_dual_gauge(piped: Parallelepiped, z: Sequence[Scalar]) -> Scalar:
@@ -176,11 +185,14 @@ def section_dual_gauge(piped: Parallelepiped, z: Sequence[Scalar]) -> Scalar:
 
     With Pi = A B_d for A = H^{-1} diag(eta), the point z is pulled back to
     w = A^T z / det A and measured against the section-dual of the cube.
-    Exact kinds return exact values; membership in the body is gauge <= 1.
+    The rows of A^T / det A and z are read exactly, so the gauge is exact,
+    and a float body's gauge is that value rounded once; membership in the
+    body is gauge <= 1.
     """
-    a_t, det = piped.pullback
-    w = tuple(x / det for x in a_t.matvec(tuple(z)))
-    return _wedge_gauge(w)
+    # floats are read exactly; ints stay ints, so integer points cost integer products
+    z = [Fraction(x) if isinstance(x, float) else x for x in z]
+    gauge = _pullback_gauge(GaugeRows(piped.pullback), z)
+    return float(gauge) if piped.kind == "float" else gauge
 
 
 def first_minimum_section_dual(piped: Parallelepiped) -> Scalar:
@@ -191,15 +203,15 @@ def first_minimum_section_dual(piped: Parallelepiped) -> Scalar:
     so the section volume is at most 2^{d-1} |w| / max|w_i|). Hence the
     sup-norm box whose radius is the smallest gauge among the reduced basis
     vectors holds every minimizer, and one enumeration of it settles the
-    minimum.
+    minimum. Radius and minimum are exact (see _pullback_gauge); a float
+    body's minimum is rounded once.
     """
     d = piped.dimension
     if not 2 <= d <= 6:
         raise ValueError("section-dual minimum supports dimensions 2 through 6")
-    a_t, det = piped.pullback
-    c_rows = GaugeRows(tuple(x / det for x in row) for row in a_t.rows)
-    cmat = Matrix(c_rows)
-    basis = reduced_basis(c_rows)
-    radius = min(_wedge_gauge(cmat.matvec(k)) for k in basis)
-    points = lattice_points_in_dilate(c_rows, radius, basis)
-    return min(_wedge_gauge(cmat.matvec(k)) for _, k in points)
+    rows = GaugeRows(piped.pullback)
+    basis = reduced_basis(rows)
+    radius = min(_pullback_gauge(rows, k) for k in basis)
+    points = lattice_points_in_dilate(rows, radius, basis)
+    value = min(_pullback_gauge(rows, k) for _, k in points)
+    return float(value) if piped.kind == "float" else value

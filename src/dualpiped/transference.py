@@ -29,6 +29,7 @@ from .minima import first_minimum, successive_minima
 from .scalars import (
     Scalar,
     exact_nth_root,
+    exact_scalar,
     float_leq,
     float_strictly_greater,
     scalar_sign,
@@ -77,7 +78,7 @@ def normalize_tau(tau: Sequence[Scalar], mode: str = "plain"):
         raise ValueError("need at least two weights")
     if any(scalar_sign(t) <= 0 for t in tau):
         raise ValueError("all weights must be positive")
-    exact = [Fraction(t) if isinstance(t, (int, float)) else t for t in tau]
+    exact = [exact_scalar(t) for t in tau]
     v2 = 1 if mode == "plain" else v_tau_squared(exact)
     ratio = sum(t * t for t in exact) / (v2 * math.prod(exact) ** 2)
     n = 2 * (d - 1)
@@ -92,10 +93,15 @@ def normalize_tau(tau: Sequence[Scalar], mode: str = "plain"):
     return tuple(lam * t for t in exact)
 
 
+# the float bracket of c_d changes sign for every d from 3 to here, checked one
+# by one; it first fails at d = 491,513, where the rounding of s^(d-1) outgrows hi - 1
+CD_MAX_DIM = 100_000
+
+
 def c_d(d: int) -> float:
     """The two-minima constant: sqrt of the root of s^{d-1} = (d-1)s + 1 on (1, oo)."""
-    if d < 3:
-        raise ValueError("the polynomial degenerates below dimension 3")
+    if not 3 <= d <= CD_MAX_DIM:
+        raise ValueError(f"c_d supports dimensions 3 through {CD_MAX_DIM}, got {d}")
     lo = d ** (1.0 / (d - 1))
     hi = d ** (1.0 / (d - 2))
     root = monotone_root(lambda s: s ** (d - 1) - (d - 1) * s - 1, lo, hi)

@@ -9,7 +9,7 @@ import numpy as np
 
 from dualpiped.bodies import Lattice, Parallelepiped
 from dualpiped.linalg import Matrix, RationalSpan, monotone_root
-from dualpiped.scalars import Quad3, exact_nth_root, float_leq, scalar_sign, sqrt_exact, widen
+from dualpiped.scalars import Quad3, exact_nth_root, float_leq, scalar_sign, sqrt_exact
 from dualpiped.sections import v_tau_squared
 from dualpiped.transference import c_d
 
@@ -23,6 +23,19 @@ def random_unimodular(rng, d, ops=None):
         for col in range(d):
             m[i][col] += c * m[j][col]
     return Matrix(m)
+
+
+def generic_body(rng, d, kind):
+    """A body with non-integer forms of determinant 1: U diag(s) V, with s in pairs q, 1/q."""
+    scales = [Fraction(1)] * d
+    for i in range(0, d - 1, 2):
+        q = Fraction(rng.randint(2, 5), rng.randint(2, 5))
+        scales[i:i + 2] = [q, 1 / q]
+    diagonal = Matrix.diagonal(scales)
+    forms = random_unimodular(rng, d, ops=2 * d).matmul(diagonal).matmul(random_unimodular(rng, d, ops=2 * d))
+    eta = tuple(Fraction(rng.randint(2, 9), rng.randint(1, 4)) for _ in range(d))
+    body = Parallelepiped(forms, eta)
+    return body.to_float() if kind == "float" else body
 
 
 def gauges_in_box(piped, lattice, box):
@@ -91,15 +104,14 @@ def dilate_points_oracle(c_rows, mu, basis):
     """lattice_points_in_dilate by its definition, one candidate at a time.
 
     Sweeps every canonical cell of the box of the reduced rows (c_rows) U at
-    the limit, U the basis vectors as columns, with the box taken from their
-    field inverse; maps each cell kp back to k = U kp, measures it by its
-    exact Fraction gauge (rounded once for float rows, whose limit is
-    widen(mu)), keeps it within the limit, flips k to its first nonzero
-    coordinate positive and sorts by (gauge, k).
+    mu, U the basis vectors as columns, with the box taken from their field
+    inverse; maps each cell kp back to k = U kp, measures it by its exact
+    Fraction gauge (floats are read as the dyadic rationals they store, for
+    rows and mu alike), keeps it iff that gauge is at most mu, flips k to its
+    first nonzero coordinate positive and sorts by (gauge, k).
     """
     exact = [[Fraction(x) for x in row] for row in c_rows]
-    rounded = isinstance(c_rows[0][0], float)
-    limit = Fraction(widen(float(mu))) if rounded else Fraction(mu)
+    limit = Fraction(mu)
     u = list(zip(*basis))
     reduced = [[sum(x * y for x, y in zip(row, v)) for v in basis] for row in exact]
     box = [math.floor(limit * sum(abs(x) for x in row)) for row in field_inverse(reduced)]
@@ -109,11 +121,10 @@ def dilate_points_oracle(c_rows, mu, basis):
             continue
         k = tuple(sum(x * y for x, y in zip(row, kp)) for row in u)
         gauge = max(abs(sum(x * y for x, y in zip(row, k))) for row in exact)
-        value = float(gauge) if rounded else gauge
-        if value <= limit:
+        if gauge <= limit:
             if next(filter(None, k)) < 0:
                 k = tuple(-x for x in k)
-            points.append((value, k))
+            points.append((gauge, k))
     return sorted(points)
 
 

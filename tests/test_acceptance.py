@@ -109,15 +109,16 @@ def test_randomized_claim_suite_zero_violations():
             assert summary.instances == 500
             assert summary.violations == 0, (d, summary.claim, summary.extremal_instance)
             assert summary.passes + summary.skips == 500
-    # the exact leg: an error in a trial would turn into a skip with a note
-    config = TrialConfig(dimension=3, trials=300, seed=42, mode="exact", tau_samples=8)
-    report = run_suite(config)
-    assert tuple(summary.claim for summary in report.claims) == ALL_CLAIMS
-    for summary in report.claims:
-        assert summary.instances == 300
-        assert summary.violations == 0, (summary.claim, summary.extremal_instance)
-        assert summary.passes + summary.skips == 300
-        assert summary.notes == (), (summary.claim, summary.notes[:3])
+    # the exact legs: an error in a trial would turn into a skip with a note
+    for d, trials in ((2, 100), (3, 300), (4, 100), (5, 50)):
+        config = TrialConfig(dimension=d, trials=trials, seed=42, mode="exact", tau_samples=8)
+        report = run_suite(config)
+        assert tuple(summary.claim for summary in report.claims) == ALL_CLAIMS
+        for summary in report.claims:
+            assert summary.instances == trials
+            assert summary.violations == 0, (d, summary.claim, summary.extremal_instance)
+            assert summary.passes + summary.skips == trials
+            assert summary.notes == (), (d, summary.claim, summary.notes[:3])
 
 
 def test_enumeration_matches_brute_force():

@@ -17,6 +17,7 @@ from dualpiped.harness import ClaimSummary, TrialConfig, VerificationReport
 from dualpiped.cli import exit_code_for
 from dualpiped.linalg import Matrix
 from dualpiped.minima import EnumerationBudgetError
+from dualpiped.transference import CD_MAX_DIM, c_d
 
 
 def test_verify_json_stdout(capsys):
@@ -60,6 +61,13 @@ def test_verify_determinism(capsys):
 def test_verify_rejects_unknown_claim(capsys):
     assert main(["verify", "--dim", "3", "--trials", "1", "--claims", "T9"]) == 2
     assert "claim" in capsys.readouterr().err
+
+
+def test_verify_exact_mode_runs_at_the_largest_dimension(capsys):
+    assert main(["verify", "--mode", "exact", "--dim", "8", "--trials", "1"]) == 0
+    parsed = json.loads(capsys.readouterr().out)
+    assert parsed["config"]["mode"] == "exact"
+    assert all(row["notes"] == [] for row in parsed["claims"])
 
 
 def test_exit_code_flags_violations():
@@ -108,6 +116,23 @@ def test_cd_command(capsys):
 
     assert main(["cd", "--dmin", "5", "--dmax", "4"]) == 2
     assert main(["cd", "--dmin", "2", "--dmax", "3"]) == 2
+
+
+def test_cd_refuses_a_range_past_its_bound_before_the_first_row(capsys):
+    # the bound is checked before any row is computed: a range of 10^8
+    # dimensions would otherwise bisect for about 40 minutes first
+    message = f"c_d supports dimensions 3 through {CD_MAX_DIM}"
+    capsys.readouterr()
+    assert main(["cd", "--dmin", "3", "--dmax", "100000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    with pytest.raises(ValueError, match=message):
+        c_d(CD_MAX_DIM + 1)
+    # the last supported dimension answers, within its bounds
+    assert main(["cd", "--dmin", str(CD_MAX_DIM), "--dmax", str(CD_MAX_DIM)]) == 0
+    _, value, lower, upper = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    assert float(lower) < float(value) < float(upper)
 
 
 def test_cd_text_format(capsys):

@@ -29,8 +29,11 @@ def test_trial_config_validation():
         TrialConfig(dimension=3, trials=-1, seed=0)
     with pytest.raises(ValueError):
         TrialConfig(dimension=3, trials=2, seed=0, mode="decimal")
+    # exact mode admits every dimension that float mode admits
+    for d in range(2, 9):
+        TrialConfig(dimension=d, trials=2, seed=0, mode="exact")
     with pytest.raises(ValueError):
-        TrialConfig(dimension=4, trials=2, seed=0, mode="exact")
+        TrialConfig(dimension=9, trials=2, seed=0, mode="exact")
     with pytest.raises(ValueError):
         TrialConfig(dimension=3, trials=2, seed=0, claims=("T3", "XX"))
     with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ of the library, and every public method and property of its classes, is
 read by the library or the benchmark, unless it is allowlisted below with
 its reason. No library function, method or nested function keeps a
 cache of functools.lru_cache or functools.cache: derived values live on the
-objects that determine them.
+objects that determine them. No module of the search layer reads the float
+tolerance policy of `scalars`.
 """
 import ast
 from pathlib import Path
@@ -208,3 +209,79 @@ def test_the_checker_sees_cached_top_level_functions():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_module_level_cache(path):
     assert cached_functions(path.read_text()) == []
+
+
+# modules of the search layer, which must not read the float tolerance policy
+# of `scalars`: that slack is for the claim decisions of float bodies alone
+SEARCH_LAYER = ("bodies", "linalg", "minima", "sections", "witness")
+SLACK_CONSTANTS = {"REL_SLACK", "STRICT_DELTA"}
+
+
+def slack_names(source: str) -> set:
+    """The slack constants and the top-level functions that read one, directly or through another."""
+    reads = {
+        node.name: {
+            name.id for name in ast.walk(node)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+        }
+        for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+    }
+    tainted = set(SLACK_CONSTANTS)
+    while True:
+        more = {name for name, read in reads.items() if read & tainted} - tainted
+        if not more:
+            return tainted
+        tainted |= more
+
+
+def slack_imports(source: str, tainted: set) -> list:
+    """Names of `tainted` that a module imports from scalars or reads off the scalars module."""
+    tree = ast.parse(source)
+    found = []
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "scalars":
+            found += [
+                f"line {node.lineno}: {alias.name}" for alias in node.names
+                if alias.name in tainted or alias.name == "*"
+            ]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules |= {
+                alias.asname or alias.name for alias in node.names
+                if alias.name.split(".")[-1] == "scalars"
+            }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in tainted:
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id in modules) or (
+                isinstance(owner, ast.Attribute) and owner.attr == "scalars"
+            ):
+                found.append(f"line {node.lineno}: {node.attr}")
+    return sorted(found)
+
+
+def test_the_checker_sees_slack_readers_and_their_imports():
+    scalars = (
+        "REL_SLACK = 1e-9\nSTRICT_DELTA = 1e-6\n\ndef f(a):\n    return a + REL_SLACK\n\n"
+        "def g(a):\n    return f(a)\n\ndef h(a):\n    return a\n"
+    )
+    tainted = slack_names(scalars)
+    assert tainted == {"REL_SLACK", "STRICT_DELTA", "f", "g"}
+    module = (
+        "from .scalars import h, g\nfrom . import scalars as s\nimport dualpiped.scalars\n"
+        "x = s.REL_SLACK + s.h(1) + dualpiped.scalars.f(2)\n"
+    )
+    assert slack_imports(module, tainted) == ["line 1: g", "line 4: REL_SLACK", "line 4: f"]
+    assert slack_imports("from .scalars import h\n", tainted) == []
+
+
+def test_the_search_layer_reads_no_float_slack():
+    package = ROOT / "src" / "dualpiped"
+    tainted = slack_names((package / "scalars.py").read_text())
+    # the claim decisions' comparisons are seen as slack readers
+    assert {"float_leq", "float_strictly_greater"} <= tainted
+    found = {
+        name: slack_imports((package / f"{name}.py").read_text(), tainted)
+        for name in SEARCH_LAYER
+    }
+    assert found == {name: [] for name in SEARCH_LAYER}

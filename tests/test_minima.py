@@ -13,10 +13,14 @@ from dualpiped.linalg import Matrix
 from dualpiped.minima import (
     EnumerationBudgetError,
     first_minimum,
+    gauge_rows,
     lattice_points_in_dilate,
+    reduced_basis,
     successive_minima,
 )
 from dualpiped.scalars import Quad3, scalar_floor
+from dualpiped.sections import first_minimum_section_dual, section_dual_gauge
+from dualpiped.transference import apply_hyperbolic, sample_directions
 from dualpiped.witness import FIRST_DILATE, SECOND_DILATE, build_witness
 
 from oracle_utils import (
@@ -27,6 +31,7 @@ from oracle_utils import (
     field_det,
     field_inverse,
     fraction_lll_unimodular,
+    generic_body,
     orthogonal_sublattice,
     random_quad3_rows,
 )
@@ -106,8 +111,8 @@ def test_float_mode_matches_exact_values():
 
 
 def test_float_gauges_are_correctly_rounded(monkeypatch):
-    # every reported float gauge is the exact gauge of the dyadic rows,
-    # rounded once
+    # the search measures float rows by the exact gauges of the dyadic rows,
+    # and a float body's minima are those exact gauges rounded once
     searches = []
 
     def recording(c_rows, mu, basis):
@@ -116,19 +121,72 @@ def test_float_gauges_are_correctly_rounded(monkeypatch):
         return points
 
     monkeypatch.setattr(minima, "lattice_points_in_dilate", recording)
+    checked = 0
     for d, seeds in ((3, 6), (4, 5), (5, 5)):
         for seed in range(seeds):
             piped = gen_instance(d, seed)
             for body in (det_normalized(piped), pseudo_compound(piped)):
-                successive_minima(body)
-    checked = 0
-    for c_rows, points in searches:
-        exact_rows = [[Fraction(x) for x in row] for row in c_rows]
-        for gauge, k in points:
-            exact = max(abs(sum(c * x for c, x in zip(row, k))) for row in exact_rows)
-            assert gauge == float(exact)
-            checked += 1
+                searches.clear()
+                profile = successive_minima(body)
+                ((c_rows, points),) = searches
+                exact_rows = [[Fraction(x) for x in row] for row in c_rows]
+                gauges = {}
+                for gauge, k in points:
+                    exact = max(abs(sum(c * x for c, x in zip(row, k))) for row in exact_rows)
+                    assert type(gauge) is Fraction and gauge == exact
+                    gauges[k] = gauge
+                    checked += 1
+                assert all(type(value) is float for value in profile.values)
+                assert profile.values == tuple(float(gauges[k]) for k in profile.witnesses)
     assert checked > 1000
+
+
+def twin_bodies():
+    """Float bodies: harness bodies at d=3-5 with their compounds and one shift each, and generic bodies."""
+    rng = random.Random("twins")
+    for d in (3, 4, 5):
+        for seed in range(2):
+            body = det_normalized(gen_instance(d, 100 * d + seed))
+            (raw,) = sample_directions(rng, d, 1)
+            yield from (body, pseudo_compound(body), apply_hyperbolic(body, tuple(map(Fraction, raw))))
+    for d in (2, 3, 4):
+        yield generic_body(rng, d, "float")
+
+
+def test_float_rows_are_searched_as_their_exact_twins():
+    # a float is the dyadic rational it stores, so float rows search, keep,
+    # order and measure their points as the same rows read as Fractions do;
+    # only a float body's reported values are rounded, once
+    for body in twin_bodies():
+        assert body.kind == "float"
+        d = body.dimension
+        rows = gauge_rows(body)
+        twin = [[Fraction(x) for x in row] for row in rows]
+        basis = reduced_basis(rows)
+        assert reduced_basis(twin) == basis
+        profile = successive_minima(body)
+        # a float radius is read exactly too, on either side of an exact minimum
+        for mu in (profile.values[-1], Fraction(profile.values[-1]) * Fraction(2**52 + 1, 2**52)):
+            points = lattice_points_in_dilate(rows, mu, basis)
+            assert points == lattice_points_in_dilate(twin, Fraction(mu), basis)
+            assert all(type(gauge) is Fraction for gauge, _ in points)
+        # the twin body: a rational body whose gauge rows are exactly the twin rows
+        exact = successive_minima(Parallelepiped(Matrix(twin), (Fraction(1),) * d))
+        assert profile.witnesses == exact.witnesses
+        assert profile.values == tuple(map(float, exact.values))
+        # the section-dual minimum over the pullback rows read exactly, by its definition
+        section_rows = [[Fraction(x) for x in row] for row in body.pullback]
+        cube = Parallelepiped.cube(d)
+
+        def wedge(k):
+            return section_dual_gauge(cube, [sum(x * y for x, y in zip(row, k)) for row in section_rows])
+
+        section_basis = reduced_basis(section_rows)
+        radius = min(map(wedge, section_basis))
+        points = lattice_points_in_dilate(section_rows, radius, section_basis)
+        value = first_minimum_section_dual(body)
+        assert type(value) is float
+        assert value == float(min(wedge(k) for _, k in points))
 
 
 def test_first_minimum_with_unit_start():

@@ -16,7 +16,6 @@ from dualpiped.scalars import (
     quad_sign,
     scalar_floor,
     sqrt_exact,
-    widen,
     zsqrt3_sign,
 )
 
@@ -192,7 +191,3 @@ def test_float_tolerance_policy():
     assert not float_leq(1.0 + 1e-6, 1.0)
     assert float_strictly_greater(1.0 + 1e-3, 1.0)
     assert not float_strictly_greater(1.0 + 1e-9, 1.0)
-    # enumeration widens a radius by the same relative slack
-    assert widen(0.5) == 0.5 + 1e-9
-    assert widen(4.0) == 4.0 + 4e-9
-    assert float_leq(widen(4.0), 4.0)

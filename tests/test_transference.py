@@ -21,6 +21,7 @@ from dualpiped.transference import (
 
 from oracle_utils import (
     apply_linear,
+    generic_body,
     hyperbolic_map,
     khintchine_pair,
     mahler_dual_box,
@@ -332,19 +333,6 @@ def test_family_claims_by_homogeneity_match_the_normalized_shift(monkeypatch, d,
         for report, (status, margin) in zip(reports, expected):
             assert report.status == status
             assert abs(report.margin - margin) <= 1e-12
-
-
-def generic_body(rng, d, kind):
-    """A body with non-integer forms of determinant 1: U diag(s) V, with s in pairs q, 1/q."""
-    scales = [Fraction(1)] * d
-    for i in range(0, d - 1, 2):
-        q = Fraction(rng.randint(2, 5), rng.randint(2, 5))
-        scales[i:i + 2] = [q, 1 / q]
-    diagonal = Matrix.diagonal(scales)
-    forms = random_unimodular(rng, d, ops=2 * d).matmul(diagonal).matmul(random_unimodular(rng, d, ops=2 * d))
-    eta = tuple(Fraction(rng.randint(2, 9), rng.randint(1, 4)) for _ in range(d))
-    body = Parallelepiped(forms, eta)
-    return body.to_float() if kind == "float" else body
 
 
 @pytest.mark.parametrize("kind", ["float", "exact"])
