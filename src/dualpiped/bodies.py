@@ -48,7 +48,7 @@ class Lattice:
         self.basis.dim  # rejects non-square bases
         if self.kind == "float" and not all(math.isfinite(x) for x in sum(self.basis.rows, ())):
             raise ValueError("float lattice basis entries must be finite")
-        if scalar_sign(self.basis.det()) == 0:
+        if scalar_sign(self.basis.exact_det()) == 0:
             raise ValueError("lattice basis is singular")
 
     @classmethod
@@ -82,7 +82,7 @@ class Parallelepiped:
                 raise ValueError("float bounds and forms must be finite")
         if any(scalar_sign(e) <= 0 for e in self.bounds):
             raise ValueError("all bounds must be positive")
-        if scalar_sign(self.forms.det()) == 0:
+        if scalar_sign(self.forms.exact_det()) == 0:
             raise ValueError("forms matrix must be invertible")
 
     @classmethod

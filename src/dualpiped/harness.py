@@ -5,7 +5,8 @@ seeds derive from the master seed and the trial index, so trials are
 independent of evaluation order and two runs with the same config produce
 the same report (wall-clock runtime aside, which tests normalize to zero
 before comparing emissions). Every instance is a random calibrated body, and
-the report records the one float tolerance policy of `scalars`.
+the report records the one float tolerance policy of `transference`, and
+for each claim the passes that needed it.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -21,8 +23,7 @@ from . import __version__
 from .bodies import Parallelepiped, pseudo_compound
 from .linalg import Matrix
 from .minima import first_minimum
-from .scalars import REL_SLACK, STRICT_DELTA
-from .transference import ALL_CLAIMS, check_claims, sample_directions
+from .transference import ALL_CLAIMS, REL_SLACK, check_claims, sample_directions
 
 _MODES = ("float", "exact")
 
@@ -136,6 +137,7 @@ class ClaimSummary:
     worst_margin: float | None
     extremal_instance: str | None
     notes: tuple = ()
+    slack_passes: int = 0
 
 
 @dataclass(frozen=True)
@@ -156,34 +158,33 @@ def aggregate_outcomes(
     for outcome in outcomes:
         if outcome.reports is None:
             for cid in config.claims:
-                by_claim[cid].append((outcome.identifier, "skip", None))
+                by_claim[cid].append((outcome.identifier, "skip", None, False))
                 notes[cid].add(f"{outcome.identifier}: {outcome.error}")
             continue
         for report in outcome.reports:
             by_claim[report.claim].append(
-                (outcome.identifier, report.status, report.margin)
+                (outcome.identifier, report.status, report.margin, report.slack_pass)
             )
 
     summaries = []
     for cid in config.claims:
         rows = by_claim[cid]
-        passes = sum(1 for _, status, _ in rows if status == "pass")
-        skips = sum(1 for _, status, _ in rows if status == "skip")
-        violations = sum(1 for _, status, _ in rows if status == "violation")
-        measured = sorted(
-            (margin, ident) for ident, _, margin in rows if margin is not None
+        count = Counter(status for _, status, _, _ in rows)
+        worst = min(
+            ((margin, ident) for ident, _, margin, _ in rows if margin is not None),
+            default=(None, None),
         )
-        worst = measured[0] if measured else (None, None)
         summaries.append(
             ClaimSummary(
                 claim=cid,
                 instances=len(rows),
-                passes=passes,
-                skips=skips,
-                violations=violations,
+                passes=count["pass"],
+                skips=count["skip"],
+                violations=count["violation"],
                 worst_margin=worst[0],
                 extremal_instance=worst[1],
                 notes=tuple(sorted(notes[cid])),
+                slack_passes=sum(slack for *_, slack in rows),
             )
         )
 
@@ -210,7 +211,7 @@ def _report_payload(report: VerificationReport) -> dict:
             "mode": config.mode,
             "claims": list(config.claims),
             "tau_samples": config.tau_samples,
-            "tolerance": {"rel_slack": REL_SLACK, "strict_delta": STRICT_DELTA},
+            "tolerance": {"rel_slack": REL_SLACK},
         },
         "claims": [
             {
@@ -222,6 +223,7 @@ def _report_payload(report: VerificationReport) -> dict:
                 "worst_margin": s.worst_margin,
                 "extremal_instance": s.extremal_instance,
                 "notes": list(s.notes),
+                "slack_passes": s.slack_passes,
             }
             for s in report.claims
         ],
@@ -258,7 +260,7 @@ def emit_report(report: VerificationReport, format: str) -> str:
             lines.append(
                 f"  {s.claim}: {s.instances} instances, {s.passes} passes, "
                 f"{s.skips} skips, {s.violations} violations, "
-                f"worst margin {margin}{where}"
+                f"{s.slack_passes} slack passes, worst margin {margin}{where}"
             )
             for note in s.notes:
                 lines.append(f"    note: {note}")

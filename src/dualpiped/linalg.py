@@ -107,22 +107,24 @@ class Matrix:
     def to_float(self) -> "Matrix":
         return Matrix([[float(x) for x in row] for row in self.rows])
 
-    def det(self) -> Scalar:
-        """The exact determinant, rounded once for the float kind; computed once per matrix."""
+    def exact_det(self) -> Scalar:
+        """The exact determinant, a float matrix's as a Fraction; computed once per matrix."""
         if self._det is None:
             self.dim  # rejects non-square matrices
             clear = zsqrt3_rows if self.kind == "quad3" else integer_rows
             a, b, den = clear(self.rows)
             det, _ = eliminate(a, b)
             scale = den**self.nrows
-            if self.kind == "float":
-                value = det / scale
-            elif self.kind == "quad3":
+            if self.kind == "quad3":
                 value = Quad3(Fraction(det.p, scale), Fraction(det.q, scale))
             else:
                 value = Fraction(det, scale)
             object.__setattr__(self, "_det", value)
         return self._det
+
+    def det(self) -> Scalar:
+        """exact_det, rounded once for the float kind, where it may round to 0.0 or overflow."""
+        return float(self.exact_det()) if self.kind == "float" else self.exact_det()
 
     def inverse(self) -> "Matrix":
         """The exact inverse, each float entry rounded once; computed once per matrix.

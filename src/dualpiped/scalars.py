@@ -1,4 +1,4 @@
-"""Scalar kinds (rationals, Q(sqrt3), floats) and the one float tolerance policy."""
+"""Scalar kinds: rationals, Q(sqrt3) and floats, with exact signs, roots, parsing and formatting."""
 from __future__ import annotations
 
 import math
@@ -308,16 +308,3 @@ def format_scalar(x: Scalar) -> str:
         return f"{x.a}{sign}{sqrt_part}"
     return str(Fraction(x))
 
-
-# The one float tolerance policy: only the claim decisions on float bodies
-# allow a relative slack of REL_SLACK; searches and exact kinds never read it.
-REL_SLACK = 1e-9
-STRICT_DELTA = 1e-6
-
-
-def float_leq(a: float, b: float) -> bool:
-    return a <= b + REL_SLACK * max(1.0, abs(a), abs(b))
-
-
-def float_strictly_greater(a: float, b: float) -> bool:
-    return a > b + STRICT_DELTA * max(1.0, abs(b))

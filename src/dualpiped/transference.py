@@ -7,18 +7,19 @@ the pseudo-compound of the det-normalized body, both minima profiles, both
 volumes and the family minima are derived there on first use, so a claim
 filter pays only for what its claims read. Every claim is evaluated
 against the integer lattice; a claim whose hypothesis fails is reported as
-skipped, a conclusion failing beyond the float slack of `scalars` as a
-violation. Exact scalar kinds decide pass/fail exactly (irrational thresholds
-are compared through powers or polynomial signs); margins are always
-reported as floats. C12 is decided by an identity rather than per vertex:
-every vertex of the pseudo-compound has the same section-dual gauge, an
-exact constant of the dimension, for every body and every scalar kind.
+skipped, a conclusion failing as a violation. Each hypothesis and
+conclusion is one comparison `_Trial.leq` of exact expressions (irrational
+thresholds through powers or polynomials), exact but for the float slack
+`REL_SLACK`; margins are always reported as floats. C12 is decided by an
+identity rather than per vertex: every vertex of the pseudo-compound has
+the same section-dual gauge, an exact constant of the dimension, for every
+body and every scalar kind.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -26,17 +27,15 @@ from typing import Sequence
 from .bodies import Parallelepiped, det_normalized, pseudo_compound
 from .linalg import monotone_root
 from .minima import first_minimum, successive_minima
-from .scalars import (
-    Scalar,
-    exact_nth_root,
-    exact_scalar,
-    float_leq,
-    float_strictly_greater,
-    scalar_sign,
-)
+from .scalars import Scalar, exact_nth_root, exact_scalar, scalar_sign
 from .sections import first_minimum_section_dual, v_tau_squared
 
 _MODES = ("plain", "sharp")
+
+# The one float tolerance policy: a claim comparison on a float body also
+# passes when a - b <= REL_SLACK max(1, |a|, |b|), measured exactly, so no
+# comparison overflows. Only `_Trial.leq` reads it.
+REL_SLACK = 1e-9
 
 
 def apply_hyperbolic(piped: Parallelepiped, tau: Sequence[Scalar]) -> Parallelepiped:
@@ -114,7 +113,8 @@ class ClaimReport:
 
     Margin is the smallest (bound - attained) across subchecks, as a float;
     status is "pass", "violation", or "skip" (hypothesis unmet or claim not
-    evaluatable), never silent.
+    evaluatable), never silent. slack_pass marks a pass that some comparison
+    made only inside REL_SLACK.
     """
 
     claim: str
@@ -124,6 +124,7 @@ class ClaimReport:
     margin: float | None
     detail: str = ""
     witnesses: tuple = ()
+    slack_pass: bool = False
 
 
 class Direction(tuple):
@@ -159,10 +160,17 @@ class _Trial:
         self.d = piped.dimension
         self.is_float = piped.kind == "float"
         self.directions = directions
+        self.slack_used = False
 
     def leq(self, a, b) -> bool:
-        """a <= b: exactly for exact kinds, within the float slack for floats."""
-        return float_leq(float(a), float(b)) if self.is_float else a <= b
+        """a <= b exactly, or for a float body within REL_SLACK, noted in slack_used."""
+        ok = a <= b
+        if ok or not self.is_float:
+            return ok
+        a, b = Fraction(a), Fraction(b)
+        ok = a - b <= Fraction(REL_SLACK) * max(1, abs(a), abs(b))
+        self.slack_used |= ok
+        return ok
 
     @cached_property
     def star(self) -> Parallelepiped:
@@ -247,12 +255,8 @@ def _power_claim(t: _Trial, cid: str, factor: int) -> ClaimReport:
     checks = []
     for k in range(1, d):
         exponent = factor * (d - k)
-        bound = d ** (1.0 / exponent)
-        if t.is_float:
-            ok = float_leq(float(mu[k - 1]), bound)
-        else:
-            ok = mu[k - 1] ** exponent <= d
-        checks.append((bound, float(mu[k - 1]), ok))
+        ok = t.leq(exact_scalar(mu[k - 1]) ** exponent, d)
+        checks.append((d ** (1.0 / exponent), float(mu[k - 1]), ok))
     return _finish(cid, hypothesis, checks)
 
 
@@ -270,15 +274,11 @@ def _claim_t7(t: _Trial) -> ClaimReport:
         return ClaimReport("T7", "skip", None, None, None,
                            "the two-minima constant c_d needs dimension 3 or more", ())
     mu = t.profile.values
-    above = float_strictly_greater(float(mu[0]), 1.0) if t.is_float else mu[0] > 1
-    hypothesis = t.leq(t.profile_star.values[0], 1) and above
-    bound = c_d(d)
-    if t.is_float:
-        ok = float_leq(float(mu[1]), bound)
-    else:
-        s = mu[1] * mu[1]
-        ok = s <= 1 or scalar_sign(s ** (d - 1) - (d - 1) * s - 1) <= 0
-    return _finish("T7", hypothesis, [(bound, float(mu[1]), ok)],
+    hypothesis = t.leq(t.profile_star.values[0], 1) and not t.leq(mu[0], 1)
+    # mu_2 <= c_d: s^(d-1) - (d-1) s - 1 is negative on (0, c_d^2), positive beyond
+    s = exact_scalar(mu[1]) ** 2
+    ok = t.leq(s ** (d - 1), (d - 1) * s + 1)
+    return _finish("T7", hypothesis, [(c_d(d), float(mu[1]), ok)],
                    witnesses=(t.profile.witnesses[1],))
 
 
@@ -287,9 +287,7 @@ def _family(t: _Trial, cid: str, sharp: bool) -> ClaimReport:
 
     The first minimum is homogeneous, so it is mu_1(raw shift) / lam with
     lam^(2(d-1)) = sum raw^2 / (v^2 prod raw^2); the claim is decided as
-    mu_1^(2(d-1)) v^2 prod raw^2 <= sum raw^2 on the dyadic direction, one
-    comparison of two ints for exact kinds and their quotient, rounded
-    once, within the slack for floats.
+    mu_1^(2(d-1)) v^2 prod raw^2 <= sum raw^2 on the dyadic direction.
     """
     if not t.directions:
         return ClaimReport(cid, "skip", None, None, None, "no direction was given", ())
@@ -298,7 +296,9 @@ def _family(t: _Trial, cid: str, sharp: bool) -> ClaimReport:
     witnesses = []
     for raw, value in zip(t.directions, t.family_minima):
         num, den = _family_ratio(raw, value, raw.v_squared if sharp else 1, power)
-        ok = float_leq(num / den, 1.0) if t.is_float else num <= den
+        # within the slack, num <= den is the test of num / den <= 1, as
+        # max(num, den) = den max(num / den, 1), and skips a gcd of big ints
+        ok = t.leq(num, den)
         checks.append((1.0, (num / den) ** (1 / power), ok))
         if not ok:
             witnesses.append(raw)
@@ -362,7 +362,8 @@ def check_claims(
 
     The body is det-normalized first (same body, unit form determinant), so
     the pseudo-compound and its volume identities apply directly. Exact
-    scalar kinds are judged exactly; floats within scalars.REL_SLACK. The
+    scalar kinds are judged exactly; floats within REL_SLACK, and a pass
+    that needed the slack is marked `slack_pass`. The
     family claims FAM and FAMSHARP run over the positive `directions`, one
     shifted search per direction for both, and are skipped when none is
     given. A plain sequence is read as a `Direction` of floats.
@@ -379,4 +380,11 @@ def check_claims(
     if any(len(raw) != d or not all(0 < t < math.inf for t in raw) for raw in directions):
         raise ValueError("every supplied direction needs d finite positive entries")
     trial = _Trial(piped, directions)
-    return [_EVALUATORS[cid](trial) for cid in requested]
+    reports = []
+    for cid in requested:
+        trial.slack_used = False
+        report = _EVALUATORS[cid](trial)
+        if trial.slack_used and report.status == "pass":
+            report = replace(report, slack_pass=True)
+        reports.append(report)
+    return reports

@@ -9,9 +9,9 @@ import numpy as np
 
 from dualpiped.bodies import Lattice, Parallelepiped
 from dualpiped.linalg import Matrix, RationalSpan, monotone_root
-from dualpiped.scalars import Quad3, exact_nth_root, float_leq, scalar_sign, sqrt_exact
+from dualpiped.scalars import Quad3, exact_nth_root, scalar_sign, sqrt_exact
 from dualpiped.sections import v_tau_squared
-from dualpiped.transference import c_d
+from dualpiped.transference import REL_SLACK, c_d
 
 
 def random_unimodular(rng, d, ops=None):
@@ -554,6 +554,11 @@ def hyperbolic_map(piped: Parallelepiped, tau: Sequence) -> Matrix:
         raise ValueError("tau length must equal the dimension")
     a = Matrix.diagonal(tuple(1 / e for e in piped.bounds)).matmul(piped.forms)
     return a.inverse().matmul(Matrix.diagonal(tuple(tau))).matmul(a)
+
+
+def float_leq(a: float, b: float) -> bool:
+    """a <= b within the claim engine's relative slack, compared in floats."""
+    return a <= b + REL_SLACK * max(1.0, abs(a), abs(b))
 
 
 def on_surface(tau: Sequence, mode: str = "plain") -> bool:

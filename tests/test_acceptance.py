@@ -18,9 +18,9 @@ from dualpiped.bodies import Lattice, Parallelepiped, pseudo_compound
 from dualpiped.harness import TrialConfig, run_suite
 from dualpiped.linalg import Matrix
 from dualpiped.minima import successive_minima
-from dualpiped.scalars import REL_SLACK, Quad3
+from dualpiped.scalars import Quad3
 from dualpiped.sections import cube_section_volume, v_tau
-from dualpiped.transference import ALL_CLAIMS, c_d
+from dualpiped.transference import ALL_CLAIMS, REL_SLACK, c_d
 from dualpiped.witness import sharpness_report
 
 from oracle_utils import (

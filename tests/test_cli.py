@@ -228,6 +228,18 @@ def test_minima_command(tmp_path, capsys):
         assert "cannot be measured against" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, expected", [("1e-200", "1e-200"), ("1e200", "1e+200")])
+def test_minima_decides_invertibility_on_the_exact_determinant(tmp_path, capsys, entry, expected):
+    # det = entry^2 rounds to 0.0 or overflows as a float; the exact one is nonzero
+    body_file = tmp_path / "body.txt"
+    body_file.write_text(
+        f"dimension: 2\nscalar_kind: float\nH:\n{entry},0.0\n0.0,{entry}\neta: 1.0,1.0\n"
+    )
+    assert main(["minima", "--body", str(body_file)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[2] for line in lines] == [expected, expected]
+
+
 def test_minima_refuses_an_oversized_box(monkeypatch, tmp_path, capsys):
     # the unit cube of dimension 14 needs a box of 3^14 cells, over the cap
     body_file = tmp_path / "cube14.txt"

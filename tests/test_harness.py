@@ -133,6 +133,25 @@ def test_t7_skips_on_second_witness_form():
     assert report.hypothesis is False
 
 
+@pytest.mark.parametrize("form, statuses, margins", [
+    ("z3_body_1", ("pass",) * 3, (0.5774, 0.1614, 0.3991)),
+    ("z3_body_2", ("pass", "pass", "skip"), (0.7321, 0.3161, None)),
+])
+def test_t5_to_t7_decide_the_witness_forms_and_their_float_twins(form, statuses, margins):
+    # the first form (Q(sqrt3)) meets every hypothesis of T5-T7; the second
+    # (rational) has mu_1 = 1 exactly, so T7's strict mu_1 > 1 fails for its
+    # float twin too: the slack never lifts 1 above 1
+    body = getattr(build_witness(Fraction(1, 2)), form)
+    by_kind = [check_claims(piped, ("T5", "T6", "T7"), directions=())
+               for piped in (body, body.to_float())]
+    for reports in by_kind:
+        assert tuple(r.status for r in reports) == statuses
+        assert tuple(None if r.margin is None else round(r.margin, 4) for r in reports) == margins
+        assert not any(r.slack_pass for r in reports)
+    exact, floats = by_kind
+    assert [r.margin for r in exact] == [r.margin for r in floats]
+
+
 def counting(monkeypatch, module, name) -> list:
     """Replace module.name by a wrapper that records the arguments of each call."""
     calls = []

@@ -6,8 +6,9 @@ of the library, and every public method and property of its classes, is
 read by the library or the benchmark, unless it is allowlisted below with
 its reason. No library function, method or nested function keeps a
 cache of functools.lru_cache or functools.cache: derived values live on the
-objects that determine them. No module of the search layer reads the float
-tolerance policy of `scalars`.
+objects that determine them. The float slack of the claim decisions is
+read by `transference._Trial.leq` alone (and recorded by `harness`), and no
+module of the search layer imports the claim code that holds it.
 """
 import ast
 from pathlib import Path
@@ -211,77 +212,82 @@ def test_no_module_level_cache(path):
     assert cached_functions(path.read_text()) == []
 
 
-# modules of the search layer, which must not read the float tolerance policy
-# of `scalars`: that slack is for the claim decisions of float bodies alone
+# modules of the search layer: none imports the claim code (`transference`,
+# where the float slack of the claim decisions lives, or its callers), so
+# none can reach the slack
 SEARCH_LAYER = ("bodies", "linalg", "minima", "sections", "witness")
-SLACK_CONSTANTS = {"REL_SLACK", "STRICT_DELTA"}
+CLAIM_LAYER = {"transference", "harness", "cli"}
+# the float slack and the flag that picks it, read in `transference` by `_Trial.leq` alone
+SLACK_NAMES = {"REL_SLACK", "is_float"}
 
 
-def slack_names(source: str) -> set:
-    """The slack constants and the top-level functions that read one, directly or through another."""
-    reads = {
-        node.name: {
-            name.id for name in ast.walk(node)
-            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
-        }
-        for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
-    }
-    tainted = set(SLACK_CONSTANTS)
-    while True:
-        more = {name for name, read in reads.items() if read & tainted} - tainted
-        if not more:
-            return tainted
-        tainted |= more
+def imported_modules(source: str) -> set:
+    """The last dotted part of each module imported, imported from, or imported as a name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {alias.name.split(".")[-1] for alias in node.names}
+        if isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module.split(".")[-1])
+    return found
 
 
-def slack_imports(source: str, tainted: set) -> list:
-    """Names of `tainted` that a module imports from scalars or reads off the scalars module."""
-    tree = ast.parse(source)
+def names_used(source: str) -> set:
+    """Every name a module binds, loads, reads as an attribute or imports."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.split(".")[-1])
+    return used
+
+
+def slack_reads(source: str) -> list:
+    """(enclosing function as Class.method, line) of each load of a name in SLACK_NAMES."""
     found = []
-    modules = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "scalars":
-            found += [
-                f"line {node.lineno}: {alias.name}" for alias in node.names
-                if alias.name in tainted or alias.name == "*"
-            ]
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            modules |= {
-                alias.asname or alias.name for alias in node.names
-                if alias.name.split(".")[-1] == "scalars"
-            }
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in tainted:
-            owner = node.value
-            if (isinstance(owner, ast.Name) and owner.id in modules) or (
-                isinstance(owner, ast.Attribute) and owner.attr == "scalars"
-            ):
-                found.append(f"line {node.lineno}: {node.attr}")
-    return sorted(found)
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            name = getattr(child, "id", getattr(child, "attr", None))
+            if name in SLACK_NAMES and isinstance(child.ctx, ast.Load):
+                found.append((scope, child.lineno))
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            visit(child, inner)
+
+    visit(ast.parse(source), "")
+    return found
 
 
 def test_the_checker_sees_slack_readers_and_their_imports():
-    scalars = (
-        "REL_SLACK = 1e-9\nSTRICT_DELTA = 1e-6\n\ndef f(a):\n    return a + REL_SLACK\n\n"
-        "def g(a):\n    return f(a)\n\ndef h(a):\n    return a\n"
+    source = (
+        "from .transference import leq\nfrom . import sections as s\nimport dualpiped.minima\n"
+        "REL_SLACK = 1e-9\nx = REL_SLACK\n\nclass T:\n    def __init__(self):\n"
+        "        self.is_float = True\n\n    def leq(self, a):\n"
+        "        return self.is_float and a <= REL_SLACK\n\ndef f(t):\n"
+        "    def g():\n        return t.is_float\n    return g\n"
     )
-    tainted = slack_names(scalars)
-    assert tainted == {"REL_SLACK", "STRICT_DELTA", "f", "g"}
-    module = (
-        "from .scalars import h, g\nfrom . import scalars as s\nimport dualpiped.scalars\n"
-        "x = s.REL_SLACK + s.h(1) + dualpiped.scalars.f(2)\n"
-    )
-    assert slack_imports(module, tainted) == ["line 1: g", "line 4: REL_SLACK", "line 4: f"]
-    assert slack_imports("from .scalars import h\n", tainted) == []
+    assert imported_modules(source) == {"transference", "leq", "sections", "minima"}
+    assert {"REL_SLACK", "is_float", "leq", "sections", "x"} <= names_used(source)
+    assert "REL_SLACK" not in names_used("from .scalars import Quad3\nx = Quad3(1)\n")
+    assert slack_reads(source) == [("", 5), ("T.leq", 12), ("T.leq", 12), ("f.g", 16)]
 
 
 def test_the_search_layer_reads_no_float_slack():
     package = ROOT / "src" / "dualpiped"
-    tainted = slack_names((package / "scalars.py").read_text())
-    # the claim decisions' comparisons are seen as slack readers
-    assert {"float_leq", "float_strictly_greater"} <= tainted
-    found = {
-        name: slack_imports((package / f"{name}.py").read_text(), tainted)
-        for name in SEARCH_LAYER
-    }
-    assert found == {name: [] for name in SEARCH_LAYER}
+    importers = [
+        name for name in SEARCH_LAYER
+        if CLAIM_LAYER & imported_modules((package / f"{name}.py").read_text())
+    ]
+    assert importers == []
+    namers = [
+        path.stem for path in SOURCES
+        if "REL_SLACK" in names_used(path.read_text())
+    ]
+    assert namers == ["harness", "transference"]
+    reads = slack_reads((package / "transference.py").read_text())
+    assert reads and {scope for scope, _ in reads} == {"_Trial.leq"}

@@ -23,13 +23,13 @@ from dualpiped.harness import TrialConfig, aggregate_outcomes, emit_report, eval
 from dualpiped.witness import format_sharpness_report, sharpness_report
 
 PINS = [
-    (3, "float", 42, "0609c56d6ba7b1ae03e3a4cd6fb23212e2b9de0fa5d910de6fd6183e3edd480d"),
-    (4, "float", 42, "1e839568a50d2604add2ed6eb2f054296e5b7358ad6300e14d25c94964086759"),
-    (5, "float", 42, "efc5e83fad70c1373c18eb9cf077c87d000110c79602383e6e454c607921d7ab"),
-    (3, "exact", 7, "4ac4b992601db9d977b1d37501f418cff7362ec57f78a332421b995d44741743"),
-    (5, "float", 1, "e67af2b95bf732bf96826ab33d1d32d98bab9618de190e4e56f9ff6cb80e5702"),
-    (3, "exact", 1, "8ac026a68e922157109d22a23d8c1ea2a95da21c579499aeb14acbc09e13f1bf"),
-    (2, "float", 42, "0bae587151188606733595499b22dca7f15c2fb5cebcdec4d103c598324acf00"),
+    (3, "float", 42, "1686146f84a129219794dc5b95353d0d6c6a06123ea9bddcea9435ea976be7ea"),
+    (4, "float", 42, "3a25256e2e5ee40027da433b4448aaf5b43ebca4fd50dbef2f0e90a360e1ca67"),
+    (5, "float", 42, "2af5d28b6ac846b823b73585f53a9644142e5316d55d9f72758d563cb849ca43"),
+    (3, "exact", 7, "ca0d169214d7f80d10b1c752ea17678b91d4ebfcf369f2f0a16bcee3e27cf125"),
+    (5, "float", 1, "8355e6cede18f674d8341e00c32ae48f55c195f56bc41354e34d3f412d73406e"),
+    (3, "exact", 1, "30cc8fe74cfea3ee2f8710a63fff3822bb43dddf07212460baa4119dcd5f4197"),
+    (2, "float", 42, "39a7b41dfc6f200a4b3a8a5ef49a173bf6856a5069c8c4e307688c702ea4ca4c"),
 ]
 
 

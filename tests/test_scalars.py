@@ -4,13 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from dualpiped import scalars, transference
+from dualpiped.bodies import Parallelepiped
 from dualpiped.scalars import (
-    REL_SLACK,
-    STRICT_DELTA,
     Quad3,
     exact_nth_root,
-    float_leq,
-    float_strictly_greater,
     format_scalar,
     parse_scalar,
     quad_sign,
@@ -184,10 +182,19 @@ def test_exact_nth_root():
 
 
 def test_float_tolerance_policy():
-    assert REL_SLACK == 1e-9
-    assert STRICT_DELTA == 1e-6
-    assert float_leq(1.0, 1.0)
-    assert float_leq(1.0 + 1e-10, 1.0)
-    assert not float_leq(1.0 + 1e-6, 1.0)
-    assert float_strictly_greater(1.0 + 1e-3, 1.0)
-    assert not float_strictly_greater(1.0 + 1e-9, 1.0)
+    # the scalar kinds hold no tolerance: the one slack sits beside the claim
+    # decisions, and only a float trial's comparison reads it
+    assert transference.REL_SLACK == 1e-9
+    gone = ("REL_SLACK", "STRICT_DELTA", "float_leq", "float_strictly_greater", "widen")
+    assert [name for name in gone if hasattr(scalars, name)] == []
+    floats = transference._Trial(Parallelepiped.cube(2, kind="float"), ())
+    assert floats.leq(1.0, 1.0) and not floats.slack_used
+    assert not floats.leq(1.0 + 1e-6, 1.0) and not floats.slack_used
+    assert floats.leq(1.0 + 1e-10, 1.0) and floats.slack_used
+    # relative to the larger magnitude, and measured exactly, so nothing overflows
+    floats.slack_used = False
+    assert floats.leq(Fraction(10**400) + 10**390, 10**400) and floats.slack_used
+    assert not floats.leq(2 * Fraction(10**400), 1e300)
+    exact = transference._Trial(Parallelepiped.cube(2), ())
+    assert exact.leq(Fraction(1), 1) and not exact.leq(1 + Fraction(1, 10**10), 1)
+    assert not exact.slack_used

@@ -8,10 +8,11 @@ from dualpiped import transference
 from dualpiped.bodies import Parallelepiped, det_normalized, pseudo_compound
 from dualpiped.linalg import Matrix
 from dualpiped.minima import first_minimum, successive_minima
-from dualpiped.scalars import REL_SLACK, Quad3, float_leq
+from dualpiped.scalars import Quad3
 from dualpiped.sections import v_tau_squared
 from dualpiped.transference import (
     ALL_CLAIMS,
+    REL_SLACK,
     apply_hyperbolic,
     c_d,
     check_claims,
@@ -21,6 +22,7 @@ from dualpiped.transference import (
 
 from oracle_utils import (
     apply_linear,
+    float_leq,
     generic_body,
     hyperbolic_map,
     khintchine_pair,
