@@ -17,6 +17,7 @@ from .scalars import (
     Quad3,
     Scalar,
     exact_nth_root,
+    float_nth_root,
     format_scalar,
     parse_scalar,
     scalar_sign,
@@ -102,7 +103,14 @@ class Parallelepiped:
     def pullback(self) -> tuple:
         """Rows of A^T / det A, for Pi = A B_d with A = H^{-1} diag(eta); kept once per body."""
         a = self.forms.inverse().matmul(Matrix.diagonal(self.bounds))
-        det = a.det()
+        det = a.det() if self.kind != "float" else _rounded(a.exact_det())
+        if self.kind == "float" and not 0 < abs(det) < math.inf:
+            # a det beyond the float range divides exactly, each entry rounded once
+            det = a.exact_det()
+            rows = tuple(tuple(_rounded(Fraction(x) / det) for x in row) for row in a.transpose().rows)
+            if not all(map(math.isfinite, sum(rows, ()))):
+                raise ValueError("the section-dual rows of the body lie beyond the float range")
+            return rows
         return tuple(tuple(x / det for x in row) for row in a.transpose().rows)
 
     def gauge(self, x: Sequence[Scalar]) -> Scalar:
@@ -116,12 +124,26 @@ class Parallelepiped:
         return best
 
     def volume(self) -> Scalar:
+        """2^d prod eta / |det H|.
+
+        A float body whose det or volume would round to 0 or overflow takes
+        the exact value rounded once instead, and ValueError if that too lies
+        beyond the float range.
+        """
         d = self.dimension
         prod = self.bounds[0]
         for e in self.bounds[1:]:
             prod = prod * e
-        scale = 2**d if self.kind != "float" else float(2**d)
-        return scale * prod / abs(self.forms.det())
+        if self.kind != "float":
+            return 2**d * prod / abs(self.forms.det())
+        adet = _rounded(abs(self.forms.exact_det()))
+        value = float(2**d) * prod / adet if adet else math.inf
+        if 0 < value < math.inf:
+            return value
+        value = _rounded(2**d * math.prod(map(Fraction, self.bounds)) / abs(self.forms.exact_det()))
+        if not 0 < value < math.inf:
+            raise ValueError("the body's volume lies beyond the float range")
+        return value
 
     def scale(self, t: Scalar) -> "Parallelepiped":
         if scalar_sign(t) <= 0:
@@ -132,6 +154,14 @@ class Parallelepiped:
         return Parallelepiped(self.forms.to_float(), tuple(float(e) for e in self.bounds))
 
 
+def _rounded(x: Fraction) -> float:
+    """float(x), or an infinity of its sign where x overflows the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def det_normalized(piped: Parallelepiped) -> Parallelepiped:
     """The same body rewritten as (s H, s eta) with |det(s H)| = 1.
 
@@ -139,11 +169,15 @@ def det_normalized(piped: Parallelepiped) -> Parallelepiped:
     otherwise ExactnessError asks for a float conversion.
     """
     d = piped.dimension
-    adet = abs(piped.forms.det())
-    if adet == 1:
-        return piped
+    adet = abs(piped.forms.exact_det())
     if piped.kind == "float":
-        s = adet ** (-1.0 / d)
+        rounded = _rounded(adet)
+        if rounded == 1:
+            return piped
+        # a det beyond the float range is rooted before it is rounded
+        s = rounded ** (-1.0 / d) if 0 < rounded < math.inf else 1 / float_nth_root(adet, d)
+    elif adet == 1:
+        return piped
     else:
         s = exact_nth_root(1 / adet, d)
         if s is None:

@@ -15,8 +15,12 @@ as arrays, by one exact integer matmul, in int64 where a bound proves it
 exact and over Python ints otherwise. A box of more than GRID_CELL_CAP
 cells is refused before the grid is built. Each search runs in the
 coordinates of an exact LLL reduction of its rows, which may start from a
-given basis: a body's hyperbolic shifts start from the body's own reduced
-basis. No answer depends on the basis, only the size of the box does.
+given basis. No answer depends on the basis, only the size of the box does.
+A body's hyperbolic shifts only scale its gauge rows, so
+first_minima_in_basis searches them all in the body's own reduced basis,
+with no reduction: a shift whose box there has at most 3^d cells is decided
+by the exact integer keys of all its canonical cells, with no snapshot,
+grid, sort or span, and any other shift is left to first_minimum.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
-from operator import mul
+from operator import add, mul, neg
 
 import numpy as np
 
@@ -496,3 +500,59 @@ def first_minimum(piped: Parallelepiped, lattice: Lattice | None = None, *, star
     """The first minimum and one witness coefficient vector."""
     profile = successive_minima(piped, lattice, 1, start=start)
     return profile.values[0], profile.witnesses[0]
+
+
+def first_minima_in_basis(bodies, start) -> list:
+    """The first minimum of each body against Z^d, searched in the basis `start`, or None.
+
+    The bodies are hyperbolic shifts of one body, and `start` is the reduced
+    basis of that body's profile search (MinimaProfile.basis). A shift only
+    scales the body's gauge rows, so `start` keeps each shift's box small
+    with no reduction of its own. Each body's gauge rows (gauge_rows, a
+    float body's quotients rounded as there) are cleared and taken times
+    `start`. The smallest column gauge m0 / den is the radius, and one exact
+    inverse gives the box (see _box). A box of at most 3^d cells is decided
+    whole: the keep rule m <= floor(mu den) = m0 of lattice_points_in_dilate
+    holds for the smallest integer key m = max_i |a_i . k| over its
+    canonical cells, as the radius's own basis vector lies in the box, and
+    that m gives the value Fraction(m, den), rounded once for a float body,
+    as first_minimum gives it. No snapshot, grid, sort or span is built.
+    Each other body gives None: a larger box, Q(sqrt3) rows, or float rows
+    that are not finite. first_minimum(body, start=start) searches those.
+    """
+    return [_small_box_minimum(piped, start) for piped in bodies]
+
+
+def _small_box_minimum(piped: Parallelepiped, start):
+    """One body's first minimum for first_minima_in_basis, or None."""
+    rows = gauge_rows(piped)
+    if not all(math.isfinite(x) for row in rows for x in row if isinstance(x, float)):
+        return None
+    a, b, den = rows.times(start)
+    if b is not None:
+        return None
+    radius = min(max(map(abs, col)) for col in zip(*a))
+    box = _box(a, None, radius)
+    if math.prod(2 * bj + 1 for bj in box) > 3 ** len(box):
+        return None
+    value = Fraction(_smallest_key(list(zip(*a)), box), den)
+    return float(value) if piped.kind == "float" else value
+
+
+def _smallest_key(cols, box) -> int:
+    """The least max_i |(sum_j k_j col_j)_i| over the canonical cells k of the box.
+
+    The images are built from the last coordinate back: the canonical cells
+    whose first nonzero coordinate is j are t e_j, t = 1..b_j, plus any cell
+    of the coordinates after j, and with their negatives they fill the box of
+    the coordinates from j on. So each canonical cell costs one vector sum.
+    """
+    tails = [(0,) * len(cols)]
+    keys = []
+    for j in range(len(cols) - 1, -1, -1):
+        steps = [tuple(t * x for x in cols[j]) for t in range(1, box[j] + 1)]
+        lead = [tuple(map(add, step, tail)) for step in steps for tail in tails]
+        keys += [max(map(abs, v)) for v in lead]
+        if j:
+            tails += lead + [tuple(map(neg, v)) for v in lead]
+    return min(keys)

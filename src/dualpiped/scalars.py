@@ -263,6 +263,19 @@ def exact_nth_root(x: Scalar, n: int) -> Scalar | None:
     return None
 
 
+def float_nth_root(x: Scalar, n: int) -> float:
+    """The positive n-th root of x > 0, as a float.
+
+    A Fraction x is split as y 2^(n e) with y near 1, and the root is
+    float(y)^(1/n) 2^e: only y is rounded, so an x beyond the float range
+    loses nothing before the root. Other kinds take float(x)^(1/n).
+    """
+    e = 0
+    if isinstance(x, Fraction):
+        e = (x.numerator.bit_length() - x.denominator.bit_length()) // n
+    return math.ldexp(float(x / Fraction(2) ** (n * e)) ** (1.0 / n), e)
+
+
 def _int_nth_root(v: int, n: int) -> int | None:
     if v == 0:
         return 0

@@ -26,8 +26,8 @@ from typing import Sequence
 
 from .bodies import Parallelepiped, det_normalized, pseudo_compound
 from .linalg import monotone_root
-from .minima import first_minimum, successive_minima
-from .scalars import Scalar, exact_nth_root, exact_scalar, scalar_sign
+from .minima import first_minima_in_basis, first_minimum, successive_minima
+from .scalars import Scalar, exact_nth_root, exact_scalar, float_nth_root, scalar_sign
 from .sections import first_minimum_section_dual, v_tau_squared
 
 _MODES = ("plain", "sharp")
@@ -62,6 +62,14 @@ def _family_ratio(raw, value, v2, power: int) -> tuple:
     return num, den
 
 
+def _family_margin_root(num: int, den: int, power: int) -> float:
+    """(num / den)^(1 / power) in floats, or the root of the exact ratio where num / den overflows."""
+    try:
+        return (num / den) ** (1 / power)
+    except OverflowError:
+        return float_nth_root(Fraction(num, den), power)
+
+
 def normalize_tau(tau: Sequence[Scalar], mode: str = "plain"):
     """Scale tau onto its surface: sum tau^2 = v^2 prod tau^2, v = 1 or v_tau.
 
@@ -83,11 +91,7 @@ def normalize_tau(tau: Sequence[Scalar], mode: str = "plain"):
     n = 2 * (d - 1)
     lam = None if any(isinstance(t, float) for t in tau) else exact_nth_root(ratio, n)
     if lam is None:
-        # ratio = y 2^(n e) with y near 1: only y is rounded, and nothing overflows
-        e = 0
-        if isinstance(ratio, Fraction):
-            e = (ratio.numerator.bit_length() - ratio.denominator.bit_length()) // n
-        lam = math.ldexp(float(ratio / Fraction(2) ** (n * e)) ** (1.0 / n), e)
+        lam = float_nth_root(ratio, n)
         return tuple(lam * float(t) for t in tau)
     return tuple(lam * t for t in exact)
 
@@ -151,7 +155,7 @@ class _Trial:
 
     The body is normalized at once, so a body that an exact kind cannot
     normalize is refused whatever the claims. FAM alone makes the body's
-    profile search, whose reduced basis starts the shifted searches, and no
+    profile search, in whose reduced basis the shifts are searched, and no
     compound search; C12 alone makes none.
     """
 
@@ -198,12 +202,17 @@ class _Trial:
 
         An exact shift keeps an exact body exact, and a Fraction times a
         float bound is the float product, so one shift serves both kinds. A
-        shift scales the body's gauge rows, so each search starts from the
-        basis that the body's profile search reduced to.
+        shift scales the body's gauge rows, so every shift is searched in
+        the basis that the body's profile search reduced to: one
+        first_minima_in_basis call decides each shift whose box there is
+        small (every shift of a harness body), with no reduction, grid or
+        profile, and first_minimum searches the others from that basis.
         """
         start = self.profile.basis
-        shifts = (apply_hyperbolic(self.body, tuple(map(Fraction, raw))) for raw in self.directions)
-        return [first_minimum(shifted, start=start)[0] for shifted in shifts]
+        shifts = [apply_hyperbolic(self.body, tuple(map(Fraction, raw))) for raw in self.directions]
+        values = first_minima_in_basis(shifts, start)
+        return [first_minimum(shifted, start=start)[0] if value is None else value
+                for shifted, value in zip(shifts, values)]
 
 
 def _finish(cid: str, hypothesis, checks, detail: str = "", witnesses=()) -> ClaimReport:
@@ -299,7 +308,7 @@ def _family(t: _Trial, cid: str, sharp: bool) -> ClaimReport:
         # within the slack, num <= den is the test of num / den <= 1, as
         # max(num, den) = den max(num / den, 1), and skips a gcd of big ints
         ok = t.leq(num, den)
-        checks.append((1.0, (num / den) ** (1 / power), ok))
+        checks.append((1.0, _family_margin_root(num, den, power), ok))
         if not ok:
             witnesses.append(raw)
     detail = f"{len(t.directions)} sampled surface directions"
@@ -365,7 +374,7 @@ def check_claims(
     scalar kinds are judged exactly; floats within REL_SLACK, and a pass
     that needed the slack is marked `slack_pass`. The
     family claims FAM and FAMSHARP run over the positive `directions`, one
-    shifted search per direction for both, and are skipped when none is
+    shifted minimum per direction for both, and are skipped when none is
     given. A plain sequence is read as a `Direction` of floats.
     """
     requested = tuple(claims) if claims is not None else ALL_CLAIMS

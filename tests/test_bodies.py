@@ -8,6 +8,7 @@ from dualpiped.bodies import (
     ExactnessError,
     Lattice,
     Parallelepiped,
+    det_normalized,
     format_lattice,
     format_parallelepiped,
     parse_body_document,
@@ -213,3 +214,18 @@ def test_exactly_singular_float_forms_are_refused(tmp_path, capsys):
     body_file.write_text(f"dimension: 3\nscalar_kind: float\nH:\n{rows}\neta: 1.0,1.0,1.0\n")
     assert main(["minima", "--body", str(body_file)]) == 2
     assert "forms matrix must be invertible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_float_determinants_beyond_the_float_range(scale):
+    # det H = scale^2 rounds to 0 or overflows; the body is still measured
+    # from the exact determinant
+    forms = Matrix([[scale, 0.0], [0.0, scale]])
+    normalized = det_normalized(Parallelepiped(forms, (1.0, 1.0)))
+    assert normalized.forms.det() == 1.0
+    assert normalized.bounds == (1 / scale, 1 / scale)
+    # 2^2 scale^2 / scale^2, rounded once
+    assert Parallelepiped(forms, (scale, scale)).volume() == 4.0
+    # 4e400 and 4e-400 have no float
+    with pytest.raises(ValueError, match="beyond the float range"):
+        Parallelepiped(forms, (1.0, 1.0)).volume()

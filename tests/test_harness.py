@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dualpiped import sections, transference
+from dualpiped import minima, sections, transference
 from dualpiped.bodies import pseudo_compound
 from dualpiped.harness import (
     TrialConfig,
@@ -167,23 +167,35 @@ def counting(monkeypatch, module, name) -> list:
 
 def test_each_trial_derives_its_values_once(monkeypatch):
     # 8 section ratios serve both FAMSHARP and the v_tau range; C12 takes one
-    # and WM six (five basis vectors and the one point of its box); a claim
+    # and WM d + 1 (d basis vectors and the one point of its box); a claim
     # filter makes only the profile searches that its claims read
     ratios = counting(monkeypatch, sections, "_section_ratio")
     searches = counting(monkeypatch, transference, "successive_minima")
-    for claims, ratio_calls, search_calls in (
-        (None, 15, 2), (("FAM",), 8, 1), (("FAMSHARP",), 8, 1), (("C12",), 9, 0),
-    ):
-        options = {} if claims is None else {"claims": claims}
-        config = TrialConfig(dimension=5, trials=3, seed=1, **options)
-        for index in range(config.trials):
-            ratios.clear()
-            searches.clear()
-            outcome = evaluate_trial(config, index)
-            assert outcome.error is None
-            assert (len(ratios), len(searches)) == (ratio_calls, search_calls)
-            # each profile search is made on the body alone, as the benchmark's trace expects
-            assert all(len(args) == 1 for args in searches)
+    # the family claims decide all eight shifts in one batched call, with no
+    # per-shift search: the only LLLs and grids are those of the calibration
+    # in gen_instance, of the profile searches and of WM's section-dual search
+    batches = counting(monkeypatch, transference, "first_minima_in_basis")
+    shift_searches = counting(monkeypatch, transference, "first_minimum")
+    reductions = counting(monkeypatch, minima, "_lll_unimodular")
+    grids = counting(monkeypatch, minima, "_grid_points")
+    for mode, dimension in (("float", 5), ("exact", 3)):
+        for claims, ratio_calls, search_calls, batch_calls, fixed in (
+            (None, 10 + dimension, 2, 1, 4), (("FAM",), 8, 1, 1, 2), (("FAMSHARP",), 8, 1, 1, 2),
+            (("C12",), 9, 0, 0, 1),
+        ):
+            options = {} if claims is None else {"claims": claims}
+            config = TrialConfig(dimension=dimension, trials=3, seed=1, mode=mode, **options)
+            for index in range(config.trials):
+                for calls in (ratios, searches, batches, shift_searches, reductions, grids):
+                    calls.clear()
+                outcome = evaluate_trial(config, index)
+                assert outcome.error is None
+                assert (len(ratios), len(searches)) == (ratio_calls, search_calls)
+                # each profile search is made on the body alone, as the benchmark's trace expects
+                assert all(len(args) == 1 for args in searches)
+                assert (len(batches), len(shift_searches)) == (batch_calls, 0)
+                assert all(len(shifts) == config.tau_samples for shifts, _ in batches)
+                assert (len(reductions), len(grids)) == (fixed, fixed)
     monkeypatch.undo()
     # the v_tau range reads the square that FAMSHARP reads, rounded once
     for mode, dimension in (("float", 5), ("exact", 3)):

@@ -8,9 +8,13 @@ its reason. No library function, method or nested function keeps a
 cache of functools.lru_cache or functools.cache: derived values live on the
 objects that determine them. The float slack of the claim decisions is
 read by `transference._Trial.leq` alone (and recorded by `harness`), and no
-module of the search layer imports the claim code that holds it.
+module of the search layer imports the claim code that holds it. The
+benchmark's layer tracer still installs on the library and restores it.
 """
 import ast
+import gc
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -291,3 +295,34 @@ def test_the_search_layer_reads_no_float_slack():
     assert namers == ["harness", "transference"]
     reads = slack_reads((package / "transference.py").read_text())
     assert reads and {scope for scope, _ in reads} == {"_Trial.leq"}
+
+
+def test_the_benchmark_tracer_installs_and_restores_the_library():
+    # the tracer replaces library functions by name, so a rename under src/
+    # that it does not follow fails here rather than only in the benchmark
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    # every module that the tracer patches, loaded before the snapshot
+    traced = ("bodies", "harness", "linalg", "minima", "sections", "transference", "witness")
+    modules = {name: importlib.import_module(f"dualpiped.{name}") for name in traced}
+    linalg, transference = modules["linalg"], modules["transference"]
+
+    def library():
+        owners = [m for name, m in sys.modules.items() if name.split(".")[0] == "dualpiped"]
+        owners += [linalg.Matrix, linalg.RationalSpan]
+        return {(owner, attr): value for owner in owners for attr, value in vars(owner).items()}
+
+    before = library()
+    callbacks = list(gc.callbacks)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert transference.first_minimum is not before[(transference, "first_minimum")]
+        assert linalg.Matrix.det is not before[(linalg.Matrix, "det")]
+    finally:
+        tracer.uninstall()
+    after = library()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+    assert gc.callbacks == callbacks
