@@ -199,9 +199,13 @@ def pseudo_compound(piped: Parallelepiped) -> Parallelepiped:
     prod = bounds[0]
     for e in bounds[1:]:
         prod = prod * e
-    star_forms = normalized.forms.inverse().transpose()
     star_bounds = tuple(prod / e for e in bounds)
-    return Parallelepiped(star_forms, star_bounds)
+    if normalized.kind == "float" and not all(0 < e < math.inf for e in star_bounds):
+        raise ValueError(
+            "the pseudo-compound's bounds (prod eta) / eta_i of the det-normalized body"
+            " lie beyond the float range"
+        )
+    return Parallelepiped(normalized.forms.inverse().transpose(), star_bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,8 @@ class TrialConfig:
 
 
 def _random_unimodular(rng: random.Random, d: int) -> Matrix:
-    rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    # row operations on ints; Matrix makes each entry a Fraction once
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
     for _ in range(3 * d):
         i = rng.randrange(d)
         j = rng.randrange(d)

@@ -16,11 +16,14 @@ exact and over Python ints otherwise. A box of more than GRID_CELL_CAP
 cells is refused before the grid is built. Each search runs in the
 coordinates of an exact LLL reduction of its rows, which may start from a
 given basis. No answer depends on the basis, only the size of the box does.
-A body's hyperbolic shifts only scale its gauge rows, so
+A body's hyperbolic shifts only scale the rows of its gauge, so
 first_minima_in_basis searches them all in the body's own reduced basis,
-with no reduction: a shift whose box there has at most 3^d cells is decided
-by the exact integer keys of all its canonical cells, with no snapshot,
-grid, sort or span, and any other shift is left to first_minimum.
+with no reduction and no shifted body: a rational body's reduced rows are
+inverted once, and that one adjugate gives every shift's box in ints,
+while a float body's rounded shifted rows take one inverse each. A shift
+whose box has at most 3^d cells is decided by the exact integer keys of
+all its canonical cells, with no snapshot, grid, sort or span, and any
+other shift is left to first_minimum.
 """
 from __future__ import annotations
 
@@ -502,41 +505,70 @@ def first_minimum(piped: Parallelepiped, lattice: Lattice | None = None, *, star
     return profile.values[0], profile.witnesses[0]
 
 
-def first_minima_in_basis(bodies, start) -> list:
-    """The first minimum of each body against Z^d, searched in the basis `start`, or None.
+def first_minima_in_basis(piped: Parallelepiped, directions, start) -> list:
+    """The first minimum against Z^d of the body shifted by each direction, or None.
 
-    The bodies are hyperbolic shifts of one body, and `start` is the reduced
-    basis of that body's profile search (MinimaProfile.basis). A shift only
-    scales the body's gauge rows, so `start` keeps each shift's box small
-    with no reduction of its own. Each body's gauge rows (gauge_rows, a
-    float body's quotients rounded as there) are cleared and taken times
-    `start`. The smallest column gauge m0 / den is the radius, and one exact
-    inverse gives the box (see _box). A box of at most 3^d cells is decided
-    whole: the keep rule m <= floor(mu den) = m0 of lattice_points_in_dilate
-    holds for the smallest integer key m = max_i |a_i . k| over its
-    canonical cells, as the radius's own basis vector lies in the box, and
-    that m gives the value Fraction(m, den), rounded once for a float body,
-    as first_minimum gives it. No snapshot, grid, sort or span is built.
-    Each other body gives None: a larger box, Q(sqrt3) rows, or float rows
-    that are not finite. first_minimum(body, start=start) searches those.
+    A shift by tau scales the bounds to tau * eta (see apply_hyperbolic),
+    so row i of the gauge rows by 1 / tau_i, and `start`, the reduced basis
+    of the body's profile search (MinimaProfile.basis), keeps each shift's
+    box small with no reduction. A shift's reduced rows clear to integers
+    a' over one denominator den; the smallest column maximum m0 is the
+    radius, and a box of at most 3^d cells there is decided whole: the
+    smallest integer key m = max_i |a'_i . k| over its canonical cells
+    (_smallest_key) passes the keep rule m <= floor(mu den) = m0 of
+    lattice_points_in_dilate, as the radius's basis vector lies in the box,
+    and gives the value Fraction(m, den), rounded once for a float body.
+    No shifted body, snapshot, grid, sort or span is built.
+
+    A rational body's reduced rows a / den are inverted once: with
+    tau_i = p_i / q_i and L = lcm(p), a shift's rows are s_i a_i over den L,
+    s_i = q_i L / p_i, so the one adjugate gives every shift's box in ints,
+    b_j = floor(m0 sum_i |adj_ji| / (s_i |det a|)). A float body's shifted
+    rows are the rounded quotients h / fl(tau eta), which no shared inverse
+    describes, so each takes its own (_box). Q(sqrt3) rows, float bounds or
+    rows beyond the float range and larger boxes give None, for
+    first_minimum to search.
     """
-    return [_small_box_minimum(piped, start) for piped in bodies]
-
-
-def _small_box_minimum(piped: Parallelepiped, start):
-    """One body's first minimum for first_minima_in_basis, or None."""
-    rows = gauge_rows(piped)
-    if not all(math.isfinite(x) for row in rows for x in row if isinstance(x, float)):
-        return None
-    a, b, den = rows.times(start)
+    if piped.kind == "float":
+        return [_float_shift_minimum(piped, raw, start) for raw in directions]
+    a, b, den = gauge_rows(piped).times(start)
     if b is not None:
+        return [None] * len(directions)
+    det, adj = eliminate(a, inverse=True)
+    values = []
+    for raw in directions:
+        ratios = [t.as_integer_ratio() for t in raw]
+        lcm = math.lcm(*(p for p, _ in ratios))
+        scales = [q * (lcm // p) for p, q in ratios]
+        shifted = [[s * x for x in row] for s, row in zip(scales, a)]
+        radius = min(max(map(abs, col)) for col in zip(*shifted))
+        common = math.lcm(*scales)
+        weights = [common // s for s in scales]
+        div = common * abs(det)
+        box = [radius * sum(abs(x) * w for x, w in zip(row, weights)) // div for row in adj]
+        key = _small_box_key(shifted, box)
+        values.append(None if key is None else Fraction(key, den * lcm))
+    return values
+
+
+def _float_shift_minimum(piped: Parallelepiped, raw, start):
+    """A float body's first minimum shifted by raw, for first_minima_in_basis, or None."""
+    bounds = [float(t) * e for t, e in zip(raw, piped.bounds)]
+    if not all(0 < e < math.inf for e in bounds):
         return None
-    radius = min(max(map(abs, col)) for col in zip(*a))
-    box = _box(a, None, radius)
+    rows = [[x / e for x in row] for row, e in zip(piped.forms.rows, bounds)]
+    if not all(math.isfinite(x) for row in rows for x in row):
+        return None
+    a, _, den = GaugeRows(rows).times(start)
+    key = _small_box_key(a, _box(a, None, min(max(map(abs, col)) for col in zip(*a))))
+    return None if key is None else float(Fraction(key, den))
+
+
+def _small_box_key(a, box):
+    """_smallest_key of the integer rows a over the box, or None past 3^d cells."""
     if math.prod(2 * bj + 1 for bj in box) > 3 ** len(box):
         return None
-    value = Fraction(_smallest_key(list(zip(*a)), box), den)
-    return float(value) if piped.kind == "float" else value
+    return _smallest_key(list(zip(*a)), box)
 
 
 def _smallest_key(cols, box) -> int:

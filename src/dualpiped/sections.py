@@ -12,10 +12,12 @@ coefficients need no perturbation. Zero coordinates factor out of the section
 as whole cube edges, contributing 2 each.
 
 Every sum is exact. Floats are read as the dyadic rationals they are, and
-rational coordinates are scaled to integers over one common denominator: the
-ratio S(a) / ((d-1)! prod a_i) is homogeneous of degree -1, so the sum runs
-on Python ints whatever the scale of a. Q(sqrt3) coordinates run the same sum
-in their own arithmetic. Each volume derives from its exact square: exact
+rational coordinates are scaled to coprime integers k = c |a| over one common
+denominator: the ratio S(a) / ((d-1)! prod a_i) is homogeneous of degree -1,
+so the sum runs on Python ints whatever the scale of a, and c cancels from
+the square of the volume, 4^zeros |k|^2 S(k)^2 / ((n-1)! prod k)^2, one
+Fraction of two ints. Q(sqrt3) coordinates run the same sum in their own
+arithmetic. Each volume derives from its exact square: exact
 kinds take the root when it lies in Q(sqrt3), and floats (or a root outside
 the field) round the square once and take math.sqrt. The sum has 2^n terms
 for n nonzero coordinates, each on integers of B bits, so a direction with
@@ -42,7 +44,7 @@ from typing import Sequence
 
 from .bodies import Parallelepiped
 from .minima import GaugeRows, lattice_points_in_dilate, reduced_basis
-from .scalars import Quad3, Scalar, exact_nth_root, exact_scalar, scalar_sign, zsqrt3_parts
+from .scalars import Quad3, Scalar, exact_nth_root, exact_scalar, zsqrt3_parts
 
 _SQRT3 = Quad3(0, 1)
 
@@ -62,7 +64,10 @@ def _check_work(n: int, bits: int) -> None:
 
 
 def _signed_power_sum(parts, power: int):
-    """S(a): alternating sum of positive parts raised to `power`."""
+    """S(a): alternating sum of positive parts raised to `power`.
+
+    The sign test s > 0 is exact for ints and for Q(sqrt3) sums alike.
+    """
     total = 0
     for signs in itertools.product((1, -1), repeat=len(parts)):
         s = 0
@@ -73,52 +78,65 @@ def _signed_power_sum(parts, power: int):
             else:
                 s = s - x
                 negatives += 1
-        if scalar_sign(s) > 0:
+        if s > 0:
             term = s**power
             total = total - term if negatives % 2 else total + term
     return total
 
 
-def _section_ratio(parts):
-    """S(a) / ((n-1)! * prod a_i) for n positive exact parts a, exactly.
+def _section_ratio(parts) -> tuple:
+    """k, num, den, D and g with S(a) / ((n-1)! prod a_i) = D num / (g den), for n positive parts a.
 
-    Rational parts are scaled to integers k = D a / g, with D the lcm of their
-    denominators and g the gcd of the scaled parts; the ratio is homogeneous
-    of degree -1, so it equals D S(k) / (g (n-1)! prod k).
+    Rational and float parts (a float is the dyadic rational it stores)
+    are scaled to coprime integers k = D a / g, with D the lcm of their
+    denominators and g the gcd of the scaled parts; the ratio is
+    homogeneous of degree -1, so num / den = S(k) / ((n-1)! prod k) holds
+    in ints. Q(sqrt3) parts keep k = a and D = g = 1, in their own
+    arithmetic.
     """
     n = len(parts)
     if any(isinstance(x, Quad3) for x in parts):
+        parts = [exact_scalar(x) for x in parts]
         _check_work(n, max(abs(v).bit_length() for x in parts for v in zsqrt3_parts(x)))
-        return _signed_power_sum(parts, n - 1) / (math.factorial(n - 1) * math.prod(parts))
+        return parts, _signed_power_sum(parts, n - 1), math.factorial(n - 1) * math.prod(parts), 1, 1
     ratios = [x.as_integer_ratio() for x in parts]
-    den = math.lcm(*(q for _, q in ratios))
-    ints = [p * (den // q) for p, q in ratios]
+    lcm = math.lcm(*(q for _, q in ratios))
+    ints = [p * (lcm // q) for p, q in ratios]
     g = math.gcd(*ints)
     ints = [k // g for k in ints]
     _check_work(n, max(ints).bit_length())
-    return Fraction(
-        den * _signed_power_sum(ints, n - 1), g * math.factorial(n - 1) * math.prod(ints)
-    )
+    return ints, _signed_power_sum(ints, n - 1), math.factorial(n - 1) * math.prod(ints), lcm, g
 
 
-def _exact_parts(a) -> list:
-    """|a_i| of the nonzero coordinates, floats read exactly."""
-    return [abs(exact_scalar(x)) for x in a if x]
+def _quotient(num, den):
+    """num / den, one Fraction of two ints, or in Q(sqrt3)."""
+    return Fraction(num, den) if isinstance(num, int) and isinstance(den, int) else num / den
 
 
-def _squared_volume(a, d: int):
-    """Exact square 4^zeros |a|^2 ratio^2 of the section volume."""
+def _squared_volume(a, d: int, normalized: bool = False):
+    """Exact square of the section volume, or with `normalized` of v_tau.
+
+    The square is 4^zeros |a|^2 ratio^2, and with k = c a, c = D / g, the
+    scale cancels: 4^zeros |k|^2 num^2 / den^2 (see _section_ratio), one
+    Fraction for rational and float directions. v_tau^2 divides it by
+    4^(d-1) = 4^zeros 4^(n-1).
+    """
     if len(a) != d:
         raise ValueError("direction length must equal the dimension")
     if d < 2:
         raise ValueError("dimension must be at least 2")
     if not all(math.isfinite(x) for x in a if isinstance(x, float)):
         raise ValueError("direction must be finite")
-    parts = _exact_parts(a)
+    parts = [abs(x) for x in a if x]
     if not parts:
         raise ValueError("direction must be nonzero")
-    ratio = _section_ratio(parts)
-    return 4 ** (d - len(parts)) * sum(x * x for x in parts) * ratio * ratio
+    k, num, den, _, _ = _section_ratio(parts)
+    top = sum(x * x for x in k) * num * num
+    if normalized:
+        den *= 2 ** (len(parts) - 1)
+    else:
+        top *= 4 ** (d - len(parts))
+    return _quotient(top, den * den)
 
 
 def _root(square, a) -> Scalar:
@@ -144,7 +162,7 @@ def v_tau(tau: Sequence[Scalar]) -> Scalar:
     Defined for every nonzero direction, invariant under signs and positive
     scaling; Vaaler's and Ball's theorems pin it into [1, sqrt(2)].
     """
-    return _root(_squared_volume(tau, len(tau)) / 4 ** (len(tau) - 1), tau)
+    return _root(v_tau_squared(tau), tau)
 
 
 def v_tau_squared(tau: Sequence[Scalar]) -> Scalar:
@@ -153,7 +171,7 @@ def v_tau_squared(tau: Sequence[Scalar]) -> Scalar:
     The square drops the lone square root in v_tau, so comparisons against
     rational thresholds can be decided exactly.
     """
-    return _squared_volume(tau, len(tau)) / 4 ** (len(tau) - 1)
+    return _squared_volume(tau, len(tau), normalized=True)
 
 
 def _wedge_gauge(w) -> Scalar:
@@ -162,8 +180,11 @@ def _wedge_gauge(w) -> Scalar:
     The ratio runs over the n nonzero |w_i|; floats are read exactly. The
     gauge is homogeneous of degree 1.
     """
-    parts = _exact_parts(w)
-    return 2 ** (len(parts) - 1) / _section_ratio(parts) if parts else Fraction(0)
+    parts = [abs(x) for x in w if x]
+    if not parts:
+        return Fraction(0)
+    _, num, den, lcm, g = _section_ratio(parts)
+    return _quotient(2 ** (len(parts) - 1) * den * g, lcm * num)
 
 
 def _pullback_gauge(rows: GaugeRows, z) -> Scalar:

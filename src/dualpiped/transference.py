@@ -198,21 +198,21 @@ class _Trial:
 
     @cached_property
     def family_minima(self) -> list:
-        """mu_1 of the body shifted by each raw direction, read as Fractions.
+        """mu_1 of the body shifted by each raw direction.
 
-        An exact shift keeps an exact body exact, and a Fraction times a
-        float bound is the float product, so one shift serves both kinds. A
-        shift scales the body's gauge rows, so every shift is searched in
-        the basis that the body's profile search reduced to: one
+        A shift scales the body's gauge rows, so every shift is searched in
+        the basis that the body's profile search reduced to. One
         first_minima_in_basis call decides each shift whose box there is
-        small (every shift of a harness body), with no reduction, grid or
-        profile, and first_minimum searches the others from that basis.
+        small (every shift of a harness body), a rational body's from one
+        inverse of its reduced rows, with no Parallelepiped, reduction, grid
+        or profile. Only the others are built by apply_hyperbolic, the
+        direction read as Fractions (a Fraction times a float bound is the
+        float product), and searched by first_minimum from that basis.
         """
         start = self.profile.basis
-        shifts = [apply_hyperbolic(self.body, tuple(map(Fraction, raw))) for raw in self.directions]
-        values = first_minima_in_basis(shifts, start)
-        return [first_minimum(shifted, start=start)[0] if value is None else value
-                for shifted, value in zip(shifts, values)]
+        values = first_minima_in_basis(self.body, self.directions, start)
+        return [first_minimum(apply_hyperbolic(self.body, tuple(map(Fraction, raw))), start=start)[0]
+                if value is None else value for raw, value in zip(self.directions, values)]
 
 
 def _finish(cid: str, hypothesis, checks, detail: str = "", witnesses=()) -> ClaimReport:

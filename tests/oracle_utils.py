@@ -311,6 +311,30 @@ def section3_area(x):
     return (4 - x) * root
 
 
+def squared_section_volume(a, d):
+    """The exact square 4^zeros |a|^2 ratio^2 of the section volume, by the full sum.
+
+    The reference for sections: ratio = S(a) / ((n-1)! prod a_i) over the
+    n nonzero |a_i| read as Fractions (a float is the dyadic rational it
+    stores), with S summed over all 2^n sign patterns in Fraction arithmetic.
+    """
+    parts = [abs(Fraction(x)) for x in a if x]
+    n = len(parts)
+    total = Fraction(0)
+    for signs in itertools.product((1, -1), repeat=n):
+        s = sum(sg * x for sg, x in zip(signs, parts))
+        if s > 0:
+            total += (-1) ** signs.count(-1) * s ** (n - 1)
+    ratio = total / (math.factorial(n - 1) * math.prod(parts))
+    return 4 ** (d - n) * sum(x * x for x in parts) * ratio * ratio
+
+
+def section_root(square, a):
+    """The exact root of a square where it lies in Q(sqrt3) and a holds no float, else math.sqrt."""
+    root = None if any(isinstance(x, float) for x in a) else exact_nth_root(square, 2)
+    return math.sqrt(square) if root is None else root
+
+
 def monte_carlo_section_volume(a, d, *, samples=1_000_000, seed=0, half_width=1e-3):
     """Slab estimate of the central section volume and its standard error.
 

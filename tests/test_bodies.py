@@ -229,3 +229,6 @@ def test_float_determinants_beyond_the_float_range(scale):
     # 4e400 and 4e-400 have no float
     with pytest.raises(ValueError, match="beyond the float range"):
         Parallelepiped(forms, (1.0, 1.0)).volume()
+    # nor have the compound's bounds 1e400 and 1e-400 of the normalized body
+    with pytest.raises(ValueError, match="pseudo-compound's bounds .* beyond the float range"):
+        pseudo_compound(Parallelepiped(forms, (1.0, 1.0)))

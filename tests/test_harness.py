@@ -172,13 +172,34 @@ def test_each_trial_derives_its_values_once(monkeypatch):
     ratios = counting(monkeypatch, sections, "_section_ratio")
     searches = counting(monkeypatch, transference, "successive_minima")
     # the family claims decide all eight shifts in one batched call, with no
-    # per-shift search: the only LLLs and grids are those of the calibration
-    # in gen_instance, of the profile searches and of WM's section-dual search
+    # shifted body and no per-shift search: the only LLLs and grids are those
+    # of the calibration in gen_instance, of the profile searches and of WM's
+    # section-dual search
     batches = counting(monkeypatch, transference, "first_minima_in_basis")
     shift_searches = counting(monkeypatch, transference, "first_minimum")
+    shifted_bodies = counting(monkeypatch, transference, "apply_hyperbolic")
     reductions = counting(monkeypatch, minima, "_lll_unimodular")
     grids = counting(monkeypatch, minima, "_grid_points")
-    for mode, dimension in (("float", 5), ("exact", 3)):
+    # the eliminations made inside the batched call: an exact body's reduced
+    # rows are inverted once for all its shifts, a float body's rows per shift
+    inverses = []
+    batched = transference.first_minima_in_basis
+    eliminate = minima.eliminate
+
+    def marked(*args):
+        inverses.append("batch")
+        try:
+            return batched(*args)
+        finally:
+            inverses.append("end")
+
+    def recorded(*args, **options):
+        inverses.append(options.get("inverse", False))
+        return eliminate(*args, **options)
+
+    monkeypatch.setattr(transference, "first_minima_in_basis", marked)
+    monkeypatch.setattr(minima, "eliminate", recorded)
+    for mode, dimension, shift_inverses in (("float", 5, 8), ("exact", 3, 1)):
         for claims, ratio_calls, search_calls, batch_calls, fixed in (
             (None, 10 + dimension, 2, 1, 4), (("FAM",), 8, 1, 1, 2), (("FAMSHARP",), 8, 1, 1, 2),
             (("C12",), 9, 0, 0, 1),
@@ -186,16 +207,20 @@ def test_each_trial_derives_its_values_once(monkeypatch):
             options = {} if claims is None else {"claims": claims}
             config = TrialConfig(dimension=dimension, trials=3, seed=1, mode=mode, **options)
             for index in range(config.trials):
-                for calls in (ratios, searches, batches, shift_searches, reductions, grids):
+                for calls in (ratios, searches, batches, shift_searches, shifted_bodies,
+                              reductions, grids, inverses):
                     calls.clear()
                 outcome = evaluate_trial(config, index)
                 assert outcome.error is None
                 assert (len(ratios), len(searches)) == (ratio_calls, search_calls)
                 # each profile search is made on the body alone, as the benchmark's trace expects
                 assert all(len(args) == 1 for args in searches)
-                assert (len(batches), len(shift_searches)) == (batch_calls, 0)
-                assert all(len(shifts) == config.tau_samples for shifts, _ in batches)
+                assert (len(batches), len(shift_searches), len(shifted_bodies)) == (batch_calls, 0, 0)
+                assert all(len(directions) == config.tau_samples for _, directions, _ in batches)
                 assert (len(reductions), len(grids)) == (fixed, fixed)
+                if batch_calls:
+                    inside = inverses[inverses.index("batch") + 1:inverses.index("end")]
+                    assert inside == [True] * shift_inverses
     monkeypatch.undo()
     # the v_tau range reads the square that FAMSHARP reads, rounded once
     for mode, dimension in (("float", 5), ("exact", 3)):

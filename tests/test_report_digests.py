@@ -5,9 +5,10 @@ was. The enumerator's float gauges, the section values and every float
 determinant and inverse are exact values rounded once, so they do not depend
 on the float search, on pivoting or on summation order; a float computed
 along another code path elsewhere can still move in its last bit.
-These pins hold the JSON payload (with runtime_ms fixed at zero) of seven
+These pins hold the JSON payload (with runtime_ms fixed at zero) of ten
 standard suites of 8 trials each; the two at seed 1 are the slices that the
-benchmark's verify workloads run, and d=2 is where T7 is skipped by design.
+benchmark's verify workloads run, d=2 is where T7 is skipped by design, and
+the exact suites cover every dimension from 2 to 5.
 A change that moves float bits on purpose updates the pins and declares the
 change in CHANGES.md. The pins were taken with numpy 2.4 on x86-64; float
 bits may differ under another BLAS build.
@@ -30,6 +31,9 @@ PINS = [
     (5, "float", 1, "8355e6cede18f674d8341e00c32ae48f55c195f56bc41354e34d3f412d73406e"),
     (3, "exact", 1, "30cc8fe74cfea3ee2f8710a63fff3822bb43dddf07212460baa4119dcd5f4197"),
     (2, "float", 42, "39a7b41dfc6f200a4b3a8a5ef49a173bf6856a5069c8c4e307688c702ea4ca4c"),
+    (2, "exact", 42, "baabd965290ee225303988d5f4e2e03abcf3e6e628281b64b21aad88953db36e"),
+    (4, "exact", 42, "06600e67551125d15860a71bf8b85ee598f4409cc5e21637065e72f60082b519"),
+    (5, "exact", 42, "15b36fabb869ae525c06afd66c56d1d5ce5140ea82b8b22ffc2beeb4544b50a6"),
 ]
 
 

@@ -24,6 +24,8 @@ from oracle_utils import (
     monte_carlo_section_volume,
     random_unimodular,
     section3_area,
+    section_root,
+    squared_section_volume,
 )
 
 
@@ -187,6 +189,29 @@ def test_v_tau_within_vaaler_and_ball_bounds():
             v = v_tau(tau)
             assert v >= 1 - 1e-12
             assert v <= math.sqrt(2) + 1e-12
+
+
+def test_integer_sums_match_the_fraction_reference():
+    # the sum over half the sign patterns in the cleared integers gives the
+    # full Fraction sum's value, of the same type, with zeros and repeated |a_i|
+    rng = random.Random(83)
+    pool = [Fraction(p, q) for p in range(1, 7) for q in (1, 2, 3, 5, 8)]
+    for d in range(2, 11):
+        directions = [(1,) + (0,) * (d - 1), (1, 1) + (0,) * (d - 2), (1,) * d]
+        for _ in range(4):
+            values = rng.sample(pool, max(1, d // 3))
+            a = [rng.choice((1, -1)) * values[i % len(values)] for i in range(d)]
+            for i in rng.sample(range(d), rng.randint(0, d - 1)):
+                a[i] = 0
+            directions.append(tuple(a))
+        for a in directions:
+            for direction in (tuple(a), tuple(map(float, a))):
+                square = squared_section_volume(direction, d)
+                expected = (square / 4 ** (d - 1), section_root(square / 4 ** (d - 1), direction),
+                            section_root(square, direction))
+                got = (v_tau_squared(direction), v_tau(direction), cube_section_volume(direction, d))
+                assert got == expected
+                assert list(map(type, got)) == list(map(type, expected))
 
 
 def test_v_tau_squared_is_exact_rational():

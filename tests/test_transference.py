@@ -325,18 +325,29 @@ def test_family_claims_by_homogeneity_match_the_normalized_shift(monkeypatch, d,
         directions = sample_directions(rng, d, 6)
         expected = [normalized_family(piped, directions, mode) for mode in ("plain", "sharp")]
         calls = []
+        shifted = []
 
-        def counted(shifts, start):
-            calls.append([shifted.kind for shifted in shifts])
-            return first_minima_in_basis(shifts, start)
+        def counted(body, raws, start):
+            values = first_minima_in_basis(body, raws, start)
+            calls.append((body, raws, values.count(None)))
+            return values
+
+        def building(body, tau):
+            shifted.append(tau)
+            return apply_hyperbolic(body, tau)
 
         with monkeypatch.context() as patch:
             patch.setattr(transference, "first_minima_in_basis", counted)
+            patch.setattr(transference, "apply_hyperbolic", building)
             if kind == "exact":
                 patch.setattr(Parallelepiped, "to_float", failing_to_float)
             reports = check_claims(piped, ("FAM", "FAMSHARP"), directions=directions)
-        # one batched call, one shift per direction, serves both claims, in the body's kind
-        assert calls == [[piped.kind] * len(directions)]
+        # one batched call, on the normalized body in its kind and every
+        # direction, serves both claims; only the shifts it leaves are built
+        [(body, raws, left)] = calls
+        assert body == det_normalized(piped) and body.kind == piped.kind
+        assert list(raws) == directions
+        assert len(shifted) == left
         for report, (status, margin) in zip(reports, expected):
             assert report.status == status
             assert abs(report.margin - margin) <= 1e-12
@@ -387,7 +398,7 @@ def test_batched_shift_minima_match_cold_searches_on_generic_bodies(kind):
                 (1.0, 1e6) + (1.0,) * (d - 2),
             ]
             shifts = [apply_hyperbolic(body, tuple(map(Fraction, raw))) for raw in directions]
-            for shifted, value in zip(shifts, first_minima_in_basis(shifts, start)):
+            for shifted, value in zip(shifts, first_minima_in_basis(body, directions, start)):
                 branches.add(value is None)
                 if value is not None:
                     cold = first_minimum(shifted)[0]
@@ -415,11 +426,19 @@ def test_check_claims_on_float_determinants_beyond_the_float_range(scale):
     # reads (the compound's bounds, a volume) lies beyond the float range
     body = Parallelepiped(Matrix([[scale, 0.0], [0.0, scale]]), (1.0, 1.0))
     directions = [(1.0, 2.0)]
-    with pytest.raises(ValueError, match="finite|positive"):
+    compound = "the pseudo-compound's bounds .* lie beyond the float range"
+    with pytest.raises(ValueError, match=compound):
         check_claims(body, directions=directions)
-    for claim in ("T3", "T4", "MK2", "T5", "T6"):
-        with pytest.raises(ValueError):
+    for claim in ("T3", "T4", "T5", "T6"):
+        with pytest.raises(ValueError, match=compound):
             check_claims(body, (claim,), directions=directions)
+    with pytest.raises(ValueError, match="the body's volume lies beyond the float range"):
+        check_claims(body, ("MK2",), directions=directions)
+    # a shifted bound (1e500 or 1e-500) beyond the float range is left to
+    # apply_hyperbolic, which refuses it as it refuses any such body
+    shift, message = ((1e300, 1.0), "finite") if scale < 1 else ((1e-300, 1.0), "positive")
+    with pytest.raises(ValueError, match=message):
+        check_claims(body, ("FAM",), directions=[shift])
     reports = check_claims(body, ("FAM", "FAMSHARP", "WM", "C12"), directions=directions)
     # mu_1 = 1 / scale on the normalized body (bounds 1 / scale)
     expected = ("pass", "pass", "pass", "pass") if scale < 1 else ("violation", "violation", "skip", "pass")
