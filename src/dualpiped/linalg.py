@@ -6,7 +6,8 @@ one fraction-free elimination in Python ints (`eliminate`): the rows are
 cleared once to integers over one denominator, in Z[sqrt3] for Q(sqrt3)
 rows, so float results are the exact dyadic values rounded once. Q(sqrt3)
 inverses still use plain field operations. The rank tracker `RationalSpan`
-keeps integer normals to its span, so a vector is tested by dot products.
+keeps integer normals to its span, so a vector is tested by dot products,
+and an array of integer vectors by one exact product (`exact_product`).
 """
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ import math
 from fractions import Fraction
 from operator import mul
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .scalars import Quad3, Scalar, scalar_sign, zsqrt3_parts
 
@@ -249,6 +252,50 @@ class RationalSpan:
             kept.append(n)
         self._normals = kept
         return True
+
+    def first_outside(self, vecs, start: int = 0):
+        """The index of the first of the integer vectors vecs[start:] outside the span, or None.
+
+        vecs is a sequence of int tuples, tested one by one by dot products
+        as add tests a vector, or an int array with one vector a line, tested
+        in blocks of doubling length from start, each by one exact integer
+        product with the normals (exact_product), its bound the block's
+        largest |entry| in each coordinate. The vector found is left for add.
+        """
+        normals = self._normals
+        if normals is None:
+            normals = [[int(i == j) for j in range(self.dim)] for i in range(self.dim)]
+        if not normals:
+            return None
+        if not isinstance(vecs, np.ndarray):
+            return next((i for i in range(start, len(vecs))
+                         if any(sum(map(mul, vecs[i], n)) for n in normals)), None)
+        block = 16
+        while start < len(vecs):
+            chunk = vecs[start:start + block]
+            bound = np.abs(chunk).max(axis=0).tolist()
+            hits = np.flatnonzero(exact_product(chunk, normals, bound).any(axis=1))
+            if len(hits):
+                return start + int(hits[0])
+            start += block
+            block *= 2
+        return None
+
+
+def exact_product(k, rows, box):
+    """The integer vectors k (one per line) times the integer rows, exactly.
+
+    Every |k_j| is at most b_j, so when every b_j and every row's
+    sum_j |r_ij| max(b_j, 1) lie below 2^62, k fits int64 and that sum bounds
+    each entry and each partial sum of the product, and it runs in int64.
+    Otherwise it runs in numpy's object dtype over Python ints; both go
+    through the same matmul.
+    """
+    wide = max(box) >= 2**62 or any(
+        sum(abs(x) * max(bj, 1) for x, bj in zip(row, box)) >= 2**62 for row in rows
+    )
+    dtype = object if wide else np.int64
+    return k.astype(dtype, copy=False) @ np.array(rows, dtype=dtype).T
 
 
 def zsqrt3_rows(rows) -> tuple:

@@ -9,11 +9,15 @@ with exact lexicographic tie-breaking, so results are deterministic. Every
 scalar kind is searched in one exact arithmetic: a float is the dyadic
 rational it stores, so float rows keep, order and measure their points as
 their exact twins do, and only successive_minima rounds, once, the values of
-a float body. A numpy grid over the canonical half of the exact coefficient
-box only proposes points. Rational and float rows decide their candidates
-as arrays, by one exact integer matmul, in int64 where a bound proves it
-exact and over Python ints otherwise. A box of more than GRID_CELL_CAP
-cells is refused before the grid is built. Each search runs in the
+a float body. A box of more than GRID_CELL_CAP cells is refused first.
+Rational and float rows decide every cell by its exact integer key: a box
+of at most WALK_CELL_CAP cells is walked whole in Python ints, and a larger
+one is proposed by a numpy grid over the canonical half of the box and
+decided as arrays, by one exact integer matmul. The enumeration (_dilate)
+leaves the sorted keys and points, an int array from the grid, and
+successive_minima finds each witness among them by one exact product of a
+block of points against its span's normals (RationalSpan.first_outside),
+building tuples and gauges only for the witnesses. Each search runs in the
 coordinates of an exact LLL reduction of its rows, which may start from a
 given basis. No answer depends on the basis, only the size of the box does.
 A body's hyperbolic shifts only scale the rows of its gauge, so
@@ -22,8 +26,8 @@ with no reduction and no shifted body: a rational body's reduced rows are
 inverted once, and that one adjugate gives every shift's box in ints,
 while a float body's rounded shifted rows take one inverse each. A shift
 whose box has at most 3^d cells is decided by the exact integer keys of
-all its canonical cells, with no snapshot, grid, sort or span, and any
-other shift is left to first_minimum.
+all its canonical cells, the same walk, with no snapshot, grid, sort or
+span, and any other shift is left to first_minimum.
 """
 from __future__ import annotations
 
@@ -36,11 +40,17 @@ from operator import add, mul, neg
 import numpy as np
 
 from .bodies import Lattice, Parallelepiped
-from .linalg import Matrix, RationalSpan, eliminate, integer_rows, zsqrt3_rows
+from .linalg import Matrix, RationalSpan, eliminate, exact_product, integer_rows, zsqrt3_rows
 from .scalars import Quad3, exact_scalar, scalar_floor, scalar_sign, zsqrt3_parts, zsqrt3_sign
 
 _SQRT3 = math.sqrt(3.0)
 GRID_CELL_CAP = 2_000_000
+# rational and float boxes of at most this many cells are walked in Python
+# ints rather than gridded (see _dilate): on the boxes of harness bodies at
+# d = 3-6 the walk was faster on every box of up to 64 cells and slower on
+# most of over 100; boxes of 400-1000 cells at d = 5 walk in about twice
+# the grid's time
+WALK_CELL_CAP = 64
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -98,28 +108,52 @@ def gauge_rows(piped: Parallelepiped, lattice: Lattice | None = None) -> GaugeRo
 def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     """All (gauge, k) with sup norm of (c_rows) k at most mu, k != 0.
 
-    One representative per antipodal pair, sorted by (gauge, k). The search
-    runs in the coordinates of `basis`, the reduced_basis(c_rows) that the
-    caller has already used to size mu (the unit vectors when the rows need
-    no reduction), on a float snapshot of the reduced rows of any kind: a
-    numpy grid over the exact box, refused with EnumerationBudgetError when
-    the box has more than GRID_CELL_CAP cells. The grid only proposes
-    candidates. Each is kept iff its exact gauge is at most mu, read exactly
-    for every kind (a float is the dyadic rational it stores), and then
-    mapped back, so no point or bit depends on the snapshot. The reduced
-    rows, kept for the basis by GaugeRows.times, are exact integer rows over
-    one denominator den, or for Q(sqrt3) rows pairs of integer rows in
-    Z[sqrt3]; only the box of Q(sqrt3) rows is still a field inverse.
+    One representative per antipodal pair, sorted by (gauge, k): the points
+    of _dilate, each gauge built once per distinct key.
+    """
+    keys, points, den = _dilate(c_rows, mu, basis)
+    if isinstance(points, np.ndarray):
+        # one list per coordinate, not per point: zip then builds each point's tuple
+        points = zip(*points.T.tolist())
+    gauges = {key: _gauge(key, den) for key in set(keys)}
+    return list(zip(map(gauges.__getitem__, keys), points))
 
-    Rational and float rows decide all candidates at once, by one rule.
-    Their integer keys m = max_i |a_i . k| are one integer matmul by the
-    reduced rows a (see _exact_product), and a candidate is kept iff
-    m <= floor(mu den). One more matmul by the basis maps the kept points
-    back, array operations flip them to their canonical sign, and one sort
-    orders them by (m, k), which is the (gauge, k) order since den > 0; each
-    gauge is the exact Fraction(m, den), float rows included. Q(sqrt3) rows
-    decide their candidates one by one in Z[sqrt3] ints (see
-    _quadratic_points).
+
+def _gauge(key, den):
+    """The exact gauge key / den of a search key: an int, or a Z[sqrt3] pair."""
+    if isinstance(key, tuple):
+        return Quad3(Fraction(key[0], den), Fraction(key[1], den))
+    return Fraction(key, den)
+
+
+def _dilate(c_rows, mu, basis) -> tuple:
+    """The points of lattice_points_in_dilate as integer keys, points k and den.
+
+    The keys are a list of ints m, or of Z[sqrt3] pairs for Q(sqrt3) rows,
+    and each gauge is the exact key / den (_gauge); the points are the k in
+    the same (gauge, k) order, a list of int tuples, or from the grid an int
+    array with one point a line, so a caller builds tuples and gauges only
+    for the points it reads. The search runs in the coordinates of `basis`,
+    the reduced_basis(c_rows) that the caller has already used to size mu
+    (the unit vectors when the rows need no reduction). The reduced rows,
+    kept for the basis by GaugeRows.times, are exact integer rows a over one
+    denominator den, or for Q(sqrt3) rows pairs of integer rows in Z[sqrt3];
+    only the box of Q(sqrt3) rows is still a field inverse. A box of more
+    than GRID_CELL_CAP cells is refused with EnumerationBudgetError first.
+
+    Rational and float rows decide every cell by one rule: its integer key
+    m = max_i |a_i . k| is kept iff m <= floor(mu den), the point is mapped
+    back by the basis and flipped to its canonical sign, and one sort orders
+    the points by (m, k), which is the (gauge, k) order since den > 0. A box
+    of at most WALK_CELL_CAP cells is walked whole in Python ints (_walk),
+    with no snapshot, grid or numpy call. A larger box runs the rule on
+    arrays: a numpy grid over a float snapshot of the reduced rows proposes
+    candidates, their keys are one integer matmul by a (see
+    linalg.exact_product), one more matmul by the basis maps the kept
+    points back, and array operations flip and sort them. Q(sqrt3) rows
+    decide the grid's candidates one by one in Z[sqrt3] ints (see
+    _quadratic_points). The grid only proposes points, so no point or bit
+    depends on the snapshot.
 
     The candidates hold every point within mu. Rows of every kind are taken
     exactly (see _integer_rows), so such a point has |k_j| <= b_j, the box
@@ -140,7 +174,7 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     if any(len(row) != d for row in c_rows):
         raise ValueError("c_rows must be square")
     if scalar_sign(mu) <= 0:
-        return []
+        return [], [], 1
     a, b, den = _as_gauge_rows(c_rows).times(basis)
     scaled_mu = exact_scalar(mu) * den
     box = _box(a, b, scaled_mu)
@@ -149,6 +183,9 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
         raise EnumerationBudgetError(
             f"the search box has {cells} cells; the grid supports at most {GRID_CELL_CAP}"
         )
+    if b is None and cells <= WALK_CELL_CAP:
+        num, div = scaled_mu.as_integer_ratio()
+        return (*_walked_points(a, num // div, basis, box), den)
     if b is None:
         magnitudes = [[abs(x) for x in row] for row in a]
     else:
@@ -174,41 +211,43 @@ def lattice_points_in_dilate(c_rows, mu, basis) -> list:
     )
     candidates = _grid_points(snapshot, radius, box)
     if b is not None:
-        return _quadratic_points(candidates.tolist(), a, b, den, scaled_mu, basis)
-    m = np.abs(_exact_product(candidates, a, box)).max(axis=1)
+        return (*_quadratic_points(candidates.tolist(), a, b, den, scaled_mu, basis), den)
+    m = np.abs(exact_product(candidates, a, box)).max(axis=1)
     num, div = scaled_mu.as_integer_ratio()
     keep = m <= num // div
-    k = _exact_product(candidates[keep], tuple(zip(*basis)), box)
+    k = exact_product(candidates[keep], tuple(zip(*basis)), box)
     m = m[keep]
-    del candidates, keep  # before the lists are built: they set the peak on large boxes
+    del candidates, keep  # before the sort copies the kept points: they set the peak on large boxes
     lead = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
     k[lead < 0] *= -1
     order = np.lexsort((*k.T[::-1], m))
-    m = m[order].tolist()
-    # one list per coordinate, not per point: zip then builds each point's tuple
-    k = k[order].T.tolist()
-    gauges = {g: Fraction(g, den) for g in set(m)}
-    return list(zip(map(gauges.__getitem__, m), zip(*k)))
+    return m[order].tolist(), k[order], den
 
 
-def _exact_product(k, rows, box):
-    """The integer candidates k (one per line) times the integer rows, exactly.
+def _walked_points(a, limit, basis, box) -> tuple:
+    """The keys and points of _dilate for the integer rows a, walking every canonical cell.
 
-    Every |k_j| is at most b_j, so when every row has sum_j |r_ij| max(b_j, 1)
-    below 2^62, that bounds each entry and each partial sum of the product,
-    and it runs in int64. Otherwise it runs in numpy's object dtype over
-    Python ints; both go through the same matmul.
+    The basis vectors are appended to the columns of a, so the walk gives
+    each cell's image and its point k together.
     """
-    wide = any(sum(abs(x) * max(bj, 1) for x, bj in zip(row, box)) >= 2**62 for row in rows)
-    dtype = object if wide else np.int64
-    return k.astype(dtype, copy=False) @ np.array(rows, dtype=dtype).T
+    d = len(a)
+    points = []
+    for v in _walk([col + tuple(u) for col, u in zip(zip(*a), basis)], box):
+        m = max(map(abs, v[:d]))
+        if m <= limit:
+            k = v[d:]
+            if next(filter(None, k)) < 0:
+                k = tuple(map(neg, k))
+            points.append((m, k))
+    points.sort()
+    return [m for m, _ in points], [k for _, k in points]
 
 
-def _quadratic_points(candidates, a, b, den, scaled_mu, basis) -> list:
-    """The (gauge, k) of the candidates of Q(sqrt3) rows within mu, one by one.
+def _quadratic_points(candidates, a, b, den, scaled_mu, basis) -> tuple:
+    """The keys and points of _dilate for the candidates of Q(sqrt3) rows, one by one.
 
-    Each gauge is a pair of ints in Z[sqrt3] (see _zsqrt3_max), compared
-    with mu times den by an integer sign.
+    Each key is a pair of ints in Z[sqrt3] (see _zsqrt3_max), compared with
+    mu times den by an integer sign.
     """
     p, q, r = zsqrt3_parts(scaled_mu)
     u = tuple(zip(*basis))  # row-major, the basis vectors as columns
@@ -222,7 +261,7 @@ def _quadratic_points(candidates, a, b, den, scaled_mu, basis) -> list:
                 k = [-x for x in k]
             points.append((gauge, tuple(k)))
     points.sort(key=_zsqrt3_order)
-    return [(Quad3(Fraction(g, den), Fraction(h, den)), k) for (g, h), k in points]
+    return [key for key, _ in points], [k for _, k in points]
 
 
 def _box(a, b, mu) -> list:
@@ -468,11 +507,14 @@ def successive_minima(
 
     Any j independent lattice vectors bound the j-th minimum, so the k_max-th
     smallest gauge among the reduced basis vectors sizes one dilate that holds
-    every witness. That dilate is enumerated once, and an independent subset
-    is extracted greedily in (gauge, k) order. The reduction starts from the
-    basis `start` when one is given (see reduced_basis); the answer does not
-    depend on it. The search is exact for every kind; a float body's values
-    are its exact values rounded once, the search's one float step.
+    every witness. That dilate is enumerated once (_dilate), and an
+    independent subset is extracted greedily in (gauge, k) order:
+    RationalSpan.first_outside finds each next witness among the sorted
+    points, and only the witnesses become tuples and gauges. The reduction
+    starts from the basis `start` when one is given (see reduced_basis);
+    the answer does not depend on it. The search is exact for every kind; a
+    float body's values are its exact values rounded once, the search's one
+    float step.
     """
     d = piped.dimension
     if k_max is None:
@@ -483,17 +525,21 @@ def successive_minima(
     basis = reduced_basis(rows, start)
     gauges = _column_gauges(*rows.times(basis))
     radius = sorted(gauges)[k_max - 1]
+    keys, points, den = _dilate(rows, radius, basis)
     span = RationalSpan(d)
     values = []
     witnesses = []
-    for gauge, k in lattice_points_in_dilate(rows, radius, basis):
-        if span.add(k):
-            values.append(gauge)
-            witnesses.append(k)
-            if len(values) == k_max:
-                if piped.kind == "float":
-                    values = map(float, values)
-                return MinimaProfile(tuple(values), tuple(witnesses), tuple(basis))
+    i = span.first_outside(points)
+    while i is not None:
+        k = tuple(map(int, points[i]))
+        span.add(k)
+        values.append(_gauge(keys[i], den))
+        witnesses.append(k)
+        if len(values) == k_max:
+            if piped.kind == "float":
+                values = map(float, values)
+            return MinimaProfile(tuple(values), tuple(witnesses), tuple(basis))
+        i = span.first_outside(points, i + 1)
     raise EnumerationBudgetError(
         f"fewer than {k_max} independent lattice points found within the reduced-basis bound"
     )
@@ -572,19 +618,24 @@ def _small_box_key(a, box):
 
 
 def _smallest_key(cols, box) -> int:
-    """The least max_i |(sum_j k_j col_j)_i| over the canonical cells k of the box.
+    """The least max_i |(sum_j k_j col_j)_i| over the canonical cells k of the box."""
+    return min(max(map(abs, v)) for v in _walk(cols, box))
+
+
+def _walk(cols, box) -> list:
+    """The images sum_j k_j col_j of the canonical cells k of the box, as int tuples.
 
     The images are built from the last coordinate back: the canonical cells
     whose first nonzero coordinate is j are t e_j, t = 1..b_j, plus any cell
     of the coordinates after j, and with their negatives they fill the box of
     the coordinates from j on. So each canonical cell costs one vector sum.
     """
-    tails = [(0,) * len(cols)]
-    keys = []
+    tails = [(0,) * len(cols[0])]
+    images = []
     for j in range(len(cols) - 1, -1, -1):
         steps = [tuple(t * x for x in cols[j]) for t in range(1, box[j] + 1)]
         lead = [tuple(map(add, step, tail)) for step in steps for tail in tails]
-        keys += [max(map(abs, v)) for v in lead]
+        images += lead
         if j:
             tails += lead + [tuple(map(neg, v)) for v in lead]
-    return min(keys)
+    return images

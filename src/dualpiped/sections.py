@@ -216,7 +216,7 @@ def section_dual_gauge(piped: Parallelepiped, z: Sequence[Scalar]) -> Scalar:
     return float(gauge) if piped.kind == "float" else gauge
 
 
-def first_minimum_section_dual(piped: Parallelepiped) -> Scalar:
+def first_minimum_section_dual(piped: Parallelepiped, *, start=None) -> Scalar:
     """Minimum section-dual gauge over nonzero integer points; d <= 6.
 
     The gauge dominates the sup norm of w = A^T z / det A (every central
@@ -224,14 +224,16 @@ def first_minimum_section_dual(piped: Parallelepiped) -> Scalar:
     so the section volume is at most 2^{d-1} |w| / max|w_i|). Hence the
     sup-norm box whose radius is the smallest gauge among the reduced basis
     vectors holds every minimizer, and one enumeration of it settles the
-    minimum. Radius and minimum are exact (see _pullback_gauge); a float
-    body's minimum is rounded once.
+    minimum. The reduction starts from the basis `start` when one is given
+    (see minima.reduced_basis), such as the dual of the body's own reduced
+    basis; the answer does not depend on it. Radius and minimum are exact
+    (see _pullback_gauge); a float body's minimum is rounded once.
     """
     d = piped.dimension
     if not 2 <= d <= 6:
         raise ValueError("section-dual minimum supports dimensions 2 through 6")
     rows = GaugeRows(piped.pullback)
-    basis = reduced_basis(rows)
+    basis = reduced_basis(rows, start)
     radius = min(_pullback_gauge(rows, k) for k in basis)
     points = lattice_points_in_dilate(rows, radius, basis)
     value = min(_pullback_gauge(rows, k) for _, k in points)

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .bodies import Parallelepiped, det_normalized, pseudo_compound
-from .linalg import monotone_root
+from .linalg import eliminate, monotone_root
 from .minima import first_minima_in_basis, first_minimum, successive_minima
 from .scalars import Scalar, exact_nth_root, exact_scalar, float_nth_root, scalar_sign
 from .sections import first_minimum_section_dual, v_tau_squared
@@ -156,7 +156,10 @@ class _Trial:
     The body is normalized at once, so a body that an exact kind cannot
     normalize is refused whatever the claims. FAM alone makes the body's
     profile search, in whose reduced basis the shifts are searched, and no
-    compound search; C12 alone makes none.
+    compound search; C12 alone makes none. The compound's profile search
+    and WM's section-dual search start from the dual of that basis
+    (dual_basis); every claim that reads either also reads the body's
+    profile, so no claim filter makes a search for the start alone.
     """
 
     def __init__(self, piped: Parallelepiped, directions: tuple) -> None:
@@ -185,8 +188,20 @@ class _Trial:
         return successive_minima(self.body)
 
     @cached_property
+    def dual_basis(self) -> tuple:
+        """The rows of B^-1 for the basis B of the body's profile search, its vectors as columns.
+
+        With C the body's gauge rows, the compound's gauge rows and the
+        section-dual rows, times B^-T, are both (C B)^-T up to a scale, so
+        the dual of the body's reduced basis starts their searches reduced.
+        det B = +-1, so B^-1 = det B adj B, from one elimination.
+        """
+        det, adj = eliminate(list(zip(*self.profile.basis)), inverse=True)
+        return tuple(tuple(det * x for x in row) for row in adj)
+
+    @cached_property
     def profile_star(self):
-        return successive_minima(self.star)
+        return successive_minima(self.star, start=self.dual_basis)
 
     @cached_property
     def vol(self) -> Scalar:
@@ -328,7 +343,7 @@ def _claim_wm(t: _Trial) -> ClaimReport:
     if d > 6:
         return ClaimReport("WM", "skip", None, None, None,
                            "section-dual enumeration supports dimensions 2 through 6", ())
-    hypothesis = t.leq(first_minimum_section_dual(t.body), 1)
+    hypothesis = t.leq(first_minimum_section_dual(t.body, start=t.dual_basis), 1)
     product = math.prod(t.profile.values[: d - 1])
     return _finish("WM", hypothesis, [(1.0, float(product), t.leq(product, 1))])
 

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from dualpiped.bodies import Lattice, Parallelepiped
-from dualpiped.linalg import Matrix, RationalSpan, monotone_root
+from dualpiped.linalg import Matrix, monotone_root
 from dualpiped.scalars import Quad3, exact_nth_root, scalar_sign, sqrt_exact
 from dualpiped.sections import v_tau_squared
 from dualpiped.transference import REL_SLACK, c_d
@@ -57,9 +57,17 @@ def brute_force_minima(piped, lattice, k_max, box=6):
     generously small instances where that is guaranteed.
     """
     pts = sorted(gauges_in_box(piped, lattice, box), key=lambda t: (t[0], t[1]))
-    span = RationalSpan(piped.forms.dim)
+    return greedy_minima(pts, k_max)
+
+
+def greedy_minima(points, k_max):
+    """The first k_max (gauge, k) of the sorted points that are independent of those before.
+
+    Independence is decided by BareissSpan, one point at a time.
+    """
+    span = BareissSpan(len(points[0][1]))
     values, witnesses = [], []
-    for g, k in pts:
+    for g, k in points:
         if span.add([Fraction(x) for x in k]):
             values.append(g)
             witnesses.append(k)

@@ -172,14 +172,25 @@ def test_each_trial_derives_its_values_once(monkeypatch):
     ratios = counting(monkeypatch, sections, "_section_ratio")
     searches = counting(monkeypatch, transference, "successive_minima")
     # the family claims decide all eight shifts in one batched call, with no
-    # shifted body and no per-shift search: the only LLLs and grids are those
-    # of the calibration in gen_instance, of the profile searches and of WM's
-    # section-dual search
+    # shifted body and no per-shift search: the only LLLs and enumerations are
+    # those of the calibration in gen_instance, of the profile searches and of
+    # WM's section-dual search
     batches = counting(monkeypatch, transference, "first_minima_in_basis")
     shift_searches = counting(monkeypatch, transference, "first_minimum")
     shifted_bodies = counting(monkeypatch, transference, "apply_hyperbolic")
     reductions = counting(monkeypatch, minima, "_lll_unimodular")
-    grids = counting(monkeypatch, minima, "_grid_points")
+    # each enumeration of a dilate is a walk of its small box or a grid, in
+    # call order: the calibration, the two profiles, then WM's search
+    enumerations = []
+
+    def enumerating(label, original):
+        def enumerate_box(*args):
+            enumerations.append(label)
+            return original(*args)
+        return enumerate_box
+
+    monkeypatch.setattr(minima, "_walked_points", enumerating("walk", minima._walked_points))
+    monkeypatch.setattr(minima, "_grid_points", enumerating("grid", minima._grid_points))
     # the eliminations made inside the batched call: an exact body's reduced
     # rows are inverted once for all its shifts, a float body's rows per shift
     inverses = []
@@ -208,7 +219,7 @@ def test_each_trial_derives_its_values_once(monkeypatch):
             config = TrialConfig(dimension=dimension, trials=3, seed=1, mode=mode, **options)
             for index in range(config.trials):
                 for calls in (ratios, searches, batches, shift_searches, shifted_bodies,
-                              reductions, grids, inverses):
+                              reductions, enumerations, inverses):
                     calls.clear()
                 outcome = evaluate_trial(config, index)
                 assert outcome.error is None
@@ -217,7 +228,11 @@ def test_each_trial_derives_its_values_once(monkeypatch):
                 assert all(len(args) == 1 for args in searches)
                 assert (len(batches), len(shift_searches), len(shifted_bodies)) == (batch_calls, 0, 0)
                 assert all(len(directions) == config.tau_samples for _, directions, _ in batches)
-                assert (len(reductions), len(grids)) == (fixed, fixed)
+                assert (len(reductions), len(enumerations)) == (fixed, fixed)
+                # the calibration's and WM's boxes are small: walked, with no grid
+                assert enumerations[0] == "walk"
+                if claims is None:
+                    assert enumerations[-1] == "walk"
                 if batch_calls:
                     inside = inverses[inverses.index("batch") + 1:inverses.index("end")]
                     assert inside == [True] * shift_inverses

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dualpiped import minima
@@ -19,6 +20,7 @@ from oracle_utils import (
     field_det,
     field_inverse,
     fraction_rank,
+    greedy_minima,
     random_quad3_rows,
 )
 
@@ -289,15 +291,52 @@ def test_rational_span_matches_its_bareiss_version():
             kept.append(vec)
 
 
-def test_cube_profile_matches_the_bareiss_tracker(monkeypatch):
+def test_cube_profile_matches_the_bareiss_tracker():
     # all 3^10 - 1 nonzero points of the box have gauge 1, so the greedy
     # extraction runs through thousands of dependent points
     cube = Parallelepiped.cube(10)
     profile = successive_minima(cube)
-    monkeypatch.setattr(minima, "RationalSpan", BareissSpan)
-    reference = successive_minima(cube)
-    assert profile.values == reference.values == (1,) * 10
-    assert profile.witnesses == reference.witnesses
+    rows = minima.gauge_rows(cube)
+    basis = minima.reduced_basis(rows)
+    points = minima.lattice_points_in_dilate(rows, 1, basis)
+    assert len(points) == (3**10 - 1) // 2
+    values, witnesses = greedy_minima(points, 10)
+    assert profile.values == tuple(values) == (1,) * 10
+    assert profile.witnesses == tuple(witnesses)
+
+
+def test_first_outside_matches_the_rank():
+    # the first vector from start that raises the rank, for int64 arrays,
+    # arrays of Python ints past 2^62 (the object path) and lists of tuples
+    rng = random.Random(4321)
+    found = set()
+    for trial in range(300):
+        d = rng.randint(1, 6)
+        scale = (1, 2**40, 2**70)[trial % 3]
+        span = RationalSpan(d)
+        kept = []
+        vecs = []
+        dependent = (0.6, 0.95)[trial % 2]
+        for _ in range(rng.randint(1, 60)):
+            if kept and rng.random() < dependent:
+                coeffs = [rng.randint(-2, 2) for _ in kept]
+                vecs.append(tuple(sum(c * v[i] for c, v in zip(coeffs, kept)) for i in range(d)))
+            else:
+                vecs.append(tuple(rng.randint(-3, 3) * scale for _ in range(d)))
+            if rng.random() < 0.3 and fraction_rank(kept + [vecs[-1]]) > len(kept):
+                assert span.add(vecs[-1])
+                kept.append(vecs[-1])
+        start = rng.randrange(len(vecs))
+        expected = next((i for i in range(start, len(vecs))
+                         if fraction_rank(kept + [vecs[i]]) > len(kept)), None)
+        forms = [vecs, np.array(vecs, dtype=object)]
+        if scale < 2**62:
+            forms.append(np.array(vecs, dtype=np.int64))
+        for form in forms:
+            assert span.first_outside(form, start) == expected
+        # none, in the first block of 16 from start, or past it
+        found.add(None if expected is None else expected - start >= 16)
+    assert found == {None, False, True}
 
 
 def test_monotone_root_float():

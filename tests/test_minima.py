@@ -116,11 +116,12 @@ def test_float_gauges_are_correctly_rounded(monkeypatch):
     searches = []
 
     def recording(c_rows, mu, basis):
-        points = lattice_points_in_dilate(c_rows, mu, basis)
-        searches.append((c_rows, points))
-        return points
+        keys, points, den = dilate(c_rows, mu, basis)
+        searches.append((c_rows, list(zip(keys, map(tuple, points))), den))
+        return keys, points, den
 
-    monkeypatch.setattr(minima, "lattice_points_in_dilate", recording)
+    dilate = minima._dilate
+    monkeypatch.setattr(minima, "_dilate", recording)
     checked = 0
     for d, seeds in ((3, 6), (4, 5), (5, 5)):
         for seed in range(seeds):
@@ -128,7 +129,10 @@ def test_float_gauges_are_correctly_rounded(monkeypatch):
             for body in (det_normalized(piped), pseudo_compound(piped)):
                 searches.clear()
                 profile = successive_minima(body)
-                ((c_rows, points),) = searches
+                ((c_rows, keyed, den),) = searches
+                points = [(minima._gauge(key, den), tuple(map(int, k))) for key, k in keyed]
+                mu = max(gauge for gauge, _ in points)
+                assert points == lattice_points_in_dilate(c_rows, mu, minima.reduced_basis(c_rows))
                 exact_rows = [[Fraction(x) for x in row] for row in c_rows]
                 gauges = {}
                 for gauge, k in points:
@@ -199,20 +203,22 @@ def test_first_minimum_with_unit_start():
 def test_each_search_enumerates_once(monkeypatch):
     # the reduced basis sizes one dilate that already holds every witness,
     # and the same basis steers the enumeration, so each search reduces once
+    # (lattice_points_in_dilate, which the section-dual search calls, reads
+    # the same enumeration)
     calls = []
     reductions = []
 
     def counting(c_rows, mu, basis):
         calls.append(mu)
-        return lattice_points_in_dilate(c_rows, mu, basis)
+        return dilate(c_rows, mu, basis)
 
     def counting_reduction(c_rows, start):
         reductions.append(c_rows)
         return reduction(c_rows, start)
 
+    dilate = minima._dilate
     reduction = minima._reduction_transform
-    monkeypatch.setattr(minima, "lattice_points_in_dilate", counting)
-    monkeypatch.setattr(sections, "lattice_points_in_dilate", counting)
+    monkeypatch.setattr(minima, "_dilate", counting)
     monkeypatch.setattr(minima, "_reduction_transform", counting_reduction)
 
     def enumerations(search) -> int:
@@ -393,9 +399,11 @@ def _boundary_cases():
     return cases
 
 
-def test_exact_rows_on_the_boundary_match_the_box_sweep():
+def test_exact_rows_on_the_boundary_match_the_box_sweep(monkeypatch):
     # the float search must keep every point whose exact gauge equals mu,
-    # including those whose float gauge on the snapshot lands above mu
+    # including those whose float gauge on the snapshot lands above mu; no
+    # box is walked, so the grid decides every one
+    monkeypatch.setattr(minima, "WALK_CELL_CAP", 0)
     above = 0
     for c_rows, mu in _boundary_cases():
         expected = _box_sweep(c_rows, mu)
@@ -411,30 +419,83 @@ def test_exact_rows_on_the_boundary_match_the_box_sweep():
     assert above > 0
 
 
+def _reduced_box(c_rows, mu, basis):
+    return minima.dilate_box([[sum(x * y for x, y in zip(row, v)) for v in basis] for row in c_rows], mu)
+
+
+def _walk_cases():
+    """Rational and float rows at d = 1-6 with mu from a column gauge, zero-width coordinates included."""
+    rng = random.Random("walk")
+    cases = []
+    for d in range(1, 7):
+        while sum(len(c_rows) == d for c_rows, _ in cases) < 8:
+            c_rows = tuple(
+                tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(d)) for _ in range(d)
+            )
+            if Matrix(c_rows).det() == 0:
+                continue
+            basis = minima.reduced_basis(c_rows)
+            gauges = sorted(_exact_gauge(c_rows, k) for k in basis)
+            mu = gauges[rng.randrange(d)] * rng.choice((1, Fraction(1, 2), Fraction(3, 2)))
+            if math.prod(2 * b + 1 for b in _reduced_box(c_rows, mu, basis)) > 3000:
+                continue  # the oracle sweeps every cell in Fractions
+            cases.append((c_rows, mu))
+            floats = tuple(tuple(float(x) for x in row) for row in c_rows)
+            cases.append((floats, float(mu)))
+            # every float entry subnormal, the rows and mu read exactly
+            tiny = tuple(tuple(x * 2.0**-1050 for x in row) for row in floats)
+            cases.append((tiny, float(mu) * 2.0**-1050))
+    return cases
+
+
+def test_walk_matches_the_grid(monkeypatch):
+    # a small box is walked in ints: the same points, of the same types, as
+    # the grid and the definition give, zero-width coordinates included;
+    # walking every box (a cap of GRID_CELL_CAP) walks boxes of thousands of cells
+    cases = _walk_cases() + _boundary_cases()[:150]
+    widths = set()
+    for c_rows, mu in cases:
+        basis = minima.reduced_basis(c_rows)
+        box = _reduced_box(c_rows, mu, basis)
+        widths.add((min(box) == 0, math.prod(2 * b + 1 for b in box) <= minima.WALK_CELL_CAP))
+        runs = []
+        for cap in (minima.WALK_CELL_CAP, 0, minima.GRID_CELL_CAP):
+            with monkeypatch.context() as patch:
+                patch.setattr(minima, "WALK_CELL_CAP", cap)
+                runs.append(lattice_points_in_dilate(c_rows, mu, basis))
+        expected = dilate_points_oracle(c_rows, mu, basis)
+        for points in runs:
+            assert points == expected
+            assert all(type(g) is Fraction and all(type(x) is int for x in k) for g, k in points)
+    assert widths == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_array_decision_matches_its_definition(monkeypatch):
     # exact keys run in int64 where sum_j |a_ij| max(b_j, 1) < 2^62 proves
     # them exact, and in Python ints otherwise: the body rows of these float
     # d=5 instances (about 54 bits) run in int64, the same bodies moved by a
     # float map within 2^-40 of the identity (entries near zero put the
     # rows at about 94 bits) take the object path, and both match the
-    # per-candidate definition
+    # per-candidate definition; no box is walked, so the grid decides them
     searches = []
     dtypes = []
 
     def recording(c_rows, mu, basis):
         dtypes.clear()
-        points = lattice_points_in_dilate(c_rows, mu, basis)
-        searches.append((c_rows, mu, basis, points, set(dtypes)))
-        return points
+        found = dilate(c_rows, mu, basis)
+        searches.append((c_rows, mu, basis, set(dtypes)))
+        return found
 
     def product(k, rows, box):
         out = exact_product(k, rows, box)
         dtypes.append(out.dtype)
         return out
 
-    exact_product = minima._exact_product
-    monkeypatch.setattr(minima, "lattice_points_in_dilate", recording)
-    monkeypatch.setattr(minima, "_exact_product", product)
+    dilate = minima._dilate
+    exact_product = minima.exact_product
+    monkeypatch.setattr(minima, "WALK_CELL_CAP", 0)
+    monkeypatch.setattr(minima, "_dilate", recording)
+    monkeypatch.setattr(minima, "exact_product", product)
     objects = np.dtype(object)
     for seed in (0, 4):
         rng = random.Random(seed)
@@ -443,8 +504,11 @@ def test_array_decision_matches_its_definition(monkeypatch):
         for body, wide in ((body, False), (apply_linear(body, near), True)):
             searches.clear()
             successive_minima(body)
-            ((c_rows, mu, basis, points, kinds),) = searches
+            ((c_rows, mu, basis, kinds),) = searches
             assert (objects in kinds) == wide
+            dtypes.clear()
+            points = lattice_points_in_dilate(c_rows, mu, basis)
+            assert set(dtypes) == kinds
             assert len(points) > 20
             assert points == dilate_points_oracle(c_rows, mu, basis)
             if not wide:

@@ -14,7 +14,7 @@ from dualpiped.minima import (
     successive_minima,
 )
 from dualpiped.scalars import Quad3
-from dualpiped.sections import v_tau_squared
+from dualpiped.sections import first_minimum_section_dual, v_tau_squared
 from dualpiped.transference import (
     ALL_CLAIMS,
     REL_SLACK,
@@ -376,6 +376,36 @@ def test_family_warm_start_matches_cold_searches_on_generic_bodies(monkeypatch, 
             for raw in directions:
                 shifted = apply_hyperbolic(body, raw if kind == "float" else tuple(map(Fraction, raw)))
                 assert first_minimum(shifted, start=start) == first_minimum(shifted)
+
+
+@pytest.mark.parametrize("kind", ["float", "exact"])
+def test_dual_starts_match_cold_searches_on_generic_bodies(kind):
+    # the compound's profile and the section-dual minimum start from the
+    # dual of the body's reduced basis; cold searches give the same values
+    # and witnesses, of the same types, and no search that a cold one
+    # finishes is refused
+    rng = random.Random(f"dual-start-{kind}")
+    searched = 0
+    for d in range(2, 7):
+        for _ in range(3):
+            trial = transference._Trial(generic_body(rng, d, kind), ())
+            try:
+                basis = trial.profile.basis
+            except EnumerationBudgetError:
+                continue  # the body's own profile is refused (a FOUND in CHANGES.md)
+            dual = trial.dual_basis
+            assert [[sum(x * y for x, y in zip(row, v)) for v in basis] for row in dual] == \
+                [[int(i == j) for j in range(d)] for i in range(d)]
+            for search in (lambda **start: successive_minima(trial.star, **start),
+                           lambda **start: first_minimum_section_dual(trial.body, **start)):
+                try:
+                    cold = search()
+                except EnumerationBudgetError:
+                    continue
+                assert repr(search(start=dual)) == repr(cold)
+                searched += 1
+            assert repr(trial.profile_star) == repr(successive_minima(trial.star))
+    assert searched >= 25
 
 
 @pytest.mark.parametrize("kind", ["float", "exact"])
