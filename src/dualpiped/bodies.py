@@ -64,9 +64,6 @@ class Lattice:
     def kind(self) -> str:
         return self.basis.kind
 
-    def to_float(self) -> "Lattice":
-        return Lattice(self.basis.to_float())
-
 
 @dataclass(frozen=True)
 class Parallelepiped:
@@ -113,16 +110,6 @@ class Parallelepiped:
             return rows
         return tuple(tuple(x / det for x in row) for row in a.transpose().rows)
 
-    def gauge(self, x: Sequence[Scalar]) -> Scalar:
-        """Minkowski functional: max_i |h_i(x)| / eta_i."""
-        values = self.forms.matvec(tuple(x))
-        best = None
-        for v, e in zip(values, self.bounds):
-            g = abs(v) / e
-            if best is None or g > best:
-                best = g
-        return best
-
     def volume(self) -> Scalar:
         """2^d prod eta / |det H|.
 
@@ -149,9 +136,6 @@ class Parallelepiped:
         if scalar_sign(t) <= 0:
             raise ValueError("scale factor must be positive")
         return Parallelepiped(self.forms, tuple(t * e for e in self.bounds))
-
-    def to_float(self) -> "Parallelepiped":
-        return Parallelepiped(self.forms.to_float(), tuple(float(e) for e in self.bounds))
 
 
 def _rounded(x: Fraction) -> float:

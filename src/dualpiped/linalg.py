@@ -95,12 +95,6 @@ class Matrix:
             [[_dot(row, col) for col in cols] for row in self.rows]
         )
 
-    def matvec(self, vec: Sequence[Scalar]) -> tuple:
-        if len(vec) != self.ncols:
-            raise ValueError("shape mismatch")
-        v = [_normalize_entry(x) for x in vec]
-        return tuple(_dot(row, v) for row in self.rows)
-
     def transpose(self) -> "Matrix":
         return Matrix(list(zip(*self.rows)))
 

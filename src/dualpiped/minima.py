@@ -10,24 +10,19 @@ scalar kind is searched in one exact arithmetic: a float is the dyadic
 rational it stores, so float rows keep, order and measure their points as
 their exact twins do, and only successive_minima rounds, once, the values of
 a float body. A box of more than GRID_CELL_CAP cells is refused first.
-Rational and float rows decide every cell by its exact integer key: a box
-of at most WALK_CELL_CAP cells is walked whole in Python ints, and a larger
-one is proposed by a numpy grid over the canonical half of the box and
-decided as arrays, by one exact integer matmul. The enumeration (_dilate)
-leaves the sorted keys and points, an int array from the grid, and
-successive_minima finds each witness among them by one exact product of a
-block of points against its span's normals (RationalSpan.first_outside),
-building tuples and gauges only for the witnesses. Each search runs in the
-coordinates of an exact LLL reduction of its rows, which may start from a
-given basis. No answer depends on the basis, only the size of the box does.
-A body's hyperbolic shifts only scale the rows of its gauge, so
-first_minima_in_basis searches them all in the body's own reduced basis,
-with no reduction and no shifted body: a rational body's reduced rows are
-inverted once, and that one adjugate gives every shift's box in ints,
-while a float body's rounded shifted rows take one inverse each. A shift
-whose box has at most 3^d cells is decided by the exact integer keys of
-all its canonical cells, the same walk, with no snapshot, grid, sort or
-span, and any other shift is left to first_minimum.
+Rational and float rows decide every canonical cell of the box by its exact
+integer key, with no float: a box of at most WALK_CELL_CAP cells is walked
+in Python ints, and a larger one is decided as arrays, by one exact matmul
+of the primitive rows (int64 on harness bodies). Only Q(sqrt3) rows propose
+their points from a float snapshot. The enumeration (_dilate) leaves the
+sorted keys and points, and successive_minima finds each witness among them
+by one exact product of a block of points against its span's normals
+(RationalSpan.first_outside). Each search runs in the coordinates of an
+exact LLL reduction of its rows, which may start from a given basis; no
+answer depends on the basis, only the size of the box does. A body's
+hyperbolic shifts only scale the rows of its gauge, so first_minima_in_basis
+decides them all in the body's own reduced basis, with no reduction or
+shifted body, walking each box of at most 3^d cells.
 """
 from __future__ import annotations
 
@@ -130,45 +125,22 @@ def _dilate(c_rows, mu, basis) -> tuple:
     """The points of lattice_points_in_dilate as integer keys, points k and den.
 
     The keys are a list of ints m, or of Z[sqrt3] pairs for Q(sqrt3) rows,
-    and each gauge is the exact key / den (_gauge); the points are the k in
-    the same (gauge, k) order, a list of int tuples, or from the grid an int
-    array with one point a line, so a caller builds tuples and gauges only
-    for the points it reads. The search runs in the coordinates of `basis`,
-    the reduced_basis(c_rows) that the caller has already used to size mu
-    (the unit vectors when the rows need no reduction). The reduced rows,
-    kept for the basis by GaugeRows.times, are exact integer rows a over one
-    denominator den, or for Q(sqrt3) rows pairs of integer rows in Z[sqrt3];
-    only the box of Q(sqrt3) rows is still a field inverse. A box of more
-    than GRID_CELL_CAP cells is refused with EnumerationBudgetError first.
+    each gauge the exact key / den (_gauge); the points are the k in the same
+    (gauge, k) order, int tuples, or from the grid an int array with one
+    point a line, so a caller builds tuples and gauges only for the points
+    it reads. The search runs in the coordinates of `basis`, the
+    reduced_basis(c_rows) that sized mu, on the reduced rows (GaugeRows.times):
+    integer rows a over one denominator den, or pairs of them in Z[sqrt3].
+    Every point within mu lies in the box of their exact inverse (_box), and
+    a box of more than GRID_CELL_CAP cells is refused first.
 
-    Rational and float rows decide every cell by one rule: its integer key
-    m = max_i |a_i . k| is kept iff m <= floor(mu den), the point is mapped
-    back by the basis and flipped to its canonical sign, and one sort orders
-    the points by (m, k), which is the (gauge, k) order since den > 0. A box
-    of at most WALK_CELL_CAP cells is walked whole in Python ints (_walk),
-    with no snapshot, grid or numpy call. A larger box runs the rule on
-    arrays: a numpy grid over a float snapshot of the reduced rows proposes
-    candidates, their keys are one integer matmul by a (see
-    linalg.exact_product), one more matmul by the basis maps the kept
-    points back, and array operations flip and sort them. Q(sqrt3) rows
-    decide the grid's candidates one by one in Z[sqrt3] ints (see
-    _quadratic_points). The grid only proposes points, so no point or bit
-    depends on the snapshot.
-
-    The candidates hold every point within mu. Rows of every kind are taken
-    exactly (see _integer_rows), so such a point has |k_j| <= b_j, the box
-    of their exact inverse at mu.
-    The snapshot is of the reduced rows times the power of two that brings
-    the largest entry near 1, so none overflows. A snapshot entry s of a
-    scaled entry x is off by at most 2^-53 w: w = |s| for a rational x,
-    rounded once, and w = 4 (|a| + 2|b|) for x = a + b sqrt3, as
-    float(a) + float(b) * sqrt(3) can cancel; w also carries 2^-1020 for up
-    to four roundings in the subnormal range. A float row times k adds at
-    most gamma_d sum_j |s_ij| b_j: products by integers, and sums that land
-    in the subnormal range, are exact. The search radius adds twice both
-    bounds, and twice the rounding of mu itself, to the scaled mu; the
-    second half is room for the float sums that form the radius,
-    and any extra candidate it admits fails its exact gauge.
+    Rational and float rows keep a canonical cell k iff its integer key
+    m = max_i |a_i . k| is at most floor(mu den); the point is mapped back by
+    the basis, flipped to its canonical sign, and sorted by (m, k), the
+    (gauge, k) order. A box of at most WALK_CELL_CAP cells is walked in ints
+    (_walked_points), a larger one decided as arrays (_grid_points); no float
+    takes part. Q(sqrt3) rows are proposed by a float snapshot and decided
+    in Z[sqrt3] ints (_quadratic_points).
     """
     d = len(c_rows)
     if any(len(row) != d for row in c_rows):
@@ -183,45 +155,12 @@ def _dilate(c_rows, mu, basis) -> tuple:
         raise EnumerationBudgetError(
             f"the search box has {cells} cells; the grid supports at most {GRID_CELL_CAP}"
         )
-    if b is None and cells <= WALK_CELL_CAP:
-        num, div = scaled_mu.as_integer_ratio()
-        return (*_walked_points(a, num // div, basis, box), den)
-    if b is None:
-        magnitudes = [[abs(x) for x in row] for row in a]
-    else:
-        magnitudes = [[abs(x) + 2 * abs(y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    top = Fraction(max(map(max, magnitudes)), den)
-    shift = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
-    num, div = (shift / den).as_integer_ratio()
-    # int / int rounds correctly, as float of a Fraction does, so the snapshot
-    # of a Q(sqrt3) entry is float(a) + float(b) * sqrt(3) of its scaled parts
-    if b is None:
-        snapshot = [[x * num / div for x in row] for row in a]
-        weights = [[abs(s) for s in row] for row in snapshot]
-    else:
-        snapshot = [[x * num / div + y * num / div * _SQRT3 for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        weights = [[4.0 * (m * num / div) for m in row] for row in magnitudes]
-    spread = max(
-        sum((w + 2.0**-1020 + (d + 1) * abs(s)) * bj for w, s, bj in zip(ws, ss, box))
-        for ws, ss in zip(weights, snapshot)
-    )
-    shifted_mu = exact_scalar(mu) * shift
-    radius = float(shifted_mu) + 2.0**-52 * (
-        spread + _error_weight(shifted_mu, float(shifted_mu))
-    )
-    candidates = _grid_points(snapshot, radius, box)
     if b is not None:
-        return (*_quadratic_points(candidates.tolist(), a, b, den, scaled_mu, basis), den)
-    m = np.abs(exact_product(candidates, a, box)).max(axis=1)
+        return (*_quadratic_points(a, b, den, scaled_mu, basis, box), den)
     num, div = scaled_mu.as_integer_ratio()
-    keep = m <= num // div
-    k = exact_product(candidates[keep], tuple(zip(*basis)), box)
-    m = m[keep]
-    del candidates, keep  # before the sort copies the kept points: they set the peak on large boxes
-    lead = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
-    k[lead < 0] *= -1
-    order = np.lexsort((*k.T[::-1], m))
-    return m[order].tolist(), k[order], den
+    if cells <= WALK_CELL_CAP:
+        return (*_walked_points(a, num // div, basis, box), den)
+    return (*_grid_points(a, num, div, basis, box), den)
 
 
 def _walked_points(a, limit, basis, box) -> tuple:
@@ -243,12 +182,64 @@ def _walked_points(a, limit, basis, box) -> tuple:
     return [m for m, _ in points], [k for _, k in points]
 
 
-def _quadratic_points(candidates, a, b, den, scaled_mu, basis) -> tuple:
-    """The keys and points of _dilate for the candidates of Q(sqrt3) rows, one by one.
+def _grid_points(a, num, div, basis, box) -> tuple:
+    """The keys and points of _dilate for the integer rows a, as arrays over the half box.
 
-    Each key is a pair of ints in Z[sqrt3] (see _zsqrt3_max), compared with
-    mu times den by an integer sign.
+    Row i is t_i g_i, with t_i = gcd(a_i) and g_i primitive, so a cell k
+    passes the keep rule m <= floor(num / div) iff every |g_i . k| is at
+    most l_i = floor(num / (div t_i)). The products g k of every cell are one
+    exact product (linalg.exact_product), int64 on harness bodies: there a
+    rational g_i is a signed unit row however wide a_i is, a float g_i has
+    about 53 bits. The keys m = max_i t_i |g_i . k| of the kept cells are
+    in int64 when every t_i max(l_i, 1) < 2^63 bounds them; one more product
+    by the basis maps the kept points back, and arrays flip and sort them.
     """
+    scales = [math.gcd(*row) for row in a]
+    g = [[x // t for x in row] for row, t in zip(a, scales)]
+    limits = [num // (div * t) for t in scales]
+    k = _half_box(box)
+    products = np.abs(exact_product(k, g, box))
+    keep = (products <= limits).all(axis=1)
+    dtype = object if any(t * max(x, 1) >= 2**63 for t, x in zip(scales, limits)) else np.int64
+    m = (products[keep].astype(dtype) * np.array(scales, dtype=dtype)).max(axis=1)
+    k = k[keep]
+    del products, keep  # before the sort copies the kept points: they set the peak on large boxes
+    k = exact_product(k, tuple(zip(*basis)), box)
+    lead = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
+    k[lead < 0] *= -1
+    order = np.lexsort((*k.T[::-1], m))
+    return m[order].tolist(), k[order]
+
+
+def _quadratic_points(a, b, den, scaled_mu, basis, box) -> tuple:
+    """The keys and points of _dilate for the Q(sqrt3) rows (a + b sqrt3) / den.
+
+    A float snapshot of the rows (_snapshot) proposes the canonical cells of
+    the box within a float radius, and each is decided alone: its key is a
+    pair of ints in Z[sqrt3] (see _zsqrt3_max), compared with mu den by an
+    integer sign. The candidates hold every point within mu: a snapshot
+    entry s of a scaled x = a + b sqrt3 is off by at most 2^-53 w,
+    w = 4 (|a| + 2|b|), as float(a) + float(b) * sqrt(3) can cancel, plus
+    2^-1020 for up to four roundings in the subnormal range, and a float row
+    times k adds at most gamma_d sum_j |s_ij| b_j, as products by integers
+    and sums in the subnormal range are exact. The radius adds twice both
+    bounds, and twice the rounding of mu, to the scaled mu: the second half
+    is room for the float sums that form it, and any extra candidate it
+    admits fails its exact gauge.
+    """
+    d = len(a)
+    snapshot, shift = _snapshot(a, b, den)
+    num, div = (shift / den).as_integer_ratio()
+    spread = max(
+        sum((4.0 * ((abs(x) + 2 * abs(y)) * num / div) + 2.0**-1020 + (d + 1) * abs(s)) * bj
+            for x, y, s, bj in zip(ra, rb, ss, box))
+        for ra, rb, ss in zip(a, b, snapshot)
+    )
+    x = scaled_mu * shift / den  # mu shifted as the rows are, weighed as an entry is
+    w = 4.0 * float(abs(x.a) + 2 * abs(x.b)) if isinstance(x, Quad3) else abs(float(x))
+    radius = float(x) + 2.0**-52 * (spread + (w + 2.0**-1020))
+    cells = _half_box(box)
+    candidates = cells[np.abs(cells @ np.array(snapshot).T).max(axis=1) <= radius].tolist()
     p, q, r = zsqrt3_parts(scaled_mu)
     u = tuple(zip(*basis))  # row-major, the basis vectors as columns
     points = []
@@ -262,6 +253,20 @@ def _quadratic_points(candidates, a, b, den, scaled_mu, basis) -> tuple:
             points.append((gauge, tuple(k)))
     points.sort(key=_zsqrt3_order)
     return [key for key, _ in points], [k for _, k in points]
+
+
+def _snapshot(a, b, den) -> tuple:
+    """The float rows of (a + b sqrt3) / den times a power of two, and that power.
+
+    The power brings the largest |a| + 2|b| near 1, so no entry overflows,
+    and int / int rounds as float of a Fraction does: each entry is
+    float(x) of its scaled x, the unscaled float(x) times the power
+    wherever that one is finite and normal.
+    """
+    top = Fraction(max(abs(x) + 2 * abs(y) for ra, rb in zip(a, b) for x, y in zip(ra, rb)), den)
+    shift = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
+    num, div = (shift / den).as_integer_ratio()
+    return [[x * num / div + y * num / div * _SQRT3 for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], shift
 
 
 def _box(a, b, mu) -> list:
@@ -297,9 +302,10 @@ def _reduction_transform(c_rows, start) -> tuple:
     unimodular, and None means S is already fine. Rational and float rows
     are reduced exactly, on the integer rows that the search clears once
     (see GaugeRows; a float is the dyadic rational it stores), since the LLL
-    is scale invariant. Q(sqrt3) rows are reduced on their float snapshot,
-    read exactly in the same way. Each search computes the transform once,
-    through reduced_basis, and hands that basis to the enumeration.
+    is scale invariant. Q(sqrt3) rows are reduced on their float snapshot
+    (_snapshot, scaled so no entry leaves the float range), read exactly in
+    the same way. Each search computes the transform once, through
+    reduced_basis, and hands that basis to the enumeration.
     """
     d = len(c_rows)
     unit = start is None
@@ -307,9 +313,9 @@ def _reduction_transform(c_rows, start) -> tuple:
         start = [tuple(int(i == j) for i in range(d)) for j in range(d)]
     if d < 2 or not all(math.isfinite(x) for row in c_rows for x in row if isinstance(x, float)):
         return start, None
-    a, b, _ = _integer_rows(c_rows)
+    a, b, den = _integer_rows(c_rows)
     if b is not None:
-        a = integer_rows([[float(x) for x in row] for row in c_rows])[0]
+        a = integer_rows(_snapshot(a, b, den)[0])[0]
     if unit:
         return start, _lll_unimodular(list(zip(*a)))
     cols = [[sum(map(mul, row, v)) for row in a] for v in start]
@@ -374,12 +380,6 @@ def _zsqrt3_order(x, y) -> int:
     """(key, k) pairs of Q(sqrt3) rows in (gauge, k) order."""
     (g, k), (h, m) = x, y
     return zsqrt3_sign(g[0] - h[0], g[1] - h[1]) or (k > m) - (k < m)
-
-
-def _error_weight(x, s: float) -> float:
-    """w with |s - x| <= 2^-53 w for the snapshot s of x; see lattice_points_in_dilate."""
-    w = 4.0 * float(abs(x.a) + 2 * abs(x.b)) if isinstance(x, Quad3) else abs(s)
-    return w + 2.0**-1020
 
 
 def _lll_unimodular(cols):
@@ -455,20 +455,19 @@ def _lll_unimodular(cols):
     return u
 
 
-def _grid_points(rows, radius: float, box):
-    """Canonical points of the box with float gauge (one matmul) at most radius.
+def _half_box(box):
+    """The canonical cells of the box, int64 coordinates with one cell a line.
 
-    Returns int64 coordinates, one point per line. Cell i of the N cells in
-    row-major order holds k and cell N - 1 - i holds -k, so the origin is
-    the middle cell, and the cells after it are exactly those whose first
-    nonzero coordinate is positive: only that half is built.
+    Cell i of the N cells in row-major order holds k and cell N - 1 - i
+    holds -k, so the origin is the middle cell, and the cells after it are
+    exactly those whose first nonzero coordinate is positive: only that half
+    is built, (N - 1) / 2 cells.
     """
     shape = [2 * b + 1 for b in box]
     cells = math.prod(shape)
     k = np.stack(np.unravel_index(np.arange(cells // 2 + 1, cells), shape), axis=-1)
     k -= np.array(box, dtype=k.dtype)
-    g = np.abs(k @ np.array(rows, dtype=float).T).max(axis=1)
-    return k[g <= radius]
+    return k
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 from typing import Sequence
 
 import numpy as np
@@ -12,6 +14,26 @@ from dualpiped.linalg import Matrix, monotone_root
 from dualpiped.scalars import Quad3, exact_nth_root, scalar_sign, sqrt_exact
 from dualpiped.sections import v_tau_squared
 from dualpiped.transference import REL_SLACK, c_d
+
+
+def matvec(m, vec):
+    """The matrix m times the vector, each entry summed in order from its first product."""
+    if len(vec) != m.ncols:
+        raise ValueError("shape mismatch")
+    v = [Fraction(x) if isinstance(x, int) else x for x in vec]
+    return tuple(reduce(add, map(mul, row, v)) for row in m.rows)
+
+
+def gauge(piped, x):
+    """Minkowski functional of the body: max_i |h_i(x)| / eta_i."""
+    return max(abs(v) / e for v, e in zip(matvec(piped.forms, tuple(x)), piped.bounds))
+
+
+def to_float(x):
+    """The float copy of a body or a lattice, every entry rounded once."""
+    if isinstance(x, Lattice):
+        return Lattice(x.basis.to_float())
+    return Parallelepiped(x.forms.to_float(), tuple(float(e) for e in x.bounds))
 
 
 def random_unimodular(rng, d, ops=None):
@@ -35,7 +57,7 @@ def generic_body(rng, d, kind):
     forms = random_unimodular(rng, d, ops=2 * d).matmul(diagonal).matmul(random_unimodular(rng, d, ops=2 * d))
     eta = tuple(Fraction(rng.randint(2, 9), rng.randint(1, 4)) for _ in range(d))
     body = Parallelepiped(forms, eta)
-    return body.to_float() if kind == "float" else body
+    return to_float(body) if kind == "float" else body
 
 
 def gauges_in_box(piped, lattice, box):
@@ -45,8 +67,8 @@ def gauges_in_box(piped, lattice, box):
     for k in itertools.product(range(-box, box + 1), repeat=d):
         if all(x == 0 for x in k):
             continue
-        point = lattice.basis.matvec(k)
-        out.append((piped.gauge(point), k))
+        point = matvec(lattice.basis, k)
+        out.append((gauge(piped, point), k))
     return out
 
 
@@ -289,7 +311,7 @@ def witness_sweep(body, basis, dilate, cap=3):
     closed = []
     interior = []
     for k in itertools.product(range(-cap, cap + 1), repeat=3):
-        gauge = max(abs(x) for x in coeff_forms.matvec(k))
+        gauge = max(abs(x) for x in matvec(coeff_forms, k))
         if gauge <= dilate:
             closed.append(k)
             if gauge < dilate:
@@ -514,11 +536,11 @@ def axis_box(eta: Sequence) -> Parallelepiped:
 
 
 def contains(piped: Parallelepiped, x: Sequence, dilate=1) -> bool:
-    return piped.gauge(x) <= dilate
+    return gauge(piped, x) <= dilate
 
 
 def contains_interior(piped: Parallelepiped, x: Sequence, dilate=1) -> bool:
-    return piped.gauge(x) < dilate
+    return gauge(piped, x) < dilate
 
 
 def apply_linear(piped: Parallelepiped, t: Matrix) -> Parallelepiped:

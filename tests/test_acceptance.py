@@ -109,7 +109,8 @@ def test_randomized_claim_suite_zero_violations():
             assert summary.instances == 500
             assert summary.violations == 0, (d, summary.claim, summary.extremal_instance)
             assert summary.passes + summary.skips == 500
-    # the exact legs: an error in a trial would turn into a skip with a note
+            assert summary.notes == (), (d, summary.claim, summary.notes[:3])
+    # the exact legs; on every leg an error in a trial would turn into a skip with a note
     for d, trials in ((2, 100), (3, 300), (4, 100), (5, 50)):
         config = TrialConfig(dimension=d, trials=trials, seed=42, mode="exact", tau_samples=8)
         report = run_suite(config)

@@ -27,7 +27,10 @@ from oracle_utils import (
     contains_interior,
     covolume,
     dual_lattice,
+    gauge,
+    matvec,
     random_unimodular,
+    to_float,
 )
 
 
@@ -58,14 +61,14 @@ def test_dual_lattice_involution():
 
 def test_gauge_frozen_cases():
     b3 = Parallelepiped.cube(3)
-    assert b3.gauge((1, 0, 0)) == 1
-    assert b3.gauge((0, 0, 0)) == 0
+    assert gauge(b3, (1, 0, 0)) == 1
+    assert gauge(b3, (0, 0, 0)) == 0
     half = axis_box([Fraction(1, 2)] * 3)
-    assert half.gauge((Fraction(1, 2), 0, 0)) == 1
+    assert gauge(half, (Fraction(1, 2), 0, 0)) == 1
     # witness column a1 against the plain axis box: sup-norm (2 eps/sqrt3)/eps
     eps = Fraction(1, 2)
     a1 = (eps / 3 * SQRT3, eps / 3 * SQRT3, -2 * eps / 3 * SQRT3)
-    assert half.gauge(a1) == Quad3(0, Fraction(2, 3))
+    assert gauge(half, a1) == Quad3(0, Fraction(2, 3))
 
 
 def test_gauge_homogeneity():
@@ -74,7 +77,7 @@ def test_gauge_homogeneity():
     for _ in range(50):
         x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(3))
         t = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        assert piped.gauge([t * xi for xi in x]) == abs(t) * piped.gauge(x)
+        assert gauge(piped, [t * xi for xi in x]) == abs(t) * gauge(piped, x)
 
 
 def test_membership_closed_and_interior():
@@ -123,7 +126,7 @@ def test_pseudo_compound_normalization():
     with pytest.raises(ExactnessError):
         pseudo_compound(bad)
     # float mode is the documented escape hatch
-    star_f = pseudo_compound(bad.to_float())
+    star_f = pseudo_compound(to_float(bad))
     assert star_f.forms.kind == "float"
 
 
@@ -148,10 +151,10 @@ def test_apply_linear_and_scale():
     t = Matrix([[2, 1], [1, 1]])
     moved = apply_linear(piped, t)
     # T maps the cube onto the new body, so T(vertex) has gauge 1
-    vertex = t.matvec((1, 1))
-    assert moved.gauge(vertex) == 1
+    vertex = matvec(t, (1, 1))
+    assert gauge(moved, vertex) == 1
     doubled = piped.scale(Fraction(2))
-    assert doubled.gauge((2, 0)) == 1
+    assert gauge(doubled, (2, 0)) == 1
 
 
 def test_document_round_trip_rational():
@@ -178,12 +181,12 @@ def test_float_and_exact_twins_are_distinct():
     float_cube = Parallelepiped.cube(3, kind="float")
     assert cube != float_cube
     assert hash(cube) != hash(float_cube)
-    assert float_cube == cube.to_float()
-    assert hash(float_cube) == hash(cube.to_float())
+    assert float_cube == to_float(cube)
+    assert hash(float_cube) == hash(to_float(cube))
     z3 = Lattice.integers(3)
     assert z3 != Lattice.integers(3, kind="float")
     assert hash(z3) != hash(Lattice.integers(3, kind="float"))
-    assert z3.to_float() == Lattice.integers(3, kind="float")
+    assert to_float(z3) == Lattice.integers(3, kind="float")
     # exact kinds still compare by value
     assert Matrix.identity(3, kind="quad3") == Matrix.identity(3)
     assert hash(Matrix.identity(3, kind="quad3")) == hash(Matrix.identity(3))

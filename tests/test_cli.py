@@ -102,6 +102,19 @@ def test_witness_command(tmp_path, capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+def test_witness_certifies_epsilons_far_below_the_float_range(capsys):
+    # the reduction reads the witness's Q(sqrt3) rows through a float
+    # snapshot scaled into the float range, so an epsilon whose rows leave
+    # that range unscaled is certified with the minima of epsilon = 1/2
+    assert main(["witness", "--epsilon", "1/2"]) == 0
+    minima_text = capsys.readouterr().out.split("exact minima:")[1]
+    for epsilon in ("1e-400", "1e-4000"):
+        assert main(["witness", "--epsilon", epsilon]) == 0
+        out = capsys.readouterr().out
+        assert f"epsilon = {Fraction(epsilon)}" in out
+        assert out.split("exact minima:")[1] == minima_text
+
+
 def test_cd_command(capsys):
     assert main(["cd", "--dmin", "3", "--dmax", "6"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -20,6 +20,8 @@ from dualpiped.minima import first_minimum
 from dualpiped.transference import check_claims, sample_directions
 from dualpiped.witness import build_witness
 
+from oracle_utils import to_float
+
 
 def test_trial_config_validation():
     TrialConfig(dimension=3, trials=2, seed=0)
@@ -143,7 +145,7 @@ def test_t5_to_t7_decide_the_witness_forms_and_their_float_twins(form, statuses,
     # float twin too: the slack never lifts 1 above 1
     body = getattr(build_witness(Fraction(1, 2)), form)
     by_kind = [check_claims(piped, ("T5", "T6", "T7"), directions=())
-               for piped in (body, body.to_float())]
+               for piped in (body, to_float(body))]
     for reports in by_kind:
         assert tuple(r.status for r in reports) == statuses
         assert tuple(None if r.margin is None else round(r.margin, 4) for r in reports) == margins

@@ -8,7 +8,7 @@ import pytest
 
 from dualpiped import minima, sections
 from dualpiped.bodies import Lattice, Parallelepiped, det_normalized, pseudo_compound
-from dualpiped.harness import gen_instance
+from dualpiped.harness import TrialConfig, evaluate_trial, gen_instance
 from dualpiped.linalg import Matrix
 from dualpiped.minima import (
     EnumerationBudgetError,
@@ -31,9 +31,12 @@ from oracle_utils import (
     field_det,
     field_inverse,
     fraction_lll_unimodular,
+    gauge,
     generic_body,
+    matvec,
     orthogonal_sublattice,
     random_quad3_rows,
+    to_float,
 )
 
 
@@ -47,7 +50,7 @@ def test_cube_minima_are_all_one():
         # not be the standard basis vectors
         assert Matrix([[Fraction(x) for x in w] for w in profile.witnesses]).det() != 0
         for w in profile.witnesses:
-            assert piped.gauge(w) == 1
+            assert gauge(piped, w) == 1
 
 
 def test_diagonal_lattice_minima():
@@ -89,7 +92,7 @@ def test_minima_match_brute_force_oracle():
         values, _ = brute_force_minima(piped, lat, d, box=6)
         assert list(profile.values) == values
         for mu, k in zip(profile.values, profile.witnesses):
-            assert piped.gauge(lat.basis.matvec(k)) == mu
+            assert gauge(piped, matvec(lat.basis, k)) == mu
         checked += 1
 
 
@@ -105,7 +108,7 @@ def test_minima_profile_is_independent_and_sorted():
 def test_float_mode_matches_exact_values():
     piped = Parallelepiped(Matrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]]), (Fraction(1), Fraction(1, 2), Fraction(2)))
     exact = successive_minima(piped, Lattice.integers(3))
-    approx = successive_minima(piped.to_float(), Lattice.integers(3).to_float())
+    approx = successive_minima(to_float(piped), to_float(Lattice.integers(3)))
     for a, b in zip(exact.values, approx.values):
         assert float(a) == pytest.approx(b, rel=1e-12)
 
@@ -400,9 +403,9 @@ def _boundary_cases():
 
 
 def test_exact_rows_on_the_boundary_match_the_box_sweep(monkeypatch):
-    # the float search must keep every point whose exact gauge equals mu,
-    # including those whose float gauge on the snapshot lands above mu; no
-    # box is walked, so the grid decides every one
+    # the search must keep every point whose exact gauge equals mu,
+    # including those whose float gauge lands above mu; no box is walked,
+    # so the grid decides every one
     monkeypatch.setattr(minima, "WALK_CELL_CAP", 0)
     above = 0
     for c_rows, mu in _boundary_cases():
@@ -414,7 +417,7 @@ def test_exact_rows_on_the_boundary_match_the_box_sweep(monkeypatch):
         back = u.inverse()
         for gauge, k in expected:
             if gauge == mu:
-                kp = np.array([float(x) for x in back.matvec(k)])
+                kp = np.array([float(x) for x in matvec(back, k)])
                 above += float(np.abs(snapshot @ kp).max()) > float(mu)
     assert above > 0
 
@@ -471,12 +474,13 @@ def test_walk_matches_the_grid(monkeypatch):
 
 
 def test_array_decision_matches_its_definition(monkeypatch):
-    # exact keys run in int64 where sum_j |a_ij| max(b_j, 1) < 2^62 proves
-    # them exact, and in Python ints otherwise: the body rows of these float
-    # d=5 instances (about 54 bits) run in int64, the same bodies moved by a
-    # float map within 2^-40 of the identity (entries near zero put the
-    # rows at about 94 bits) take the object path, and both match the
-    # per-candidate definition; no box is walked, so the grid decides them
+    # the products of the primitive rows g_i = a_i / gcd(a_i) run in int64
+    # where sum_j |g_ij| max(b_j, 1) < 2^62 proves them exact, and in Python
+    # ints otherwise: the body rows of these float d=5 instances (about 54
+    # bits) run in int64, the same bodies moved by a float map within 2^-40
+    # of the identity (entries near zero put the rows and their primitive
+    # forms at about 94 bits) take the object path, and both match the per-candidate
+    # definition; no box is walked, so the grid decides them
     searches = []
     dtypes = []
 
@@ -518,11 +522,13 @@ def test_array_decision_matches_its_definition(monkeypatch):
                 assert minima._integer_rows(tiny)[2] >= 2**62
                 points = lattice_points_in_dilate(tiny, mu * 2.0**-20, basis)
                 assert points == dilate_points_oracle(tiny, mu * 2.0**-20, basis)
-    # two rows right at the bound: keys of 2^62 - 1 stay in int64, and a
-    # bound of 2^62 takes the object path
+    # two primitive rows right at the bound: keys of 2^62 - 1 stay in int64,
+    # and a bound of 2^62 takes the object path
     top = 2**61
     mu = Fraction(2**62 - 1)
-    for rows, wide, count in ((((top, top - 1), (top - 1, -top)), False, 4), (((top, top), (top, -top)), True, 2)):
+    for rows, wide, count in ((((top, top - 1), (top - 1, -top)), False, 4),
+                              (((top + 1, top - 1), (top - 1, -top - 1)), True, 2)):
+        assert all(math.gcd(*row) == 1 for row in rows)
         c_rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
         basis = minima.reduced_basis(c_rows)
         assert basis == [(1, 0), (0, 1)] and minima.dilate_box(c_rows, mu) == [1, 1]
@@ -535,17 +541,50 @@ def test_array_decision_matches_its_definition(monkeypatch):
         assert points == dilate_points_oracle(c_rows, mu, basis)
 
 
+def test_harness_grids_decide_every_canonical_cell_in_int64(monkeypatch):
+    # every grid search of a harness trial hands all (N - 1) / 2 canonical
+    # cells of its N-cell box to one exact product, which runs in int64: a
+    # reduced row of an exact harness body is a multiple of a signed unit
+    # row, however wide, and of a float body a multiple of a row of about
+    # 53 bits
+    grids = []
+    products = []
+
+    def half_box(box):
+        grids.append((math.prod(2 * b + 1 for b in box), len(products)))
+        return half(box)
+
+    def product(k, rows, box):
+        out = exact_product(k, rows, box)
+        products.append((len(k), out.dtype))
+        return out
+
+    half = minima._half_box
+    exact_product = minima.exact_product
+    monkeypatch.setattr(minima, "_half_box", half_box)
+    monkeypatch.setattr(minima, "exact_product", product)
+    for mode, d, trials in (("float", 5, 20), ("exact", 5, 20), ("exact", 6, 10)):
+        grids.clear()
+        products.clear()
+        config = TrialConfig(dimension=d, trials=trials, seed=42, mode=mode)
+        for index in range(trials):
+            assert evaluate_trial(config, index).error is None
+        assert len(grids) >= 2 * trials
+        for cells, first in grids:
+            assert products[first] == ((cells - 1) // 2, np.dtype(np.int64))
+
+
 @pytest.mark.parametrize(
     "box", [[0], [4], [0, 0], [2, 0], [0, 3], [1, 0, 2], [0, 1, 0], [0, 0, 1], [2, 1, 0, 1]]
 )
 def test_half_box_grid_is_the_canonical_half(box):
-    # at radius inf the grid is every cell whose first nonzero coordinate is
+    # the grid's cells are every cell whose first nonzero coordinate is
     # positive, in row-major order, as a meshgrid sweep of the box finds them
     d = len(box)
     mesh = np.meshgrid(*(np.arange(-b, b + 1) for b in box), indexing="ij")
     cells = np.stack([m.ravel() for m in mesh], axis=1)
     lead = cells[np.arange(len(cells)), np.argmax(cells != 0, axis=1)]
-    grid = minima._grid_points(np.eye(d).tolist(), math.inf, box)
+    grid = minima._half_box(box)
     assert grid.shape == (math.prod(2 * b + 1 for b in box) // 2, d)
     assert grid.tolist() == cells[lead > 0].tolist()
 
@@ -628,7 +667,7 @@ def test_budget_error(monkeypatch):
         raise AssertionError("the grid was built")
 
     monkeypatch.setattr(minima, "GRID_CELL_CAP", 8)
-    monkeypatch.setattr(minima, "_grid_points", grid)
+    monkeypatch.setattr(minima, "_half_box", grid)
     for piped in (Parallelepiped.cube(2), Parallelepiped.cube(2, kind="float")):
         with pytest.raises(EnumerationBudgetError, match="has 9 cells; the grid supports at most 8"):
             successive_minima(piped)

@@ -28,6 +28,7 @@ from dualpiped.transference import (
 from oracle_utils import (
     apply_linear,
     float_leq,
+    gauge,
     generic_body,
     hyperbolic_map,
     khintchine_pair,
@@ -36,6 +37,7 @@ from oracle_utils import (
     random_unimodular,
     t2_root,
     tau_vertex,
+    to_float,
 )
 
 
@@ -112,7 +114,7 @@ def test_apply_hyperbolic_matches_linear_action():
         # the two descriptions name the same body: equal gauges everywhere
         for _ in range(5):
             x = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(d))
-            assert shortcut.gauge(x) == moved.gauge(x)
+            assert gauge(shortcut, x) == gauge(moved, x)
 
 
 def test_normalize_tau_plain():
@@ -298,7 +300,7 @@ def test_implication_chain_consistency():
 
 def normalized_family(piped, directions, mode):
     """FAM or FAMSHARP on each surface tau itself: (status, margin), in floats."""
-    body = det_normalized(piped).to_float()
+    body = to_float(det_normalized(piped))
     checks = []
     for raw in directions:
         tau = normalize_tau(raw, mode)
@@ -321,7 +323,7 @@ def test_family_claims_by_homogeneity_match_the_normalized_shift(monkeypatch, d,
         eta = tuple(Fraction(rng.randint(2, 9), rng.randint(1, 4)) for _ in range(d))
         piped = Parallelepiped(forms, eta)
         if kind == "float":
-            piped = piped.to_float()
+            piped = to_float(piped)
         directions = sample_directions(rng, d, 6)
         expected = [normalized_family(piped, directions, mode) for mode in ("plain", "sharp")]
         calls = []
@@ -340,7 +342,7 @@ def test_family_claims_by_homogeneity_match_the_normalized_shift(monkeypatch, d,
             patch.setattr(transference, "first_minima_in_basis", counted)
             patch.setattr(transference, "apply_hyperbolic", building)
             if kind == "exact":
-                patch.setattr(Parallelepiped, "to_float", failing_to_float)
+                patch.setattr(Matrix, "to_float", failing_to_float)
             reports = check_claims(piped, ("FAM", "FAMSHARP"), directions=directions)
         # one batched call, on the normalized body in its kind and every
         # direction, serves both claims; only the shifts it leaves are built

@@ -18,7 +18,7 @@ from dualpiped.witness import (
     verify_example_points,
 )
 
-from oracle_utils import on_surface, tau_vertex, witness_sweep
+from oracle_utils import on_surface, tau_vertex, to_float, witness_sweep
 
 NU1 = Quad3(0, Fraction(2, 3))
 NU2 = Fraction(5, 4)
@@ -217,7 +217,7 @@ def test_z3_bodies_at_one_half_kinds_and_first_minima():
     assert first_minimum(w.z3_body_2)[0] == 1
     value, _ = first_minimum(w.z3_body_1)
     assert value == Quad3(0, Fraction(2, 3))
-    assert w.z3_body_2.to_float().kind == "float"
+    assert to_float(w.z3_body_2).kind == "float"
 
 
 def test_integer_reformulation_matches_lattice_minima():
