@@ -21,8 +21,9 @@ by one exact product of a block of points against its span's normals
 exact LLL reduction of its rows, which may start from a given basis; no
 answer depends on the basis, only the size of the box does. A body's
 hyperbolic shifts only scale the rows of its gauge, so first_minima_in_basis
-decides them all in the body's own reduced basis, with no reduction or
-shifted body, walking each box of at most 3^d cells.
+decides them all, for a rational or a float body alike, in the body's own
+reduced basis from one inverse of its rows, with no reduction or shifted
+body, walking each box of at most 3^d cells; every value it gives is exact.
 """
 from __future__ import annotations
 
@@ -551,31 +552,25 @@ def first_minimum(piped: Parallelepiped, lattice: Lattice | None = None, *, star
 
 
 def first_minima_in_basis(piped: Parallelepiped, directions, start) -> list:
-    """The first minimum against Z^d of the body shifted by each direction, or None.
+    """The exact first minimum against Z^d of the body shifted by each direction, or None.
 
-    A shift by tau scales the bounds to tau * eta (see apply_hyperbolic),
-    so row i of the gauge rows by 1 / tau_i, and `start`, the reduced basis
-    of the body's profile search (MinimaProfile.basis), keeps each shift's
-    box small with no reduction. A shift's reduced rows clear to integers
-    a' over one denominator den; the smallest column maximum m0 is the
-    radius, and a box of at most 3^d cells there is decided whole: the
-    smallest integer key m = max_i |a'_i . k| over its canonical cells
-    (_smallest_key) passes the keep rule m <= floor(mu den) = m0 of
-    lattice_points_in_dilate, as the radius's basis vector lies in the box,
-    and gives the value Fraction(m, den), rounded once for a float body.
-    No shifted body, snapshot, grid, sort or span is built.
-
-    A rational body's reduced rows a / den are inverted once: with
+    A shift by tau scales the bounds to tau * eta, so row i of the body's
+    gauge rows (gauge_rows, the rows its profile search reads) by 1 / tau_i,
+    exactly; `start`, the reduced basis of that search
+    (MinimaProfile.basis), keeps each shift's box small with no reduction.
+    The reduced rows clear to integers a over one denominator den (a float
+    is the dyadic rational it stores) and are inverted once: with
     tau_i = p_i / q_i and L = lcm(p), a shift's rows are s_i a_i over den L,
     s_i = q_i L / p_i, so the one adjugate gives every shift's box in ints,
-    b_j = floor(m0 sum_i |adj_ji| / (s_i |det a|)). A float body's shifted
-    rows are the rounded quotients h / fl(tau eta), which no shared inverse
-    describes, so each takes its own (_box). Q(sqrt3) rows, float bounds or
-    rows beyond the float range and larger boxes give None, for
-    first_minimum to search.
+    b_j = floor(m0 sum_i |adj_ji| / (s_i |det a|)), where the smallest
+    column maximum m0 is the radius. A box of at most 3^d cells is decided
+    whole: the smallest integer key m = max_i |s_i a_i . k| over its
+    canonical cells (_walk) passes the keep rule m <= floor(mu den)
+    = m0 of lattice_points_in_dilate, as the radius's basis vector lies in
+    the box, and gives the value Fraction(m, den L) for every kind. No
+    shifted body, snapshot, grid, sort or span is built. Q(sqrt3) rows and
+    larger boxes give None, for first_minimum to search.
     """
-    if piped.kind == "float":
-        return [_float_shift_minimum(piped, raw, start) for raw in directions]
     a, b, den = gauge_rows(piped).times(start)
     if b is not None:
         return [None] * len(directions)
@@ -591,34 +586,12 @@ def first_minima_in_basis(piped: Parallelepiped, directions, start) -> list:
         weights = [common // s for s in scales]
         div = common * abs(det)
         box = [radius * sum(abs(x) * w for x, w in zip(row, weights)) // div for row in adj]
-        key = _small_box_key(shifted, box)
-        values.append(None if key is None else Fraction(key, den * lcm))
+        if math.prod(2 * bj + 1 for bj in box) > 3 ** len(box):
+            values.append(None)
+        else:
+            key = min(max(map(abs, v)) for v in _walk(list(zip(*shifted)), box))
+            values.append(Fraction(key, den * lcm))
     return values
-
-
-def _float_shift_minimum(piped: Parallelepiped, raw, start):
-    """A float body's first minimum shifted by raw, for first_minima_in_basis, or None."""
-    bounds = [float(t) * e for t, e in zip(raw, piped.bounds)]
-    if not all(0 < e < math.inf for e in bounds):
-        return None
-    rows = [[x / e for x in row] for row, e in zip(piped.forms.rows, bounds)]
-    if not all(math.isfinite(x) for row in rows for x in row):
-        return None
-    a, _, den = GaugeRows(rows).times(start)
-    key = _small_box_key(a, _box(a, None, min(max(map(abs, col)) for col in zip(*a))))
-    return None if key is None else float(Fraction(key, den))
-
-
-def _small_box_key(a, box):
-    """_smallest_key of the integer rows a over the box, or None past 3^d cells."""
-    if math.prod(2 * bj + 1 for bj in box) > 3 ** len(box):
-        return None
-    return _smallest_key(list(zip(*a)), box)
-
-
-def _smallest_key(cols, box) -> int:
-    """The least max_i |(sum_j k_j col_j)_i| over the canonical cells k of the box."""
-    return min(max(map(abs, v)) for v in _walk(cols, box))
 
 
 def _walk(cols, box) -> list:

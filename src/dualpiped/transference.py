@@ -1,4 +1,4 @@
-"""The two-minima constant, the hyperbolic shift, and the claim-checking engine.
+"""The two-minima constant, the surface scaling, and the claim-checking engine.
 
 Claim ids are stable strings used verbatim in reports and CLI filters:
 T3, T4, MK2, T5, T6, T7, FAM, FAMSHARP, WM, C12. Each names a module-level
@@ -25,8 +25,8 @@ from functools import cached_property
 from typing import Sequence
 
 from .bodies import Parallelepiped, det_normalized, pseudo_compound
-from .linalg import eliminate, monotone_root
-from .minima import first_minima_in_basis, first_minimum, successive_minima
+from .linalg import Matrix, eliminate, monotone_root
+from .minima import first_minima_in_basis, first_minimum, gauge_rows, successive_minima
 from .scalars import Scalar, exact_nth_root, exact_scalar, float_nth_root, scalar_sign
 from .sections import first_minimum_section_dual, v_tau_squared
 
@@ -36,14 +36,6 @@ _MODES = ("plain", "sharp")
 # passes when a - b <= REL_SLACK max(1, |a|, |b|), measured exactly, so no
 # comparison overflows. Only `_Trial.leq` reads it.
 REL_SLACK = 1e-9
-
-
-def apply_hyperbolic(piped: Parallelepiped, tau: Sequence[Scalar]) -> Parallelepiped:
-    """The image of the body under its hyperbolic shift: bounds scale to tau*eta."""
-    d = piped.dimension
-    if len(tau) != d:
-        raise ValueError("tau length must equal the dimension")
-    return Parallelepiped(piped.forms, tuple(t * e for t, e in zip(tau, piped.bounds)))
 
 
 def _family_ratio(raw, value, v2, power: int) -> tuple:
@@ -213,21 +205,26 @@ class _Trial:
 
     @cached_property
     def family_minima(self) -> list:
-        """mu_1 of the body shifted by each raw direction.
+        """The exact mu_1 of the body shifted by each raw direction.
 
-        A shift scales the body's gauge rows, so every shift is searched in
-        the basis that the body's profile search reduced to. One
-        first_minima_in_basis call decides each shift whose box there is
-        small (every shift of a harness body), a rational body's from one
-        inverse of its reduced rows, with no Parallelepiped, reduction, grid
-        or profile. Only the others are built by apply_hyperbolic, the
-        direction read as Fractions (a Fraction times a float bound is the
-        float product), and searched by first_minimum from that basis.
+        A shift by tau scales row i of the body's gauge rows by 1 / tau_i,
+        so every shift is searched in the basis that the body's profile
+        search reduced to. One first_minima_in_basis call decides each shift
+        whose box there is small (every shift of a harness body) from one
+        inverse of those rows, for a rational or a float body alike, with no
+        Parallelepiped, reduction, grid or profile. Only the others are
+        searched by first_minimum from that basis, on the exact body whose
+        forms are the gauge rows, read exactly (a float is the dyadic
+        rational it stores), and whose bounds are the direction as
+        Fractions: its gauge rows are the scaled rows themselves.
         """
         start = self.profile.basis
         values = first_minima_in_basis(self.body, self.directions, start)
-        return [first_minimum(apply_hyperbolic(self.body, tuple(map(Fraction, raw))), start=start)[0]
-                if value is None else value for raw, value in zip(self.directions, values)]
+        if None in values:
+            rows = Matrix([map(exact_scalar, row) for row in gauge_rows(self.body)])
+            values = [first_minimum(Parallelepiped(rows, tuple(map(Fraction, raw))), start=start)[0]
+                      if value is None else value for raw, value in zip(self.directions, values)]
+        return values
 
 
 def _finish(cid: str, hypothesis, checks, detail: str = "", witnesses=()) -> ClaimReport:
@@ -390,7 +387,10 @@ def check_claims(
     that needed the slack is marked `slack_pass`. The
     family claims FAM and FAMSHARP run over the positive `directions`, one
     shifted minimum per direction for both, and are skipped when none is
-    given. A plain sequence is read as a `Direction` of floats.
+    given. Each shifted minimum is exact for every kind: the shift scales
+    the body's own gauge rows, read exactly, so no shifted float bound is
+    formed and none can leave the float range. A plain sequence is read
+    as a `Direction` of floats.
     """
     requested = tuple(claims) if claims is not None else ALL_CLAIMS
     unknown = [c for c in requested if c not in _EVALUATORS]

@@ -1,6 +1,7 @@
 """Brute-force reference implementations and paper constructions used only by the test suite."""
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -10,10 +11,12 @@ from typing import Sequence
 import numpy as np
 
 from dualpiped.bodies import Lattice, Parallelepiped
+from dualpiped.harness import gen_instance
 from dualpiped.linalg import Matrix, monotone_root
-from dualpiped.scalars import Quad3, exact_nth_root, scalar_sign, sqrt_exact
+from dualpiped.minima import gauge_rows
+from dualpiped.scalars import Quad3, exact_nth_root, exact_scalar, scalar_sign, sqrt_exact
 from dualpiped.sections import v_tau_squared
-from dualpiped.transference import REL_SLACK, c_d
+from dualpiped.transference import REL_SLACK, _Trial, c_d, sample_directions
 
 
 def matvec(m, vec):
@@ -599,6 +602,52 @@ def mahler_dual_box(lam: Sequence, det):
     if isinstance(lam_bar, float):
         return lam_bar, tuple((d - 1) * lam_bar / float(x) for x in lam)
     return lam_bar, tuple((d - 1) * lam_bar / x for x in lam)
+
+
+def apply_hyperbolic(piped: Parallelepiped, tau: Sequence) -> Parallelepiped:
+    """The image of the body under its hyperbolic shift: bounds scale to tau*eta."""
+    d = piped.dimension
+    if len(tau) != d:
+        raise ValueError("tau length must equal the dimension")
+    return Parallelepiped(piped.forms, tuple(t * e for t, e in zip(tau, piped.bounds)))
+
+
+def scaled_rows_body(piped: Parallelepiped, tau: Sequence) -> Parallelepiped:
+    """The exact body whose gauge rows are the body's, read exactly, row i scaled by 1 / tau_i.
+
+    Its forms are the body's gauge rows as exact scalars (a float gauge row
+    is the rounded quotient fl(h / eta), read as the dyadic rational it
+    stores) and its bounds are tau as Fractions.
+    """
+    rows = Matrix([[exact_scalar(x) for x in row] for row in gauge_rows(piped)])
+    return Parallelepiped(rows, tuple(map(Fraction, tau)))
+
+
+def harness_trial(d: int, seed: int, index: int, mode: str):
+    """The _Trial of trial `index` of a harness suite, its body and directions as evaluate_trial draws them."""
+    trial_seed = seed * 1_000_003 + index
+    rng = random.Random(trial_seed ^ 0x5DEECE66D)
+    piped = gen_instance(d, trial_seed, mode=mode)
+    return _Trial(piped, tuple(sample_directions(rng, d, 8)))
+
+
+def family_minima_off_closed_form(trial) -> list:
+    """(direction, value, closed form) for each family minimum of a harness trial off its closed form.
+
+    A harness body is an axis box in y = Hx with H unimodular, so its
+    shifted lattice H Z^d = Z^d has its shortest points on the axes:
+    mu_1 = 1 / max_i tau_i eta_i. An exact trial must give that exactly. A
+    float trial, whose gauge rows are the rounded quotients fl(h / eta), must
+    give it within 1e-12 relative, its stored bounds and directions read as
+    the dyadic rationals they store.
+    """
+    tolerance = Fraction(1, 10**12) if trial.is_float else 0
+    off = []
+    for raw, value in zip(trial.directions, trial.family_minima):
+        expected = 1 / max(Fraction(t) * Fraction(e) for t, e in zip(raw, trial.body.bounds))
+        if abs(value - expected) > tolerance * expected:
+            off.append((raw, value, expected))
+    return off
 
 
 def hyperbolic_map(piped: Parallelepiped, tau: Sequence) -> Matrix:

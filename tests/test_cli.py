@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from dualpiped.cli import exit_code_for
 from dualpiped.linalg import Matrix
 from dualpiped.minima import EnumerationBudgetError
 from dualpiped.transference import CD_MAX_DIM, c_d
+from dualpiped.witness import EPSILON_MAX_BITS, build_witness
 
 
 def test_verify_json_stdout(capsys):
@@ -113,6 +115,22 @@ def test_witness_certifies_epsilons_far_below_the_float_range(capsys):
         out = capsys.readouterr().out
         assert f"epsilon = {Fraction(epsilon)}" in out
         assert out.split("exact minima:")[1] == minima_text
+
+
+def test_witness_refuses_an_epsilon_wider_than_its_bound(capsys):
+    # the work grows with the square of epsilon's bits; past the bound the
+    # command exits 2 before any of it, and 1e-4000 (13,288 bits) still fits
+    started = time.perf_counter()
+    assert main(["witness", "--epsilon", "1e-40000"]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert f"at most {EPSILON_MAX_BITS} bits" in capsys.readouterr().err
+    assert main(["witness", "--epsilon", "1e-4000"]) == 0
+    assert "epsilon = 1/1" in capsys.readouterr().out
+    # the bound is on bits: a denominator of EPSILON_MAX_BITS bits is built
+    witness = build_witness(Fraction(1, 2 ** (EPSILON_MAX_BITS - 1)))
+    assert witness.epsilon.denominator.bit_length() == EPSILON_MAX_BITS
+    with pytest.raises(ValueError, match=f"at most {EPSILON_MAX_BITS} bits"):
+        build_witness(Fraction(1, 2**EPSILON_MAX_BITS))
 
 
 def test_cd_command(capsys):

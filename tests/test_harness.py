@@ -174,12 +174,11 @@ def test_each_trial_derives_its_values_once(monkeypatch):
     ratios = counting(monkeypatch, sections, "_section_ratio")
     searches = counting(monkeypatch, transference, "successive_minima")
     # the family claims decide all eight shifts in one batched call, with no
-    # shifted body and no per-shift search: the only LLLs and enumerations are
+    # fallback search of a shifted body: the only LLLs and enumerations are
     # those of the calibration in gen_instance, of the profile searches and of
     # WM's section-dual search
     batches = counting(monkeypatch, transference, "first_minima_in_basis")
     shift_searches = counting(monkeypatch, transference, "first_minimum")
-    shifted_bodies = counting(monkeypatch, transference, "apply_hyperbolic")
     reductions = counting(monkeypatch, minima, "_lll_unimodular")
     # each enumeration of a dilate is a walk of its small box or a grid, in
     # call order: the calibration, the two profiles, then WM's search
@@ -193,8 +192,8 @@ def test_each_trial_derives_its_values_once(monkeypatch):
 
     monkeypatch.setattr(minima, "_walked_points", enumerating("walk", minima._walked_points))
     monkeypatch.setattr(minima, "_grid_points", enumerating("grid", minima._grid_points))
-    # the eliminations made inside the batched call: an exact body's reduced
-    # rows are inverted once for all its shifts, a float body's rows per shift
+    # the eliminations made inside the batched call: the body's reduced rows
+    # are inverted once for all its shifts, for a float body as for an exact one
     inverses = []
     batched = transference.first_minima_in_basis
     eliminate = minima.eliminate
@@ -212,7 +211,7 @@ def test_each_trial_derives_its_values_once(monkeypatch):
 
     monkeypatch.setattr(transference, "first_minima_in_basis", marked)
     monkeypatch.setattr(minima, "eliminate", recorded)
-    for mode, dimension, shift_inverses in (("float", 5, 8), ("exact", 3, 1)):
+    for mode, dimension in (("float", 5), ("exact", 3)):
         for claims, ratio_calls, search_calls, batch_calls, fixed in (
             (None, 10 + dimension, 2, 1, 4), (("FAM",), 8, 1, 1, 2), (("FAMSHARP",), 8, 1, 1, 2),
             (("C12",), 9, 0, 0, 1),
@@ -220,15 +219,15 @@ def test_each_trial_derives_its_values_once(monkeypatch):
             options = {} if claims is None else {"claims": claims}
             config = TrialConfig(dimension=dimension, trials=3, seed=1, mode=mode, **options)
             for index in range(config.trials):
-                for calls in (ratios, searches, batches, shift_searches, shifted_bodies,
-                              reductions, enumerations, inverses):
+                for calls in (ratios, searches, batches, shift_searches, reductions,
+                              enumerations, inverses):
                     calls.clear()
                 outcome = evaluate_trial(config, index)
                 assert outcome.error is None
                 assert (len(ratios), len(searches)) == (ratio_calls, search_calls)
                 # each profile search is made on the body alone, as the benchmark's trace expects
                 assert all(len(args) == 1 for args in searches)
-                assert (len(batches), len(shift_searches), len(shifted_bodies)) == (batch_calls, 0, 0)
+                assert (len(batches), len(shift_searches)) == (batch_calls, 0)
                 assert all(len(directions) == config.tau_samples for _, directions, _ in batches)
                 assert (len(reductions), len(enumerations)) == (fixed, fixed)
                 # the calibration's and WM's boxes are small: walked, with no grid
@@ -237,7 +236,7 @@ def test_each_trial_derives_its_values_once(monkeypatch):
                     assert enumerations[-1] == "walk"
                 if batch_calls:
                     inside = inverses[inverses.index("batch") + 1:inverses.index("end")]
-                    assert inside == [True] * shift_inverses
+                    assert inside == [True]
     monkeypatch.undo()
     # the v_tau range reads the square that FAMSHARP reads, rounded once
     for mode, dimension in (("float", 5), ("exact", 3)):

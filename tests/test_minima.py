@@ -20,11 +20,12 @@ from dualpiped.minima import (
 )
 from dualpiped.scalars import Quad3, scalar_floor
 from dualpiped.sections import first_minimum_section_dual, section_dual_gauge
-from dualpiped.transference import apply_hyperbolic, sample_directions
+from dualpiped.transference import sample_directions
 from dualpiped.witness import FIRST_DILATE, SECOND_DILATE, build_witness
 
 from oracle_utils import (
     SQRT3,
+    apply_hyperbolic,
     apply_linear,
     brute_force_minima,
     dilate_points_oracle,

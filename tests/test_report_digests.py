@@ -24,13 +24,13 @@ from dualpiped.harness import TrialConfig, aggregate_outcomes, emit_report, eval
 from dualpiped.witness import format_sharpness_report, sharpness_report
 
 PINS = [
-    (3, "float", 42, "1686146f84a129219794dc5b95353d0d6c6a06123ea9bddcea9435ea976be7ea"),
-    (4, "float", 42, "3a25256e2e5ee40027da433b4448aaf5b43ebca4fd50dbef2f0e90a360e1ca67"),
-    (5, "float", 42, "2af5d28b6ac846b823b73585f53a9644142e5316d55d9f72758d563cb849ca43"),
+    (3, "float", 42, "c65f91d03a460ec852d096a55450d7a1bc0006d326a1c9e5e371187082003e4c"),
+    (4, "float", 42, "08316ef91d2f9d9f439369b3e878b22168429e1fb4ff56e923eede4ee4aa1944"),
+    (5, "float", 42, "785f50f2630c960a1d0fa330fc2f4550356e5cb54335ec662cb1951233a854dd"),
     (3, "exact", 7, "ca0d169214d7f80d10b1c752ea17678b91d4ebfcf369f2f0a16bcee3e27cf125"),
     (5, "float", 1, "8355e6cede18f674d8341e00c32ae48f55c195f56bc41354e34d3f412d73406e"),
     (3, "exact", 1, "30cc8fe74cfea3ee2f8710a63fff3822bb43dddf07212460baa4119dcd5f4197"),
-    (2, "float", 42, "39a7b41dfc6f200a4b3a8a5ef49a173bf6856a5069c8c4e307688c702ea4ca4c"),
+    (2, "float", 42, "79ba9162c9ac18125ef1bd448f20245d965fa05105b6cf46ca6220184c7ce9aa"),
     (2, "exact", 42, "baabd965290ee225303988d5f4e2e03abcf3e6e628281b64b21aad88953db36e"),
     (4, "exact", 42, "06600e67551125d15860a71bf8b85ee598f4409cc5e21637065e72f60082b519"),
     (5, "exact", 42, "15b36fabb869ae525c06afd66c56d1d5ce5140ea82b8b22ffc2beeb4544b50a6"),

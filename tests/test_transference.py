@@ -11,6 +11,7 @@ from dualpiped.minima import (
     EnumerationBudgetError,
     first_minima_in_basis,
     first_minimum,
+    gauge_rows,
     successive_minima,
 )
 from dualpiped.scalars import Quad3
@@ -18,7 +19,6 @@ from dualpiped.sections import first_minimum_section_dual, v_tau_squared
 from dualpiped.transference import (
     ALL_CLAIMS,
     REL_SLACK,
-    apply_hyperbolic,
     c_d,
     check_claims,
     normalize_tau,
@@ -26,15 +26,19 @@ from dualpiped.transference import (
 )
 
 from oracle_utils import (
+    apply_hyperbolic,
     apply_linear,
+    family_minima_off_closed_form,
     float_leq,
     gauge,
     generic_body,
+    harness_trial,
     hyperbolic_map,
     khintchine_pair,
     mahler_dual_box,
     on_surface,
     random_unimodular,
+    scaled_rows_body,
     t2_root,
     tau_vertex,
     to_float,
@@ -334,18 +338,18 @@ def test_family_claims_by_homogeneity_match_the_normalized_shift(monkeypatch, d,
             calls.append((body, raws, values.count(None)))
             return values
 
-        def building(body, tau):
-            shifted.append(tau)
-            return apply_hyperbolic(body, tau)
+        def searched(body, **options):
+            shifted.append(body)
+            return first_minimum(body, **options)
 
         with monkeypatch.context() as patch:
             patch.setattr(transference, "first_minima_in_basis", counted)
-            patch.setattr(transference, "apply_hyperbolic", building)
+            patch.setattr(transference, "first_minimum", searched)
             if kind == "exact":
                 patch.setattr(Matrix, "to_float", failing_to_float)
             reports = check_claims(piped, ("FAM", "FAMSHARP"), directions=directions)
         # one batched call, on the normalized body in its kind and every
-        # direction, serves both claims; only the shifts it leaves are built
+        # direction, serves both claims; only the shifts it leaves are searched
         [(body, raws, left)] = calls
         assert body == det_normalized(piped) and body.kind == piped.kind
         assert list(raws) == directions
@@ -412,32 +416,61 @@ def test_dual_starts_match_cold_searches_on_generic_bodies(kind):
 
 @pytest.mark.parametrize("kind", ["float", "exact"])
 def test_batched_shift_minima_match_cold_searches_on_generic_bodies(kind):
-    # each value the batched call gives equals a cold search's, of the same
-    # type; the shifts it leaves to first_minimum are the large boxes
+    # a shift scales the body's gauge rows, read exactly, by 1 / tau: each
+    # value the batched call gives equals a cold exact search of that body,
+    # by value and type, and so does each value of a shift that it leaves
+    # to first_minimum (the large boxes)
     rng = random.Random(f"batched-{kind}")
     branches = set()
     bodies = 0
     for d in range(2, 7):
         for _ in range(3):
-            body = det_normalized(generic_body(rng, d, kind))
-            try:
-                start = successive_minima(body).basis
-            except EnumerationBudgetError:
-                continue  # the body's own profile is refused (a FOUND in CHANGES.md)
-            bodies += 1
+            piped = generic_body(rng, d, kind)
             directions = sample_directions(rng, d, 4) + [
                 (1e-200,) + (1.0,) * (d - 1),
                 (1.0, 1e6) + (1.0,) * (d - 2),
             ]
-            shifts = [apply_hyperbolic(body, tuple(map(Fraction, raw))) for raw in directions]
-            for shifted, value in zip(shifts, first_minima_in_basis(body, directions, start)):
+            trial = transference._Trial(piped, tuple(directions))
+            body = trial.body
+            try:
+                start = trial.profile.basis
+            except EnumerationBudgetError:
+                continue  # the body's own profile is refused (a FOUND in CHANGES.md)
+            bodies += 1
+            batched = first_minima_in_basis(body, directions, start)
+            for raw, value, family in zip(directions, batched, trial.family_minima):
+                cold = first_minimum(scaled_rows_body(body, raw))[0]
                 branches.add(value is None)
                 if value is not None:
-                    cold = first_minimum(shifted)[0]
-                    assert value == cold
-                    assert type(value) is type(cold)
+                    assert value == cold and type(value) is Fraction
+                assert family == cold and type(family) is Fraction
+                if kind == "exact":
+                    assert cold == first_minimum(apply_hyperbolic(body, tuple(map(Fraction, raw))))[0]
     assert bodies >= 12
     assert branches == {False, True}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_family_minima_of_harness_trials_match_the_closed_form(d):
+    # exactly on exact trials, within 1e-12 relative on float ones
+    for mode in ("exact", "float"):
+        for index in range(20):
+            trial = harness_trial(d, 42, index, mode)
+            assert family_minima_off_closed_form(trial) == []
+            assert all(type(value) is Fraction for value in trial.family_minima)
+
+
+@pytest.mark.parametrize("factor", [Fraction(99, 100), Fraction(101, 100)])
+def test_closed_form_check_reports_scaled_family_minima(monkeypatch, factor):
+    # a family minimum 1% off in either direction is reported on every trial
+    batched = transference.first_minima_in_basis
+    monkeypatch.setattr(transference, "first_minima_in_basis",
+                        lambda *args: [value * factor for value in batched(*args)])
+    for mode in ("exact", "float"):
+        for d in (2, 3, 4, 5):
+            for index in range(3):
+                trial = harness_trial(d, 42, index, mode)
+                assert len(family_minima_off_closed_form(trial)) == len(trial.directions)
 
 
 def test_family_directions_must_be_finite():
@@ -466,11 +499,18 @@ def test_check_claims_on_float_determinants_beyond_the_float_range(scale):
             check_claims(body, (claim,), directions=directions)
     with pytest.raises(ValueError, match="the body's volume lies beyond the float range"):
         check_claims(body, ("MK2",), directions=directions)
-    # a shifted bound (1e500 or 1e-500) beyond the float range is left to
-    # apply_hyperbolic, which refuses it as it refuses any such body
-    shift, message = ((1e300, 1.0), "finite") if scale < 1 else ((1e-300, 1.0), "positive")
-    with pytest.raises(ValueError, match=message):
-        check_claims(body, ("FAM",), directions=[shift])
+    # a shift whose bound tau eta (1e500 or 1e-500) lies beyond the float
+    # range only scales the exact gauge rows: mu_1 = 1 / max_i tau_i eta_i
+    # is 1e-500 or 1e200, and both family claims pass with margin 1.0
+    shift = (1e300, 1.0) if scale < 1 else (1e-300, 1.0)
+    trial = transference._Trial(body, (shift,))
+    (value,) = trial.family_minima
+    assert value == min(Fraction(row[i]) / Fraction(t)
+                        for i, (row, t) in enumerate(zip(gauge_rows(trial.body), shift)))
+    exponent = math.log10(value.numerator) - math.log10(value.denominator)
+    assert math.isclose(exponent, -500 if scale < 1 else 200, abs_tol=1e-9)
+    for report in check_claims(body, ("FAM", "FAMSHARP"), directions=[shift]):
+        assert (report.status, report.margin) == ("pass", 1.0)
     reports = check_claims(body, ("FAM", "FAMSHARP", "WM", "C12"), directions=directions)
     # mu_1 = 1 / scale on the normalized body (bounds 1 / scale)
     expected = ("pass", "pass", "pass", "pass") if scale < 1 else ("violation", "violation", "skip", "pass")
