@@ -2,7 +2,8 @@
 
 A parallelepiped is stored by its defining forms: row i of `forms` is the
 linear form h_i and membership means |h_i(z)| <= bounds[i] for every i.
-Lattice bases are stored column-wise: the columns generate.
+Lattice bases are stored column-wise: the columns generate. Each body
+derives its pseudo-compound once, whose gauge rows are its section-dual rows.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from .scalars import (
     Quad3,
     Scalar,
     exact_nth_root,
+    exact_scalar,
     float_nth_root,
     format_scalar,
     parse_scalar,
@@ -97,40 +99,18 @@ class Parallelepiped:
         return self.forms.kind
 
     @cached_property
-    def pullback(self) -> tuple:
-        """Rows of A^T / det A, for Pi = A B_d with A = H^{-1} diag(eta); kept once per body."""
-        a = self.forms.inverse().matmul(Matrix.diagonal(self.bounds))
-        det = a.det() if self.kind != "float" else _rounded(a.exact_det())
-        if self.kind == "float" and not 0 < abs(det) < math.inf:
-            # a det beyond the float range divides exactly, each entry rounded once
-            det = a.exact_det()
-            rows = tuple(tuple(_rounded(Fraction(x) / det) for x in row) for row in a.transpose().rows)
-            if not all(map(math.isfinite, sum(rows, ()))):
-                raise ValueError("the section-dual rows of the body lie beyond the float range")
-            return rows
-        return tuple(tuple(x / det for x in row) for row in a.transpose().rows)
+    def _compound(self) -> "Parallelepiped":
+        """The pseudo-compound, derived once per body; see pseudo_compound."""
+        exact = [exact_scalar(e) for e in self.bounds]
+        scale = math.prod(exact) / abs(self.forms.exact_det())
+        bounds = _of_kind(self.kind, [scale / e for e in exact],
+                          "the pseudo-compound's bounds prod eta / (|det H| eta_i) lie")
+        return Parallelepiped(self.forms.inverse().transpose(), bounds)
 
     def volume(self) -> Scalar:
-        """2^d prod eta / |det H|.
-
-        A float body whose det or volume would round to 0 or overflow takes
-        the exact value rounded once instead, and ValueError if that too lies
-        beyond the float range.
-        """
-        d = self.dimension
-        prod = self.bounds[0]
-        for e in self.bounds[1:]:
-            prod = prod * e
-        if self.kind != "float":
-            return 2**d * prod / abs(self.forms.det())
-        adet = _rounded(abs(self.forms.exact_det()))
-        value = float(2**d) * prod / adet if adet else math.inf
-        if 0 < value < math.inf:
-            return value
-        value = _rounded(2**d * math.prod(map(Fraction, self.bounds)) / abs(self.forms.exact_det()))
-        if not 0 < value < math.inf:
-            raise ValueError("the body's volume lies beyond the float range")
-        return value
+        """2^d prod eta / |det H|, formed exactly and rounded once for a float body."""
+        value = 2**self.dimension * math.prod(map(exact_scalar, self.bounds))
+        return _of_kind(self.kind, [value / abs(self.forms.exact_det())], "the body's volume lies")[0]
 
     def scale(self, t: Scalar) -> "Parallelepiped":
         if scalar_sign(t) <= 0:
@@ -144,6 +124,16 @@ def _rounded(x: Fraction) -> float:
         return float(x)
     except OverflowError:
         return math.inf if x > 0 else -math.inf
+
+
+def _of_kind(kind: str, values: list, what: str) -> tuple:
+    """Exact values as the kind's scalars: floats rounded once, ValueError beyond their range."""
+    if kind != "float":
+        return tuple(values)
+    rounded = tuple(map(_rounded, values))
+    if not all(0 < x < math.inf for x in rounded):
+        raise ValueError(f"{what} beyond the float range")
+    return rounded
 
 
 def det_normalized(piped: Parallelepiped) -> Parallelepiped:
@@ -173,23 +163,15 @@ def det_normalized(piped: Parallelepiped) -> Parallelepiped:
 
 
 def pseudo_compound(piped: Parallelepiped) -> Parallelepiped:
-    """Dual forms with bounds (prod eta)/eta_i, after det-normalizing the forms.
+    """The pseudo-compound (H^-T, prod eta / (|det H| eta_i)), derived once per body.
 
-    The construction requires |det H| = 1; other parallelepipeds are first
-    renamed by det_normalized, which keeps the body fixed.
+    No root of det H is taken, so an exact body has an exact compound; a
+    float body's bounds are the exact values rounded once, or ValueError
+    where they lie beyond the float range. Its gauge rows are the
+    section-dual rows: with A = H^-1 diag(eta), A^T / det A is sign(det H)
+    times them, row by row.
     """
-    normalized = det_normalized(piped)
-    bounds = normalized.bounds
-    prod = bounds[0]
-    for e in bounds[1:]:
-        prod = prod * e
-    star_bounds = tuple(prod / e for e in bounds)
-    if normalized.kind == "float" and not all(0 < e < math.inf for e in star_bounds):
-        raise ValueError(
-            "the pseudo-compound's bounds (prod eta) / eta_i of the det-normalized body"
-            " lie beyond the float range"
-        )
-    return Parallelepiped(normalized.forms.inverse().transpose(), star_bounds)
+    return piped._compound
 
 
 # ---------------------------------------------------------------------------

@@ -70,12 +70,6 @@ class Matrix:
             one, zero = Fraction(1), Fraction(0)
         return cls([[one if i == j else zero for j in range(d)] for i in range(d)])
 
-    @classmethod
-    def diagonal(cls, entries: Sequence[Scalar]) -> "Matrix":
-        d = len(entries)
-        zero = 0.0 if any(isinstance(x, float) for x in entries) else Fraction(0)
-        return cls([[entries[i] if i == j else zero for j in range(d)] for i in range(d)])
-
     @property
     def dim(self) -> int:
         if self.nrows != self.ncols:

@@ -27,12 +27,14 @@ whose integers fit one 64-bit word may have up to 18 nonzero coordinates.
 The section-dual body of Pi = A B_d collects the points A'z whose defining
 hyperplane cuts a unit-volume section out of Pi; its gauge at z works out to
 |w| / (2^{1-d} vol(w-section)) with w = A^T z / det A, a ratio in which the
-irrational |w| cancels, so the gauge is exact. The rows of A^T / det A are
-kept once per body (`Parallelepiped.pullback`) and read exactly for every
-kind, so a float body's gauges and section-dual minimum are exact values
-rounded once. For a det-normalized body the pseudo-compound's vertex
-H^T diag(eta*) sigma pulls back to w = +-sigma, so every such vertex has the
-cube's gauge at (1, ..., 1).
+irrational |w| cancels, so the gauge is exact. With A = H^{-1} diag(eta), the
+rows of A^T / det A are sign(det H) times the gauge rows of the body's
+pseudo-compound (H^-T, prod eta / (|det H| eta_i)), and the gauge reads only
+|w_i|, so the section-dual gauge and minimum read the compound's own gauge
+rows, derived once per body and read exactly for every kind: a float body's
+gauges and section-dual minimum are exact values rounded once. Every vertex
+H^T diag(eta*) sigma of the compound pulls back to w = +-sigma, so every
+such vertex has the cube's gauge at (1, ..., 1).
 """
 from __future__ import annotations
 
@@ -42,8 +44,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .bodies import Parallelepiped
-from .minima import GaugeRows, lattice_points_in_dilate, reduced_basis
+from .bodies import Parallelepiped, pseudo_compound
+from .minima import GaugeRows, gauge_rows, lattice_points_in_dilate, reduced_basis
 from .scalars import Quad3, Scalar, exact_nth_root, exact_scalar, zsqrt3_parts
 
 _SQRT3 = Quad3(0, 1)
@@ -206,13 +208,14 @@ def section_dual_gauge(piped: Parallelepiped, z: Sequence[Scalar]) -> Scalar:
 
     With Pi = A B_d for A = H^{-1} diag(eta), the point z is pulled back to
     w = A^T z / det A and measured against the section-dual of the cube.
-    The rows of A^T / det A and z are read exactly, so the gauge is exact,
-    and a float body's gauge is that value rounded once; membership in the
-    body is gauge <= 1.
+    The rows of A^T / det A are the compound's gauge rows up to one sign,
+    which the gauge does not read. They and z are read exactly, so the
+    gauge is exact, and a float body's gauge is that value rounded once;
+    membership in the body is gauge <= 1.
     """
     # floats are read exactly; ints stay ints, so integer points cost integer products
     z = [Fraction(x) if isinstance(x, float) else x for x in z]
-    gauge = _pullback_gauge(GaugeRows(piped.pullback), z)
+    gauge = _pullback_gauge(gauge_rows(pseudo_compound(piped)), z)
     return float(gauge) if piped.kind == "float" else gauge
 
 
@@ -232,7 +235,7 @@ def first_minimum_section_dual(piped: Parallelepiped, *, start=None) -> Scalar:
     d = piped.dimension
     if not 2 <= d <= 6:
         raise ValueError("section-dual minimum supports dimensions 2 through 6")
-    rows = GaugeRows(piped.pullback)
+    rows = gauge_rows(pseudo_compound(piped))
     basis = reduced_basis(rows, start)
     radius = min(_pullback_gauge(rows, k) for k in basis)
     points = lattice_points_in_dilate(rows, radius, basis)

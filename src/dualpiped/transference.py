@@ -3,9 +3,10 @@
 Claim ids are stable strings used verbatim in reports and CLI filters:
 T3, T4, MK2, T5, T6, T7, FAM, FAMSHARP, WM, C12. Each names a module-level
 function in one table, `_EVALUATORS`, and every function reads one `_Trial`:
-the pseudo-compound of the det-normalized body, both minima profiles, both
-volumes and the family minima are derived there on first use, so a claim
-filter pays only for what its claims read. Every claim is evaluated
+the body as given, its pseudo-compound (one per body, whose gauge rows are
+also WM's section-dual rows), both minima profiles, both volumes and the
+family minima are derived there on first use, so a claim filter pays only
+for what its claims read. Every claim is evaluated
 against the integer lattice; a claim whose hypothesis fails is reported as
 skipped, a conclusion failing as a violation. Each hypothesis and
 conclusion is one comparison `_Trial.leq` of exact expressions (irrational
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .bodies import Parallelepiped, det_normalized, pseudo_compound
+from .bodies import Parallelepiped, pseudo_compound
 from .linalg import Matrix, eliminate, monotone_root
 from .minima import first_minima_in_basis, first_minimum, gauge_rows, successive_minima
 from .scalars import Scalar, exact_nth_root, exact_scalar, float_nth_root, scalar_sign
@@ -143,10 +144,11 @@ def sample_directions(rng: random.Random, d: int, count: int) -> list:
 
 
 class _Trial:
-    """One det-normalized body and the values its claims read, each derived on first use.
+    """One body, kept as given, and the values its claims read, each derived on first use.
 
-    The body is normalized at once, so a body that an exact kind cannot
-    normalize is refused whatever the claims. FAM alone makes the body's
+    The compound is the body's own (pseudo_compound), so T3-T7, MK2 and WM's
+    search share one, and an exact body is judged exactly whatever its
+    determinant. FAM alone makes the body's
     profile search, in whose reduced basis the shifts are searched, and no
     compound search; C12 alone makes none. The compound's profile search
     and WM's section-dual search start from the dual of that basis
@@ -155,7 +157,7 @@ class _Trial:
     """
 
     def __init__(self, piped: Parallelepiped, directions: tuple) -> None:
-        self.body = det_normalized(piped)
+        self.body = piped
         self.d = piped.dimension
         self.is_float = piped.kind == "float"
         self.directions = directions
@@ -172,10 +174,6 @@ class _Trial:
         return ok
 
     @cached_property
-    def star(self) -> Parallelepiped:
-        return pseudo_compound(self.body)
-
-    @cached_property
     def profile(self):
         return successive_minima(self.body)
 
@@ -183,9 +181,10 @@ class _Trial:
     def dual_basis(self) -> tuple:
         """The rows of B^-1 for the basis B of the body's profile search, its vectors as columns.
 
-        With C the body's gauge rows, the compound's gauge rows and the
-        section-dual rows, times B^-T, are both (C B)^-T up to a scale, so
-        the dual of the body's reduced basis starts their searches reduced.
+        With C the body's gauge rows, the compound's gauge rows (which WM's
+        section-dual search reads too) times B^-T are (C B)^-T up to a
+        scale, so the dual of the body's reduced basis starts both searches
+        reduced.
         det B = +-1, so B^-1 = det B adj B, from one elimination.
         """
         det, adj = eliminate(list(zip(*self.profile.basis)), inverse=True)
@@ -193,7 +192,7 @@ class _Trial:
 
     @cached_property
     def profile_star(self):
-        return successive_minima(self.star, start=self.dual_basis)
+        return successive_minima(pseudo_compound(self.body), start=self.dual_basis)
 
     @cached_property
     def vol(self) -> Scalar:
@@ -201,7 +200,7 @@ class _Trial:
 
     @cached_property
     def vol_star(self) -> Scalar:
-        return self.star.volume()
+        return pseudo_compound(self.body).volume()
 
     @cached_property
     def family_minima(self) -> list:
@@ -346,8 +345,8 @@ def _claim_wm(t: _Trial) -> ClaimReport:
 
 
 def _claim_c12(t: _Trial) -> ClaimReport:
-    # every pseudo-compound vertex H^T diag(eta*) sigma pulls back to
-    # w = +-sigma, so all share the cube's section-dual gauge g_d at
+    # every pseudo-compound vertex H^T diag(eta*) sigma of every body pulls
+    # back to w = +-sigma, so all share the cube's section-dual gauge g_d at
     # (1, ..., 1), and g_d^2 = d / v_tau(1, ..., 1)^2 <= d is Vaaler's
     # bound (test_sections checks the identity on random bodies)
     d = t.d
@@ -381,9 +380,9 @@ def check_claims(
 ) -> list:
     """Evaluate the requested claims on one parallelepiped against Z^d.
 
-    The body is det-normalized first (same body, unit form determinant), so
-    the pseudo-compound and its volume identities apply directly. Exact
-    scalar kinds are judged exactly; floats within REL_SLACK, and a pass
+    The body is kept as given, and its pseudo-compound takes no root of
+    its determinant, so every exact body is judged exactly, whatever its
+    determinant; floats within REL_SLACK, and a pass
     that needed the slack is marked `slack_pass`. The
     family claims FAM and FAMSHARP run over the positive `directions`, one
     shifted minimum per direction for both, and are skipped when none is

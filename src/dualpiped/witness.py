@@ -27,10 +27,11 @@ from .scalars import Quad3, Scalar, format_scalar
 
 FIRST_DILATE = Quad3(0, Fraction(2, 3))
 SECOND_DILATE = Fraction(5, 4)
-# the widest numerator or denominator of epsilon that build_witness takes: a
-# report's time grows with the square of epsilon's bits, 0.7 s at 1e-4000
-# (13,288 bits) and 1.0 s at 1e-4900 on a 2-core x86-64 host
-EPSILON_MAX_BITS = 2**14
+# the widest numerator or denominator of epsilon that build_witness takes:
+# 14,000 bits print in at most 4,215 digits, under Python's limit of 4,300
+# on converting an int to str, and a report's time grows with the square of
+# the bits, 0.7 s at 1e-4000 (13,288 bits) on a 2-core x86-64 host
+EPSILON_MAX_BITS = 14_000
 
 
 class CertificateError(ValueError):

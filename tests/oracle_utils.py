@@ -10,7 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from dualpiped.bodies import Lattice, Parallelepiped
+from dualpiped import transference
+from dualpiped.bodies import Lattice, Parallelepiped, pseudo_compound
 from dualpiped.harness import gen_instance
 from dualpiped.linalg import Matrix, monotone_root
 from dualpiped.minima import gauge_rows
@@ -25,6 +26,13 @@ def matvec(m, vec):
         raise ValueError("shape mismatch")
     v = [Fraction(x) if isinstance(x, int) else x for x in vec]
     return tuple(reduce(add, map(mul, row, v)) for row in m.rows)
+
+
+def diagonal(entries) -> Matrix:
+    """The diagonal matrix of the entries, with float zeros where an entry is a float."""
+    d = len(entries)
+    zero = 0.0 if any(isinstance(x, float) for x in entries) else Fraction(0)
+    return Matrix([[entries[i] if i == j else zero for j in range(d)] for i in range(d)])
 
 
 def gauge(piped, x):
@@ -56,8 +64,7 @@ def generic_body(rng, d, kind):
     for i in range(0, d - 1, 2):
         q = Fraction(rng.randint(2, 5), rng.randint(2, 5))
         scales[i:i + 2] = [q, 1 / q]
-    diagonal = Matrix.diagonal(scales)
-    forms = random_unimodular(rng, d, ops=2 * d).matmul(diagonal).matmul(random_unimodular(rng, d, ops=2 * d))
+    forms = random_unimodular(rng, d, ops=2 * d).matmul(diagonal(scales)).matmul(random_unimodular(rng, d, ops=2 * d))
     eta = tuple(Fraction(rng.randint(2, 9), rng.randint(1, 4)) for _ in range(d))
     body = Parallelepiped(forms, eta)
     return to_float(body) if kind == "float" else body
@@ -307,7 +314,7 @@ def witness_sweep(body, basis, dilate, cap=3):
     the cube is measured in exact arithmetic, with no box derivation at all.
     """
     coeff_forms = (
-        Matrix.diagonal(tuple(1 / e for e in body.bounds))
+        diagonal(tuple(1 / e for e in body.bounds))
         .matmul(body.forms)
         .matmul(basis)
     )
@@ -650,13 +657,39 @@ def family_minima_off_closed_form(trial) -> list:
     return off
 
 
+def searches_off_closed_form(trial) -> list:
+    """(search, value, closed form) for each value of a harness trial's other searches off its closed form.
+
+    The body is an axis box in y = Hx, and its compound one in y = H^-T x,
+    with H unimodular, so each profile is the sorted 1 / eta_i of its own
+    bounds. WM's section-dual gauge at a point dominates the sup norm of
+    the compound's gauge rows there, which is at least 1 / max eta*_i, and
+    the lattice point with y = e_j for the largest eta*_j attains it: the
+    section-dual minimum is mu*_1. WM's search is run as WM runs it, through
+    `transference`. Exact trials must match exactly, float trials within
+    1e-12 relative, their stored bounds read as the dyadic rationals they
+    store.
+    """
+    tolerance = Fraction(1, 10**12) if trial.is_float else 0
+    star = pseudo_compound(trial.body)
+    section_dual = transference.first_minimum_section_dual(trial.body, start=trial.dual_basis)
+    off = []
+    for search, values, bounds in (("profile", trial.profile.values, trial.body.bounds),
+                                   ("compound profile", trial.profile_star.values, star.bounds),
+                                   ("section-dual minimum", (section_dual,), star.bounds)):
+        for value, expected in zip(values, sorted(1 / Fraction(e) for e in bounds)):
+            if abs(Fraction(value) - expected) > tolerance * expected:
+                off.append((search, value, expected))
+    return off
+
+
 def hyperbolic_map(piped: Parallelepiped, tau: Sequence) -> Matrix:
     """The shift A^{-1} diag(tau) A in the parallelepiped's eigenbasis A = diag(1/eta)H."""
     d = piped.dimension
     if len(tau) != d:
         raise ValueError("tau length must equal the dimension")
-    a = Matrix.diagonal(tuple(1 / e for e in piped.bounds)).matmul(piped.forms)
-    return a.inverse().matmul(Matrix.diagonal(tuple(tau))).matmul(a)
+    a = diagonal(tuple(1 / e for e in piped.bounds)).matmul(piped.forms)
+    return a.inverse().matmul(diagonal(tuple(tau))).matmul(a)
 
 
 def float_leq(a: float, b: float) -> bool:

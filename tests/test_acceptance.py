@@ -3,7 +3,8 @@
 Seven gates, each with pinned tolerances: the exact three-dimensional
 witness, the second-minimum constant table, the cube section formulas
 against independent oracles, the randomized claim suite at seed 42 (float
-d=3-5 and exact d=3), the enumeration engine against brute force, the
+d=3-5 and exact d=2-5, its first trials held to the closed forms of their
+searches), the enumeration engine against brute force, the
 exact structural identities, and the fixed points of the second-minimum
 root.
 """
@@ -25,11 +26,15 @@ from dualpiped.witness import sharpness_report
 
 from oracle_utils import (
     brute_force_minima,
+    diagonal,
     dual_lattice,
+    family_minima_off_closed_form,
+    harness_trial,
     hyperbolic_map,
     khintchine_pair,
     monte_carlo_section_volume,
     random_unimodular,
+    searches_off_closed_form,
     section3_area,
     t2_root,
 )
@@ -88,31 +93,19 @@ def test_section_volumes_against_oracles_and_sharp_bounds():
             assert v <= root2 + 1e-12
         axis = (1.0,) + (0.0,) * (d - 1)
         assert abs(v_tau(axis) - 1.0) <= 1e-9
-        diagonal = (1.0, 1.0) + (0.0,) * (d - 2)
-        assert abs(v_tau(diagonal) - root2) <= 1e-9
+        face_diagonal = (1.0, 1.0) + (0.0,) * (d - 2)
+        assert abs(v_tau(face_diagonal) - root2) <= 1e-9
 
 
 @pytest.mark.slow
 def test_randomized_claim_suite_zero_violations():
     assert REL_SLACK == 1e-9
-    for d in (3, 4, 5):
-        config = TrialConfig(
-            dimension=d,
-            trials=500,
-            seed=42,
-            mode="float",
-            tau_samples=8,
-        )
-        report = run_suite(config)
-        assert tuple(summary.claim for summary in report.claims) == ALL_CLAIMS
-        for summary in report.claims:
-            assert summary.instances == 500
-            assert summary.violations == 0, (d, summary.claim, summary.extremal_instance)
-            assert summary.passes + summary.skips == 500
-            assert summary.notes == (), (d, summary.claim, summary.notes[:3])
-    # the exact legs; on every leg an error in a trial would turn into a skip with a note
-    for d, trials in ((2, 100), (3, 300), (4, 100), (5, 50)):
-        config = TrialConfig(dimension=d, trials=trials, seed=42, mode="exact", tau_samples=8)
+    # the float legs, then the exact legs; on every leg an error in a trial
+    # would turn into a skip with a note
+    legs = [(3, 500, "float"), (4, 500, "float"), (5, 500, "float"),
+            (2, 100, "exact"), (3, 300, "exact"), (4, 100, "exact"), (5, 50, "exact")]
+    for d, trials, mode in legs:
+        config = TrialConfig(dimension=d, trials=trials, seed=42, mode=mode, tau_samples=8)
         report = run_suite(config)
         assert tuple(summary.claim for summary in report.claims) == ALL_CLAIMS
         for summary in report.claims:
@@ -120,6 +113,12 @@ def test_randomized_claim_suite_zero_violations():
             assert summary.violations == 0, (d, summary.claim, summary.extremal_instance)
             assert summary.passes + summary.skips == trials
             assert summary.notes == (), (d, summary.claim, summary.notes[:3])
+        # every search of a harness trial has a closed form; the first 40
+        # trials of each leg are held to it
+        for index in range(40):
+            trial = harness_trial(d, 42, index, mode)
+            assert family_minima_off_closed_form(trial) == [], (d, mode, index)
+            assert searches_off_closed_form(trial) == [], (d, mode, index)
 
 
 def test_enumeration_matches_brute_force():
@@ -137,7 +136,7 @@ def test_enumeration_matches_brute_force():
         # the standard basis vectors give mu_d <= R, and any point of gauge
         # at most R has coefficients bounded by the l1 norms of the inverse
         # rows times R, so instances beyond the box are redrawn
-        c = Matrix.diagonal([1 / e for e in eta]).matmul(h)
+        c = diagonal([1 / e for e in eta]).matmul(h)
         radius = max(max(abs(c.rows[i][j]) for i in range(d)) for j in range(d))
         if any(sum(abs(x) for x in row) * radius > 6 for row in c.inverse().rows):
             continue
@@ -172,8 +171,8 @@ def test_structural_identities_exact():
         eta = tuple(Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(d))
         piped = Parallelepiped(h, eta)
         tau = tuple(Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(d))
-        a = Matrix.diagonal([1 / e for e in eta]).matmul(h)
-        assert a.matmul(hyperbolic_map(piped, tau)).matmul(a.inverse()) == Matrix.diagonal(tau)
+        a = diagonal([1 / e for e in eta]).matmul(h)
+        assert a.matmul(hyperbolic_map(piped, tau)).matmul(a.inverse()) == diagonal(tau)
 
     for _ in range(100):
         n = rng.randint(1, 4)

@@ -16,6 +16,7 @@ from dualpiped.bodies import (
 )
 from dualpiped.cli import main
 from dualpiped.linalg import Matrix
+from dualpiped.minima import gauge_rows
 from dualpiped.scalars import Quad3
 
 from oracle_utils import (
@@ -26,6 +27,7 @@ from oracle_utils import (
     contains,
     contains_interior,
     covolume,
+    diagonal,
     dual_lattice,
     gauge,
     matvec,
@@ -97,7 +99,7 @@ def test_volume():
         eta = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(d))
         piped = Parallelepiped(h, eta)
         # independent oracle: volume = |det| of the edge matrix 2 H^-1 diag(eta)
-        edges = h.inverse().matmul(Matrix.diagonal(eta)).scale(Fraction(2))
+        edges = h.inverse().matmul(diagonal(eta)).scale(Fraction(2))
         assert piped.volume() == abs(edges.det())
 
 
@@ -117,17 +119,29 @@ def test_pseudo_compound_cube_and_axis_box():
 
 
 def test_pseudo_compound_normalization():
-    # |det H| = 9 is a square, so d = 2 stays rational
+    # the compound (H^-T, prod eta / (|det H| eta_i)) takes no root of det H,
+    # so det 9 and det 2 alike keep a rational compound
     piped = Parallelepiped(Matrix([[3, 0], [0, 3]]), (Fraction(1), Fraction(2)))
     star = pseudo_compound(piped)
     assert star.forms.kind == "rational"
-    # det 2 needs sqrt(2), outside Q and Q(sqrt3)
+    assert star.bounds == (Fraction(2, 9), Fraction(1, 9))
     bad = Parallelepiped(Matrix([[1, 1], [0, 2]]), (Fraction(1), Fraction(1)))
+    star = pseudo_compound(bad)
+    assert star.forms == Matrix([[1, 0], [Fraction(-1, 2), Fraction(1, 2)]])
+    assert star.bounds == (Fraction(1, 2), Fraction(1, 2))
+    # it is the compound of the det-normalized body, as a set: both have
+    # the same gauge rows; normalizing that body would need sqrt(2),
+    # outside Q and Q(sqrt3)
     with pytest.raises(ExactnessError):
-        pseudo_compound(bad)
-    # float mode is the documented escape hatch
+        det_normalized(bad)
+    normalized = gauge_rows(pseudo_compound(det_normalized(to_float(bad))))
+    for row, float_row in zip(gauge_rows(star), normalized):
+        assert list(map(float, row)) == pytest.approx(float_row, rel=1e-15, abs=1e-300)
+    # each body derives its compound once
+    assert pseudo_compound(bad) is star
     star_f = pseudo_compound(to_float(bad))
     assert star_f.forms.kind == "float"
+    assert star_f.bounds == (0.5, 0.5)
 
 
 def test_pseudo_compound_scaled_involution():
@@ -232,6 +246,6 @@ def test_float_determinants_beyond_the_float_range(scale):
     # 4e400 and 4e-400 have no float
     with pytest.raises(ValueError, match="beyond the float range"):
         Parallelepiped(forms, (1.0, 1.0)).volume()
-    # nor have the compound's bounds 1e400 and 1e-400 of the normalized body
+    # nor have the compound's bounds 1 / scale^2, 1e-400 and 1e400
     with pytest.raises(ValueError, match="pseudo-compound's bounds .* beyond the float range"):
         pseudo_compound(Parallelepiped(forms, (1.0, 1.0)))

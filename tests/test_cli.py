@@ -118,19 +118,23 @@ def test_witness_certifies_epsilons_far_below_the_float_range(capsys):
 
 
 def test_witness_refuses_an_epsilon_wider_than_its_bound(capsys):
-    # the work grows with the square of epsilon's bits; past the bound the
-    # command exits 2 before any of it, and 1e-4000 (13,288 bits) still fits
-    started = time.perf_counter()
-    assert main(["witness", "--epsilon", "1e-40000"]) == 2
-    assert time.perf_counter() - started < 1.0
-    assert f"at most {EPSILON_MAX_BITS} bits" in capsys.readouterr().err
+    # the work grows with the square of epsilon's bits and the report prints
+    # epsilon in decimal, which Python limits to 4,300 digits; past the
+    # bound the command exits 2 before any work, and 1e-4000 (13,288 bits)
+    # still fits
+    assert EPSILON_MAX_BITS == 14_000
+    for epsilon in ("1e-40000", "1e-4250"):
+        started = time.perf_counter()
+        assert main(["witness", "--epsilon", epsilon]) == 2
+        assert time.perf_counter() - started < 1.0
+        assert "at most 14000 bits" in capsys.readouterr().err
     assert main(["witness", "--epsilon", "1e-4000"]) == 0
     assert "epsilon = 1/1" in capsys.readouterr().out
-    # the bound is on bits: a denominator of EPSILON_MAX_BITS bits is built
-    witness = build_witness(Fraction(1, 2 ** (EPSILON_MAX_BITS - 1)))
-    assert witness.epsilon.denominator.bit_length() == EPSILON_MAX_BITS
-    with pytest.raises(ValueError, match=f"at most {EPSILON_MAX_BITS} bits"):
-        build_witness(Fraction(1, 2**EPSILON_MAX_BITS))
+    # the bound is on bits: a denominator of 14,000 bits is built
+    witness = build_witness(Fraction(1, 2**13999))
+    assert witness.epsilon.denominator.bit_length() == 14_000
+    with pytest.raises(ValueError, match="at most 14000 bits"):
+        build_witness(Fraction(1, 2**14000))
 
 
 def test_cd_command(capsys):

@@ -8,8 +8,10 @@ its reason. No library function, method or nested function keeps a
 cache of functools.lru_cache or functools.cache: derived values live on the
 objects that determine them. The float slack of the claim decisions is
 read by `transference._Trial.leq` alone (and recorded by `harness`), and no
-module of the search layer imports the claim code that holds it. The
-benchmark's layer tracer still installs on the library and restores it.
+module of the search layer imports the claim code that holds it. Only
+`bodies` names `det_normalized`, and the pseudo-compound is built without
+it. The benchmark's layer tracer still installs on the library and
+restores it.
 """
 import ast
 import gc
@@ -295,6 +297,26 @@ def test_the_search_layer_reads_no_float_slack():
     assert namers == ["harness", "transference"]
     reads = slack_reads((package / "transference.py").read_text())
     assert reads and {scope for scope, _ in reads} == {"_Trial.leq"}
+
+
+def test_only_bodies_names_det_normalized():
+    # the claim path keeps each body as given and the pseudo-compound takes
+    # no root of det H: det_normalized is API of `bodies` that no other
+    # module of the library names, and the compound's construction calls it
+    # (or a root) nowhere
+    namers = [
+        path.stem for path in SOURCES
+        if path.stem != "bodies" and "det_normalized" in names_used(path.read_text())
+    ]
+    assert namers == []
+    tree = ast.parse((ROOT / "src" / "dualpiped" / "bodies.py").read_text())
+    construction = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("_compound", "pseudo_compound")
+    ]
+    assert len(construction) == 2
+    for node in construction:
+        assert not {"det_normalized", "exact_nth_root", "float_nth_root"} & names_used(ast.unparse(node))
 
 
 def test_the_benchmark_tracer_installs_and_restores_the_library():

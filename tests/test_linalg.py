@@ -17,6 +17,7 @@ from oracle_utils import (
     SINGULAR_FLOAT_ROWS,
     SQRT3,
     cofactor,
+    diagonal,
     field_det,
     field_inverse,
     fraction_rank,
@@ -56,8 +57,8 @@ def test_cofactor_identity():
 
 def test_cofactor_diagonal():
     t1, t2, t3 = Fraction(2), Fraction(3), Fraction(5)
-    m = Matrix.diagonal([t1, t2, t3])
-    assert cofactor(m) == Matrix.diagonal([t2 * t3, t1 * t3, t1 * t2])
+    m = diagonal([t1, t2, t3])
+    assert cofactor(m) == diagonal([t2 * t3, t1 * t3, t1 * t2])
 
 
 def test_cofactor_2x2_closed_form():
@@ -190,8 +191,9 @@ def test_inverse_is_kept_on_the_matrix():
 
 @pytest.mark.parametrize("dimension, mode", [(5, "float"), (3, "exact")])
 def test_one_forms_inverse_per_trial(monkeypatch, dimension, mode):
-    # the harness, the pseudo-compound and the section-dual pullback share
-    # the body's forms object, so ten trials compute ten inverses, one each
+    # the harness's calibration and the trial's pseudo-compound, whose gauge
+    # rows WM's section-dual search reads too, share the body's forms
+    # object, so ten trials compute ten inverses, one each
     inverse = Matrix.inverse
     computed = []
 

@@ -28,6 +28,7 @@ from oracle_utils import (
     apply_hyperbolic,
     apply_linear,
     brute_force_minima,
+    diagonal,
     dilate_points_oracle,
     field_det,
     field_inverse,
@@ -56,7 +57,7 @@ def test_cube_minima_are_all_one():
 
 def test_diagonal_lattice_minima():
     piped = Parallelepiped.cube(2)
-    lat = Lattice(Matrix.diagonal([Fraction(2), Fraction(3)]))
+    lat = Lattice(diagonal([Fraction(2), Fraction(3)]))
     profile = successive_minima(piped, lat)
     assert profile.values == (Fraction(2), Fraction(3))
     assert profile.witnesses == ((0, 1), (1, 0)) or profile.witnesses == ((1, 0), (0, 1))
@@ -85,7 +86,7 @@ def test_minima_match_brute_force_oracle():
         # redraw when the box oracle cannot certify completeness: every
         # witness gauge is at most R = max_j gauge(e_j), and coefficients of
         # gauge-R points are bounded by the inverse row l1 norms times R
-        c = Matrix.diagonal([1 / e for e in eta]).matmul(h)
+        c = diagonal([1 / e for e in eta]).matmul(h)
         radius = max(max(abs(c.rows[i][j]) for i in range(d)) for j in range(d))
         if any(sum(abs(x) for x in row) * radius > 6 for row in c.inverse().rows):
             continue
@@ -182,8 +183,9 @@ def test_float_rows_are_searched_as_their_exact_twins():
         exact = successive_minima(Parallelepiped(Matrix(twin), (Fraction(1),) * d))
         assert profile.witnesses == exact.witnesses
         assert profile.values == tuple(map(float, exact.values))
-        # the section-dual minimum over the pullback rows read exactly, by its definition
-        section_rows = [[Fraction(x) for x in row] for row in body.pullback]
+        # the section-dual minimum over the compound's gauge rows read
+        # exactly, by its definition (the section-dual rows, up to one sign)
+        section_rows = [[Fraction(x) for x in row] for row in gauge_rows(pseudo_compound(body))]
         cube = Parallelepiped.cube(d)
 
         def wedge(k):

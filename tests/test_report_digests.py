@@ -24,13 +24,13 @@ from dualpiped.harness import TrialConfig, aggregate_outcomes, emit_report, eval
 from dualpiped.witness import format_sharpness_report, sharpness_report
 
 PINS = [
-    (3, "float", 42, "c65f91d03a460ec852d096a55450d7a1bc0006d326a1c9e5e371187082003e4c"),
-    (4, "float", 42, "08316ef91d2f9d9f439369b3e878b22168429e1fb4ff56e923eede4ee4aa1944"),
-    (5, "float", 42, "785f50f2630c960a1d0fa330fc2f4550356e5cb54335ec662cb1951233a854dd"),
+    (3, "float", 42, "f99469af9b85fdbd2f3f47b6d2efc9514345273955c1e4e6eb8ec1eadb979be6"),
+    (4, "float", 42, "be7699203a7e4cc781b4024cb4cc9033507459b19b7f2ea99378bb0257af0e0f"),
+    (5, "float", 42, "ee10a3cc333f1003fc8c471b1549f45aaad419e48c31d9aa7a72b342ea7849d7"),
     (3, "exact", 7, "ca0d169214d7f80d10b1c752ea17678b91d4ebfcf369f2f0a16bcee3e27cf125"),
-    (5, "float", 1, "8355e6cede18f674d8341e00c32ae48f55c195f56bc41354e34d3f412d73406e"),
+    (5, "float", 1, "259d0647f7975466ee1cfe59674b2b6e0e1ebedc1fa68363780d23c35131568b"),
     (3, "exact", 1, "30cc8fe74cfea3ee2f8710a63fff3822bb43dddf07212460baa4119dcd5f4197"),
-    (2, "float", 42, "79ba9162c9ac18125ef1bd448f20245d965fa05105b6cf46ca6220184c7ce9aa"),
+    (2, "float", 42, "e28bf80f90709e7cdcc9ecde49a38d924dc05c1b807266e3662e60c202c6f1ff"),
     (2, "exact", 42, "baabd965290ee225303988d5f4e2e03abcf3e6e628281b64b21aad88953db36e"),
     (4, "exact", 42, "06600e67551125d15860a71bf8b85ee598f4409cc5e21637065e72f60082b519"),
     (5, "exact", 42, "15b36fabb869ae525c06afd66c56d1d5ce5140ea82b8b22ffc2beeb4544b50a6"),

@@ -21,6 +21,7 @@ from dualpiped.transference import check_claims, sample_directions
 from oracle_utils import (
     apply_linear,
     cofactor,
+    diagonal,
     matvec,
     monte_carlo_section_volume,
     random_unimodular,
@@ -300,8 +301,9 @@ def test_sharp_vertex_identity_is_exact(kind):
 
 @pytest.mark.parametrize("kind", ["float", "rational"])
 def test_pseudo_compound_vertices_have_the_cube_gauge(kind):
-    # on a det-normalized body (H, eta) the pseudo-compound vertex
-    # H^T diag(eta*) sigma pulls back to w = A^T z / det A = +-sigma, so every
+    # on every body (H, eta), of any determinant and sign, the
+    # pseudo-compound vertex H^T diag(eta*) sigma, eta*_i = prod eta /
+    # (|det H| eta_i), pulls back to w = A^T z / det A = +-sigma, so every
     # vertex of every body has the cube's section-dual gauge g_d at
     # (1, ..., 1); check_claims decides C12 by this constant alone
     rng = random.Random(f"c12-{kind}")
@@ -310,10 +312,11 @@ def test_pseudo_compound_vertices_have_the_cube_gauge(kind):
         one = 1.0 if kind == "float" else 1
         for _ in range(3):
             eta = tuple(Fraction(rng.randint(2, 8), 4) for _ in range(d))
-            body = Parallelepiped(random_unimodular(rng, d), eta)
+            scales = diagonal([Fraction(rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(d)])
+            body = Parallelepiped(random_unimodular(rng, d).matmul(scales), eta)
             if kind == "float":
                 body = to_float(body)
-            vertex_map = body.forms.transpose().matmul(Matrix.diagonal(pseudo_compound(body).bounds))
+            vertex_map = body.forms.transpose().matmul(diagonal(pseudo_compound(body).bounds))
             for sigma in itertools.product((one, -one), repeat=d):
                 gauge = section_dual_gauge(body, matvec(vertex_map, sigma))
                 if kind == "float":

@@ -1,11 +1,13 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
-from dualpiped import transference
-from dualpiped.bodies import Parallelepiped, det_normalized, pseudo_compound
+from dualpiped import minima, sections, transference
+from dualpiped.bodies import ExactnessError, Parallelepiped, det_normalized, pseudo_compound
 from dualpiped.linalg import Matrix
 from dualpiped.minima import (
     EnumerationBudgetError,
@@ -28,6 +30,7 @@ from dualpiped.transference import (
 from oracle_utils import (
     apply_hyperbolic,
     apply_linear,
+    diagonal,
     family_minima_off_closed_form,
     float_leq,
     gauge,
@@ -39,6 +42,7 @@ from oracle_utils import (
     on_surface,
     random_unimodular,
     scaled_rows_body,
+    searches_off_closed_form,
     t2_root,
     tau_vertex,
     to_float,
@@ -85,7 +89,7 @@ def test_mahler_dual_box_frozen():
 
 def test_hyperbolic_map_frozen_and_conjugation():
     tau = (Fraction(2), Fraction(3), Fraction(5))
-    assert hyperbolic_map(Parallelepiped.cube(3), tau) == Matrix.diagonal(tau)
+    assert hyperbolic_map(Parallelepiped.cube(3), tau) == diagonal(tau)
 
     rng = random.Random(23)
     for _ in range(15):
@@ -99,8 +103,8 @@ def test_hyperbolic_map_frozen_and_conjugation():
         assert scalar_map == Matrix.identity(d).scale(t)
         tau = tuple(Fraction(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(d))
         hmap = hyperbolic_map(piped, tau)
-        a = Matrix.diagonal([1 / e for e in eta]).matmul(h)
-        assert a.matmul(hmap).matmul(a.inverse()) == Matrix.diagonal(tau)
+        a = diagonal([1 / e for e in eta]).matmul(h)
+        assert a.matmul(hmap).matmul(a.inverse()) == diagonal(tau)
 
 
 def test_apply_hyperbolic_matches_linear_action():
@@ -402,7 +406,7 @@ def test_dual_starts_match_cold_searches_on_generic_bodies(kind):
             dual = trial.dual_basis
             assert [[sum(x * y for x, y in zip(row, v)) for v in basis] for row in dual] == \
                 [[int(i == j) for j in range(d)] for i in range(d)]
-            for search in (lambda **start: successive_minima(trial.star, **start),
+            for search in (lambda **start: successive_minima(pseudo_compound(trial.body), **start),
                            lambda **start: first_minimum_section_dual(trial.body, **start)):
                 try:
                     cold = search()
@@ -410,7 +414,7 @@ def test_dual_starts_match_cold_searches_on_generic_bodies(kind):
                     continue
                 assert repr(search(start=dual)) == repr(cold)
                 searched += 1
-            assert repr(trial.profile_star) == repr(successive_minima(trial.star))
+            assert repr(trial.profile_star) == repr(successive_minima(pseudo_compound(trial.body)))
     assert searched >= 25
 
 
@@ -473,6 +477,88 @@ def test_closed_form_check_reports_scaled_family_minima(monkeypatch, factor):
                 assert len(family_minima_off_closed_form(trial)) == len(trial.directions)
 
 
+@pytest.mark.parametrize("fault", ["profile", "section-dual"])
+@pytest.mark.parametrize("factor", ["low", "high"])
+def test_closed_form_check_reports_scaled_searches(monkeypatch, fault, factor):
+    # profile values 1e-6 off, or WM's section-dual minimum 1% off, in
+    # either direction, are reported on every trial
+    if fault == "profile":
+        scale = Fraction(10**6 - 1, 10**6) if factor == "low" else Fraction(10**6 + 1, 10**6)
+        search = transference.successive_minima
+
+        def scaled(*args, **kwargs):
+            profile = search(*args, **kwargs)
+            return replace(profile, values=tuple(value * scale for value in profile.values))
+
+        monkeypatch.setattr(transference, "successive_minima", scaled)
+    else:
+        scale = Fraction(99, 100) if factor == "low" else Fraction(101, 100)
+        search = transference.first_minimum_section_dual
+        monkeypatch.setattr(transference, "first_minimum_section_dual",
+                            lambda *args, **kwargs: search(*args, **kwargs) * scale)
+    for mode in ("exact", "float"):
+        for d in (2, 3, 4, 5):
+            for index in range(3):
+                off = [name for name, _, _ in searches_off_closed_form(harness_trial(d, 42, index, mode))]
+                if fault == "profile":
+                    assert off == ["profile"] * d + ["compound profile"] * d
+                else:
+                    assert off == ["section-dual minimum"]
+
+
+@pytest.mark.parametrize("dimension, mode", [(5, "float"), (3, "exact")])
+def test_one_compound_per_trial(monkeypatch, dimension, mode):
+    # the body derives its compound once: T3-T7 and MK2 read it, and WM's
+    # section-dual search reads its gauge rows
+    derive = Parallelepiped._compound.func
+    derived = []
+
+    def counting(body):
+        derived.append(body)
+        return derive(body)
+
+    compound = cached_property(counting)
+    compound.__set_name__(Parallelepiped, "_compound")
+    monkeypatch.setattr(Parallelepiped, "_compound", compound)
+    read = []
+    rows = minima.gauge_rows
+
+    def recording(piped, *args):
+        read.append(piped)
+        return rows(piped, *args)
+
+    monkeypatch.setattr(sections, "gauge_rows", recording)
+    for index in range(5):
+        trial = harness_trial(dimension, 1, index, mode)
+        derived.clear()
+        read.clear()
+        reports = check_claims(trial.body, directions=trial.directions)
+        assert all(report.status in ("pass", "skip") for report in reports)
+        assert derived == [trial.body]
+        assert len(read) == 1 and read[0] is pseudo_compound(trial.body)
+
+
+def test_exact_bodies_of_any_determinant_are_judged_exactly():
+    # no root of det H is taken, so bodies whose det-normalization leaves
+    # Q and Q(sqrt3) (det 2 at d = 2, det 7 at d = 3) are judged exactly,
+    # each claim as on the body's float twin
+    bodies = [
+        Parallelepiped(Matrix([[1, 1], [0, 2]]), (Fraction(1), Fraction(1))),
+        Parallelepiped(Matrix([[1, 2, 0], [0, 1, 3], [1, 0, 1]]), (Fraction(2),) * 3),
+    ]
+    for body in bodies:
+        with pytest.raises(ExactnessError):
+            det_normalized(body)
+        directions = sample_directions(random.Random(5), body.dimension, 4)
+        exact = check_claims(body, directions=directions)
+        twin = check_claims(to_float(body), directions=directions)
+        assert [report.claim for report in exact] == list(ALL_CLAIMS)
+        assert [report.status for report in exact] == [report.status for report in twin]
+        assert not any(report.slack_pass for report in exact)
+    # the d = 3 body meets the hypotheses of T3 and WM: 7 claims pass, T5-T7 skip
+    assert [report.status for report in exact if report.status != "skip"] == ["pass"] * 7
+
+
 def test_family_directions_must_be_finite():
     cube = Parallelepiped.cube(3, kind="float")
     for bad in ((math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 0.0, 1.0)):
@@ -488,13 +574,15 @@ def test_family_directions_must_be_finite():
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
 def test_check_claims_on_float_determinants_beyond_the_float_range(scale):
     # each claim is reported, or refused by a ValueError where a value it
-    # reads (the compound's bounds, a volume) lies beyond the float range
+    # reads (the compound's bounds, a volume) lies beyond the float range:
+    # the compound's bounds are 1 / scale^2, so every claim that reads the
+    # compound, WM's section-dual search included, is refused
     body = Parallelepiped(Matrix([[scale, 0.0], [0.0, scale]]), (1.0, 1.0))
     directions = [(1.0, 2.0)]
     compound = "the pseudo-compound's bounds .* lie beyond the float range"
     with pytest.raises(ValueError, match=compound):
         check_claims(body, directions=directions)
-    for claim in ("T3", "T4", "T5", "T6"):
+    for claim in ("T3", "T4", "T5", "T6", "WM"):
         with pytest.raises(ValueError, match=compound):
             check_claims(body, (claim,), directions=directions)
     with pytest.raises(ValueError, match="the body's volume lies beyond the float range"):
@@ -511,8 +599,8 @@ def test_check_claims_on_float_determinants_beyond_the_float_range(scale):
     assert math.isclose(exponent, -500 if scale < 1 else 200, abs_tol=1e-9)
     for report in check_claims(body, ("FAM", "FAMSHARP"), directions=[shift]):
         assert (report.status, report.margin) == ("pass", 1.0)
-    reports = check_claims(body, ("FAM", "FAMSHARP", "WM", "C12"), directions=directions)
-    # mu_1 = 1 / scale on the normalized body (bounds 1 / scale)
-    expected = ("pass", "pass", "pass", "pass") if scale < 1 else ("violation", "violation", "skip", "pass")
+    reports = check_claims(body, ("FAM", "FAMSHARP", "C12"), directions=directions)
+    # mu_1 = 1 / scale, the gauge rows being scale I
+    expected = ("pass", "pass", "pass") if scale < 1 else ("violation", "violation", "pass")
     assert tuple(report.status for report in reports) == expected
     assert all(math.isfinite(report.margin) for report in reports if report.margin is not None)
