@@ -1,13 +1,15 @@
 """Small dense matrices over one scalar kind, plus bracketed root finding.
 
-Matrices are immutable, and every det and inverse computed once per matrix
-is kept on it. Every determinant, and every rational and float inverse, is
-one fraction-free elimination in Python ints (`eliminate`): the rows are
-cleared once to integers over one denominator, in Z[sqrt3] for Q(sqrt3)
-rows, so float results are the exact dyadic values rounded once. Q(sqrt3)
-inverses still use plain field operations. The rank tracker `RationalSpan`
-keeps integer normals to its span, so a vector is tested by dot products,
-and an array of integer vectors by one exact product (`exact_product`).
+Matrices are immutable, and every det, inverse and transpose computed once
+per matrix is kept on it, so bodies that share a form matrix share its
+pseudo-compound's H^-T and that matrix's det. Every determinant, and every
+rational and float inverse, is one fraction-free elimination in Python ints
+(`eliminate`): the rows are cleared once to integers over one denominator,
+in Z[sqrt3] for Q(sqrt3) rows, so float results are the exact dyadic values
+rounded once. Q(sqrt3) inverses still use plain field operations. The rank
+tracker `RationalSpan` keeps integer normals to its span, so a vector is
+tested by dot products, and an array of integer vectors by one exact
+product (`exact_product`).
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ def _normalize_entry(x):
 class Matrix:
     """Immutable row-major matrix; all entries share one scalar kind."""
 
-    __slots__ = ("rows", "kind", "nrows", "ncols", "_det", "_inverse")
+    __slots__ = ("rows", "kind", "nrows", "ncols", "_det", "_inverse", "_transpose")
 
     def __init__(self, rows: Iterable[Sequence[Scalar]]) -> None:
         mat = [tuple(_normalize_entry(x) for x in row) for row in rows]
@@ -56,6 +58,7 @@ class Matrix:
         object.__setattr__(self, "ncols", len(mat[0]))
         object.__setattr__(self, "_det", None)
         object.__setattr__(self, "_inverse", None)
+        object.__setattr__(self, "_transpose", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -90,7 +93,10 @@ class Matrix:
         )
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)))
+        """The transpose, computed once per matrix, with no link back, as inverse keeps none."""
+        if self._transpose is None:
+            object.__setattr__(self, "_transpose", Matrix(list(zip(*self.rows))))
+        return self._transpose
 
     def scale(self, s: Scalar) -> "Matrix":
         return Matrix([[s * x for x in row] for row in self.rows])

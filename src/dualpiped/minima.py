@@ -19,11 +19,13 @@ sorted keys and points, and successive_minima finds each witness among them
 by one exact product of a block of points against its span's normals
 (RationalSpan.first_outside). Each search runs in the coordinates of an
 exact LLL reduction of its rows, which may start from a given basis; no
-answer depends on the basis, only the size of the box does. A body's
-hyperbolic shifts only scale the rows of its gauge, so first_minima_in_basis
-decides them all, for a rational or a float body alike, in the body's own
-reduced basis from one inverse of its rows, with no reduction or shifted
-body, walking each box of at most 3^d cells; every value it gives is exact.
+answer depends on the basis, only the size of the box does. A body keeps
+its rows and their search state (GaugeRows), so its searches clear, reduce
+from each start and invert them once. A body's hyperbolic shifts only scale
+the rows of its gauge, so first_minima_in_basis decides them all, for a
+rational or a float body alike, in the body's own reduced basis from the
+inverse its profile search took, with no reduction or shifted body, walking
+each box of at most 3^d cells; every value it gives is exact.
 """
 from __future__ import annotations
 
@@ -54,10 +56,13 @@ class EnumerationBudgetError(RuntimeError):
 
 
 class GaugeRows(tuple):
-    """Rows of a gauge (see gauge_rows) that clear themselves to integers once.
+    """Rows of a gauge (see gauge_rows) that keep the search state of their row set.
 
-    The reduction, the radius and the enumeration of one search all read
-    the integer form; rows given as plain sequences are cleared on each use.
+    The integer form is cleared once, each start is reduced once
+    (reduced_basis), and the reduced rows of the last basis asked for are
+    built and inverted once (times). A body keeps its rows (gauge_rows), so
+    its searches share that state; rows given as plain sequences keep
+    nothing between uses.
     """
 
     @cached_property
@@ -75,30 +80,45 @@ class GaugeRows(tuple):
         return integer_rows(self)
 
     def times(self, basis) -> tuple:
-        """The reduced rows: the cleared a and b times the basis vectors as columns, and D.
+        """The reduced rows n: the cleared a and b times the basis vectors as columns, D, and _inverse(n).
 
-        The product with the last basis asked for is kept, so the radius and
-        the enumeration of one search build it once.
+        The rows and the inverse of the last basis asked for are kept, so
+        the radius, the box and the enumeration of a search, and the shifts
+        searched in its basis (first_minima_in_basis), build them once.
         """
         basis = tuple(map(tuple, basis))
         kept = self.__dict__.get("_times")
         if kept is None or kept[0] != basis:
             a, b, den = self.cleared
-            kept = (basis, _times(a, basis), None if b is None else _times(b, basis), den)
+            a, b = _times(a, basis), None if b is None else _times(b, basis)
+            kept = (basis, a, b, den, _inverse(a, b))
             self.__dict__["_times"] = kept
         return kept[1:]
 
 
 def gauge_rows(piped: Parallelepiped, lattice: Lattice | None = None) -> GaugeRows:
-    """Rows of diag(1/eta) H B, B = I without a lattice; gauge of Bk is the sup norm of (rows) k."""
+    """Rows of diag(1/eta) H B, B = I without a lattice; gauge of Bk is the sup norm of (rows) k.
+
+    Without a lattice they are the body's own, built once per body. Float
+    rows are read as stored, so an entry that overflows, or rounds to 0
+    from a nonzero h_ij, is refused with a ValueError.
+    """
+    if lattice is None and "_gauge_rows" in piped.__dict__:
+        return piped.__dict__["_gauge_rows"]
     if lattice is not None and (piped.kind == "float") != (lattice.kind == "float"):
         raise ValueError(
             f"a {piped.kind} body cannot be measured against a {lattice.kind} lattice"
         )
     hb = piped.forms if lattice is None else piped.forms.matmul(lattice.basis)
-    return GaugeRows(
-        tuple(x / e for x in row) for row, e in zip(hb.rows, piped.bounds)
-    )
+    rows = GaugeRows(tuple(x / e for x in row) for row, e in zip(hb.rows, piped.bounds))
+    if piped.kind == "float":
+        for i, (row, quotients) in enumerate(zip(hb.rows, rows)):
+            if not all(math.isfinite(q) and (q or not x) for x, q in zip(row, quotients)):
+                raise ValueError(f"gauge row {i} leaves the float range: an entry over eta_{i}"
+                                 " overflows or rounds to 0")
+    if lattice is None:
+        piped.__dict__["_gauge_rows"] = rows
+    return rows
 
 
 def lattice_points_in_dilate(c_rows, mu, basis) -> list:
@@ -148,9 +168,9 @@ def _dilate(c_rows, mu, basis) -> tuple:
         raise ValueError("c_rows must be square")
     if scalar_sign(mu) <= 0:
         return [], [], 1
-    a, b, den = _as_gauge_rows(c_rows).times(basis)
+    a, b, den, inverse = _as_gauge_rows(c_rows).times(basis)
     scaled_mu = exact_scalar(mu) * den
-    box = _box(a, b, scaled_mu)
+    box = _box(inverse, scaled_mu)
     cells = math.prod(2 * bj + 1 for bj in box)
     if cells > GRID_CELL_CAP:
         raise EnumerationBudgetError(
@@ -270,26 +290,30 @@ def _snapshot(a, b, den) -> tuple:
     return [[x * num / div + y * num / div * _SQRT3 for x, y in zip(ra, rb)] for ra, rb in zip(a, b)], shift
 
 
-def _box(a, b, mu) -> list:
-    """Per-coordinate bound floor(mu * l1 norm of each row of n^-1), exact.
+def _inverse(a, b) -> tuple:
+    """det n and adj n = det(n) n^-1 for n = a by linalg.eliminate, or None and n^-1 for n = a + b sqrt3.
 
-    n = a for integer rows, which stay in integers: linalg.eliminate gives
-    det(n) n^-1, and each bound is one integer division. n = a + b sqrt3 is
-    inverted in its field, by Matrix.inverse, which says why.
+    n = a + b sqrt3 is inverted in its field, by Matrix.inverse, which says why.
     """
     if b is None:
-        det, rows = eliminate(a, inverse=True)
-        num, div = mu.as_integer_ratio()
-        div *= abs(det)
-        return [num * sum(map(abs, row)) // div for row in rows]
-    n = Matrix([[Quad3(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
-    return [scalar_floor(mu * sum(map(abs, row))) for row in n.inverse().rows]
+        return eliminate(a, inverse=True)
+    return None, Matrix([[Quad3(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]).inverse().rows
+
+
+def _box(inverse, mu) -> list:
+    """Per-coordinate bound floor(mu * l1 norm of each row of n^-1), exact, from _inverse(n)."""
+    det, rows = inverse
+    if det is None:
+        return [scalar_floor(mu * sum(map(abs, row))) for row in rows]
+    num, div = mu.as_integer_ratio()
+    div *= abs(det)
+    return [num * sum(map(abs, row)) // div for row in rows]
 
 
 def dilate_box(c_rows, mu) -> list:
     """The coefficient box floor(mu * l1 norm of each row of c_rows^-1), exact."""
     a, b, den = _integer_rows(c_rows)
-    return _box(a, b, exact_scalar(mu) * den)
+    return _box(_inverse(a, b), exact_scalar(mu) * den)
 
 
 def _reduction_transform(c_rows, start) -> tuple:
@@ -330,13 +354,17 @@ def reduced_basis(c_rows, start=None) -> list:
     These are the start vectors (the unit vectors by default; see
     _reduction_transform) times the reduction transform, or the start
     vectors themselves when they need none; the j-th smallest gauge among
-    them is an upper bound for the j-th successive minimum.
+    them is an upper bound for the j-th successive minimum. GaugeRows keep
+    the basis of each start, so a start is reduced once per row set.
     """
-    start, u = _reduction_transform(c_rows, start)
-    if u is None:
-        return list(start)
-    d = len(u)
-    return [tuple(sum(v[i] * w[j] for v, w in zip(start, u)) for i in range(d)) for j in range(d)]
+    rows = _as_gauge_rows(c_rows)
+    kept = rows.__dict__.setdefault("_reduced", {})
+    key = None if start is None else tuple(map(tuple, start))
+    if key not in kept:
+        start, u = _reduction_transform(rows, start)
+        kept[key] = start if u is None else [
+            tuple(sum(v[i] * w[j] for v, w in zip(start, u)) for i in range(len(u))) for j in range(len(u))]
+    return list(kept[key])
 
 
 def _as_gauge_rows(c_rows) -> GaugeRows:
@@ -523,7 +551,7 @@ def successive_minima(
         raise ValueError("k_max must lie in 1..dimension")
     rows = gauge_rows(piped, lattice)
     basis = reduced_basis(rows, start)
-    gauges = _column_gauges(*rows.times(basis))
+    gauges = _column_gauges(*rows.times(basis)[:3])
     radius = sorted(gauges)[k_max - 1]
     keys, points, den = _dilate(rows, radius, basis)
     span = RationalSpan(d)
@@ -571,10 +599,9 @@ def first_minima_in_basis(piped: Parallelepiped, directions, start) -> list:
     shifted body, snapshot, grid, sort or span is built. Q(sqrt3) rows and
     larger boxes give None, for first_minimum to search.
     """
-    a, b, den = gauge_rows(piped).times(start)
+    a, b, den, (det, adj) = gauge_rows(piped).times(start)
     if b is not None:
         return [None] * len(directions)
-    det, adj = eliminate(a, inverse=True)
     values = []
     for raw in directions:
         ratios = [t.as_integer_ratio() for t in raw]

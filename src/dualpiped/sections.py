@@ -31,10 +31,10 @@ irrational |w| cancels, so the gauge is exact. With A = H^{-1} diag(eta), the
 rows of A^T / det A are sign(det H) times the gauge rows of the body's
 pseudo-compound (H^-T, prod eta / (|det H| eta_i)), and the gauge reads only
 |w_i|, so the section-dual gauge and minimum read the compound's own gauge
-rows, derived once per body and read exactly for every kind: a float body's
-gauges and section-dual minimum are exact values rounded once. Every vertex
-H^T diag(eta*) sigma of the compound pulls back to w = +-sigma, so every
-such vertex has the cube's gauge at (1, ..., 1).
+rows and search state (minima.GaugeRows), exactly for every kind: a float
+body's gauges and section-dual minimum are exact values rounded once. Every
+vertex H^T diag(eta*) sigma of the compound pulls back to w = +-sigma, so
+every such vertex has the cube's gauge at (1, ..., 1).
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from operator import mul
 from typing import Sequence
 
 from .bodies import Parallelepiped, pseudo_compound
-from .minima import GaugeRows, gauge_rows, lattice_points_in_dilate, reduced_basis
+from .minima import GaugeRows, _column_gauges, gauge_rows, lattice_points_in_dilate, reduced_basis
 from .scalars import Quad3, Scalar, exact_nth_root, exact_scalar, zsqrt3_parts
 
 _SQRT3 = Quad3(0, 1)
@@ -225,19 +225,25 @@ def first_minimum_section_dual(piped: Parallelepiped, *, start=None) -> Scalar:
     The gauge dominates the sup norm of w = A^T z / det A (every central
     section is a graph over the facet hyperplane of its largest coefficient,
     so the section volume is at most 2^{d-1} |w| / max|w_i|). Hence the
-    sup-norm box whose radius is the smallest gauge among the reduced basis
-    vectors holds every minimizer, and one enumeration of it settles the
-    minimum. The reduction starts from the basis `start` when one is given
-    (see minima.reduced_basis), such as the dual of the body's own reduced
-    basis; the answer does not depend on it. Radius and minimum are exact
-    (see _pullback_gauge); a float body's minimum is rounded once.
+    sup-norm box whose radius is the gauge of any lattice point holds every
+    minimizer; the radius is that of the reduced basis vector of smallest
+    sup norm. The box is scanned in (sup norm, k) order up to the first
+    point whose sup norm reaches the smallest gauge so far, which bounds
+    every later gauge. The reduction starts from the basis `start` when
+    one is given (see minima.reduced_basis), such as the dual of the
+    body's own reduced basis, and is the compound's profile search's from
+    the same start; the answer does not depend on it. Radius and minimum
+    are exact (see _pullback_gauge); a float body's minimum is rounded once.
     """
     d = piped.dimension
     if not 2 <= d <= 6:
         raise ValueError("section-dual minimum supports dimensions 2 through 6")
     rows = gauge_rows(pseudo_compound(piped))
     basis = reduced_basis(rows, start)
-    radius = min(_pullback_gauge(rows, k) for k in basis)
-    points = lattice_points_in_dilate(rows, radius, basis)
-    value = min(_pullback_gauge(rows, k) for _, k in points)
-    return float(value) if piped.kind == "float" else value
+    sup = _column_gauges(*rows.times(basis)[:3])
+    best = _pullback_gauge(rows, basis[sup.index(min(sup))])
+    for gauge, k in lattice_points_in_dilate(rows, best, basis):
+        if gauge >= best:
+            break
+        best = min(best, _pullback_gauge(rows, k))
+    return float(best) if piped.kind == "float" else best

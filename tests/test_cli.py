@@ -288,6 +288,17 @@ def test_minima_refuses_an_oversized_box(monkeypatch, tmp_path, capsys):
     assert "has 9 cells; the grid supports at most 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h, e", [(1e308, 1e-10), (1e-308, 1e300)])
+def test_minima_refuses_float_gauge_rows_beyond_the_float_range(tmp_path, capsys, h, e):
+    # h / e overflows, or rounds to 0 although H is invertible
+    body_file = tmp_path / "body.txt"
+    body_file.write_text(format_parallelepiped(Parallelepiped(Matrix([[h, 0.0], [0.0, 1.0]]), (e, 1.0))))
+    assert main(["minima", "--body", str(body_file)]) == 2
+    err = capsys.readouterr().err
+    assert "gauge row 0 leaves the float range: an entry over eta_0 overflows or rounds to 0" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("error", [EnumerationBudgetError("too many nodes"), OverflowError("too big")])
 def test_budget_and_overflow_errors_exit_two(monkeypatch, tmp_path, capsys, error):
     def fail(*args, **kwargs):

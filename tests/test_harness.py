@@ -1,12 +1,13 @@
 """Tests for instance generation, suite orchestration, and report emission."""
 import dataclasses
+import gc
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from dualpiped import minima, sections, transference
+from dualpiped import linalg, minima, sections, transference
 from dualpiped.bodies import pseudo_compound
 from dualpiped.harness import (
     TrialConfig,
@@ -169,17 +170,25 @@ def counting(monkeypatch, module, name) -> list:
 
 def test_each_trial_derives_its_values_once(monkeypatch):
     # 8 section ratios serve both FAMSHARP and the v_tau range; C12 takes one
-    # and WM d + 1 (d basis vectors and the one point of its box); a claim
+    # and WM one, its radius: on harness bodies the first point of its box
+    # already has a sup norm at that radius, so its scan ends there; a claim
     # filter makes only the profile searches that its claims read
     ratios = counting(monkeypatch, sections, "_section_ratio")
     searches = counting(monkeypatch, transference, "successive_minima")
     # the family claims decide all eight shifts in one batched call, with no
-    # fallback search of a shifted body: the only LLLs and enumerations are
-    # those of the calibration in gen_instance, of the profile searches and of
-    # WM's section-dual search
+    # fallback search of a shifted body
     batches = counting(monkeypatch, transference, "first_minima_in_basis")
     shift_searches = counting(monkeypatch, transference, "first_minimum")
+    # three row sets are searched: the calibration's compound, the body and
+    # its compound; each is cleared once, reduced once per start and
+    # inverted once, and WM's section-dual search reads the compound's, from
+    # the same start as its profile search, so it clears, reduces and
+    # inverts nothing; the forms are cleared for their det, their inverse and
+    # the det of its transpose, which the calibration's compound and the
+    # trial's share
     reductions = counting(monkeypatch, minima, "_lll_unimodular")
+    clearings = counting(monkeypatch, linalg, "integer_rows")
+    clearings_of_rows = counting(monkeypatch, minima, "integer_rows")
     # each enumeration of a dilate is a walk of its small box or a grid, in
     # call order: the calibration, the two profiles, then WM's search
     enumerations = []
@@ -192,35 +201,37 @@ def test_each_trial_derives_its_values_once(monkeypatch):
 
     monkeypatch.setattr(minima, "_walked_points", enumerating("walk", minima._walked_points))
     monkeypatch.setattr(minima, "_grid_points", enumerating("grid", minima._grid_points))
-    # the eliminations made inside the batched call: the body's reduced rows
-    # are inverted once for all its shifts, for a float body as for an exact one
-    inverses = []
+    # the eliminations of the forms (linalg) and of the reduced rows (minima),
+    # in call order; the batched call reads the body's, made by its profile search
+    eliminations = []
     batched = transference.first_minima_in_basis
-    eliminate = minima.eliminate
 
     def marked(*args):
-        inverses.append("batch")
+        eliminations.append("batch")
         try:
             return batched(*args)
         finally:
-            inverses.append("end")
+            eliminations.append("end")
 
-    def recorded(*args, **options):
-        inverses.append(options.get("inverse", False))
-        return eliminate(*args, **options)
+    def recorded(module, eliminate):
+        def recording(*args, **options):
+            eliminations.append((module, options.get("inverse", False)))
+            return eliminate(*args, **options)
+        return recording
 
     monkeypatch.setattr(transference, "first_minima_in_basis", marked)
-    monkeypatch.setattr(minima, "eliminate", recorded)
+    for module in (linalg, minima):
+        monkeypatch.setattr(module, "eliminate", recorded(module.__name__, module.eliminate))
     for mode, dimension in (("float", 5), ("exact", 3)):
-        for claims, ratio_calls, search_calls, batch_calls, fixed in (
-            (None, 10 + dimension, 2, 1, 4), (("FAM",), 8, 1, 1, 2), (("FAMSHARP",), 8, 1, 1, 2),
-            (("C12",), 9, 0, 0, 1),
+        for claims, ratio_calls, search_calls, batch_calls, row_sets, fixed in (
+            (None, 10, 2, 1, 3, 4), (("FAM",), 8, 1, 1, 2, 2), (("FAMSHARP",), 8, 1, 1, 2, 2),
+            (("C12",), 9, 0, 0, 1, 1),
         ):
             options = {} if claims is None else {"claims": claims}
             config = TrialConfig(dimension=dimension, trials=3, seed=1, mode=mode, **options)
             for index in range(config.trials):
-                for calls in (ratios, searches, batches, shift_searches, reductions,
-                              enumerations, inverses):
+                for calls in (ratios, searches, batches, shift_searches, reductions, clearings,
+                              clearings_of_rows, enumerations, eliminations):
                     calls.clear()
                 outcome = evaluate_trial(config, index)
                 assert outcome.error is None
@@ -229,14 +240,19 @@ def test_each_trial_derives_its_values_once(monkeypatch):
                 assert all(len(args) == 1 for args in searches)
                 assert (len(batches), len(shift_searches)) == (batch_calls, 0)
                 assert all(len(directions) == config.tau_samples for _, directions, _ in batches)
-                assert (len(reductions), len(enumerations)) == (fixed, fixed)
+                assert (len(reductions), len(enumerations)) == (row_sets, fixed)
+                assert (len(clearings), len(clearings_of_rows)) == (3, row_sets)
+                forms = [("dualpiped.linalg", False), ("dualpiped.linalg", True),
+                         ("dualpiped.linalg", False)]
+                inverses = [("dualpiped.minima", True)] * row_sets
+                assert [e for e in eliminations if e not in ("batch", "end")] == forms + inverses
+                if batch_calls:
+                    inside = eliminations[eliminations.index("batch") + 1:eliminations.index("end")]
+                    assert inside == []
                 # the calibration's and WM's boxes are small: walked, with no grid
                 assert enumerations[0] == "walk"
                 if claims is None:
                     assert enumerations[-1] == "walk"
-                if batch_calls:
-                    inside = inverses[inverses.index("batch") + 1:inverses.index("end")]
-                    assert inside == [True]
     monkeypatch.undo()
     # the v_tau range reads the square that FAMSHARP reads, rounded once
     for mode, dimension in (("float", 5), ("exact", 3)):
@@ -247,6 +263,22 @@ def test_each_trial_derives_its_values_once(monkeypatch):
             directions = sample_directions(rng, dimension, config.tau_samples)
             expected = tuple(float(sections.v_tau(tuple(raw))) for raw in directions)
             assert outcome.v_values == expected
+
+
+def test_trials_leave_no_cyclic_garbage():
+    # the search state that bodies, gauge rows and matrices keep links no
+    # object back to its owner, so trials run with the collector off free
+    # everything by reference counting
+    gc.collect()
+    gc.disable()
+    try:
+        for mode, dimension in (("float", 5), ("exact", 3)):
+            config = TrialConfig(dimension=dimension, trials=20, seed=1, mode=mode)
+            for index in range(config.trials):
+                assert evaluate_trial(config, index).error is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_emit_report_formats():

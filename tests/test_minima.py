@@ -20,7 +20,7 @@ from dualpiped.minima import (
 )
 from dualpiped.scalars import Quad3, scalar_floor
 from dualpiped.sections import first_minimum_section_dual, section_dual_gauge
-from dualpiped.transference import sample_directions
+from dualpiped.transference import check_claims, sample_directions
 from dualpiped.witness import FIRST_DILATE, SECOND_DILATE, build_witness
 
 from oracle_utils import (
@@ -208,11 +208,14 @@ def test_first_minimum_with_unit_start():
 
 def test_each_search_enumerates_once(monkeypatch):
     # the reduced basis sizes one dilate that already holds every witness,
-    # and the same basis steers the enumeration, so each search reduces once
-    # (lattice_points_in_dilate, which the section-dual search calls, reads
-    # the same enumeration)
+    # and the same basis steers the enumeration, so each search reduces and
+    # inverts its rows once (lattice_points_in_dilate, which the section-dual
+    # search calls, reads the same enumeration); a body keeps its rows with
+    # their reductions and inverse, so a repeated search of the same body, or
+    # a search of the same rows from the same start, reduces and inverts 0 times
     calls = []
     reductions = []
+    inverses = []
 
     def counting(c_rows, mu, basis):
         calls.append(mu)
@@ -222,16 +225,23 @@ def test_each_search_enumerates_once(monkeypatch):
         reductions.append(c_rows)
         return reduction(c_rows, start)
 
+    def counting_inverse(a, b):
+        inverses.append(a)
+        return inverse(a, b)
+
     dilate = minima._dilate
     reduction = minima._reduction_transform
+    inverse = minima._inverse
     monkeypatch.setattr(minima, "_dilate", counting)
     monkeypatch.setattr(minima, "_reduction_transform", counting_reduction)
+    monkeypatch.setattr(minima, "_inverse", counting_inverse)
 
-    def enumerations(search) -> int:
+    def enumerations(search, derived=1) -> int:
         calls.clear()
         reductions.clear()
+        inverses.clear()
         search()
-        assert len(reductions) == 1
+        assert (len(reductions), len(inverses)) == (derived, derived)
         return len(calls)
 
     bodies = []
@@ -241,6 +251,7 @@ def test_each_search_enumerates_once(monkeypatch):
             bodies += [det_normalized(piped), pseudo_compound(piped)]
     for body in bodies:
         assert enumerations(lambda: successive_minima(body)) == 1
+        assert enumerations(lambda: successive_minima(body), derived=0) == 1
     w = build_witness(Fraction(1, 2))
     for body, lattice, k_max in (
         (w.body, w.lattice1, 1),
@@ -253,8 +264,33 @@ def test_each_search_enumerates_once(monkeypatch):
         (pseudo_compound(w.z3_body_2), None, 1),
     ):
         assert enumerations(lambda: successive_minima(body, lattice, k_max)) == 1
-    for body in bodies[::4] + [Parallelepiped.cube(3), w.z3_body_1]:
+        # rows measured against a lattice are built anew for each search
+        assert enumerations(lambda: successive_minima(body, lattice, k_max),
+                            derived=int(lattice is not None)) == 1
+    fresh = [gen_instance(d, 4, mode=mode) for d, mode in ((3, "float"), (5, "float"), (3, "exact"))]
+    for body in fresh + [Parallelepiped.cube(3), build_witness(Fraction(1, 3)).z3_body_1]:
         assert enumerations(lambda: sections.first_minimum_section_dual(body)) == 1
+        # the section-dual search reads the compound's own rows
+        assert enumerations(lambda: successive_minima(pseudo_compound(body)), derived=0) == 1
+        assert enumerations(lambda: sections.first_minimum_section_dual(body), derived=0) == 1
+
+
+# H = diag(h, 1) and eta = (e, 1) whose quotient h / e overflows, or rounds to
+# 0 although h does not: the search reads the rows as stored, so both are
+# refused where the body's rows are built
+@pytest.mark.parametrize("h, e", [(1e308, 1e-10), (1e-308, 1e300)], ids=["overflows", "underflows"])
+def test_float_gauge_rows_beyond_the_float_range_are_refused(h, e):
+    body = Parallelepiped(Matrix([[h, 0.0], [0.0, 1.0]]), (e, 1.0))
+    message = "gauge row 0 leaves the float range: an entry over eta_0 overflows or rounds to 0"
+    for search in (lambda: gauge_rows(body), lambda: successive_minima(body),
+                   lambda: check_claims(body, directions=[(1.0, 2.0)])):
+        with pytest.raises(ValueError, match=message):
+            search()
+    # rows measured against a lattice are refused alike
+    with pytest.raises(ValueError, match=message):
+        gauge_rows(body, Lattice.integers(2, kind="float"))
+    # the same entry over a bound that keeps the quotient in range is searched
+    assert successive_minima(Parallelepiped(Matrix([[1.0, 0.0], [0.0, h]]), (1.0, h))).values == (1.0, 1.0)
 
 
 def test_each_search_clears_its_rows_once(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from dualpiped import sections
 from dualpiped.bodies import Parallelepiped, pseudo_compound
 from dualpiped.linalg import Matrix
+from dualpiped.minima import dilate_box, gauge_rows, reduced_basis
 from dualpiped.sections import (
     cube_section_volume,
     first_minimum_section_dual,
@@ -22,6 +24,7 @@ from oracle_utils import (
     apply_linear,
     cofactor,
     diagonal,
+    generic_body,
     matvec,
     monte_carlo_section_volume,
     random_unimodular,
@@ -344,7 +347,7 @@ def test_first_minimum_section_dual_frozen():
 
 
 @pytest.mark.slow
-def test_first_minimum_section_dual_matches_brute_force():
+def test_first_minimum_section_dual_matches_brute_force(monkeypatch):
     rng = random.Random(61)
     for _ in range(10):
         h = random_unimodular(rng, 3, ops=4)
@@ -357,3 +360,37 @@ def test_first_minimum_section_dual_matches_brute_force():
             if any(z)
         )
         assert value == brute
+    # generic bodies, whose forms are not integral: the scan stops at the
+    # first point whose sup norm reaches the smallest gauge so far, and on
+    # some of them the first point of the box is not yet that point; each
+    # value is the minimum over a box of the reduced coordinates that holds
+    # the sup-norm dilate of the value, widened to at least 2 a side
+    measured = []
+    pullback = sections._pullback_gauge
+
+    def counting(rows, z):
+        measured.append(z)
+        return pullback(rows, z)
+
+    monkeypatch.setattr(sections, "_pullback_gauge", counting)
+    scans = []
+    rng = random.Random("section-dual-scan")
+    for kind in ("rational", "float"):
+        for d in (2, 3, 4):
+            for _ in range(4):
+                body = generic_body(rng, d, kind)
+                measured.clear()
+                value = first_minimum_section_dual(body)
+                scans.append(len(measured))
+                rows = gauge_rows(pseudo_compound(body))
+                basis = reduced_basis(rows)
+                reduced = [[sum(map(operator.mul, row, v)) for v in basis] for row in rows]
+                box = [max(b, 2) for b in dilate_box(reduced, value)]
+                brute = min(
+                    section_dual_gauge(body, [sum(c * v[i] for c, v in zip(k, basis)) for i in range(d)])
+                    for k in itertools.product(*(range(-b, b + 1) for b in box))
+                    if any(k)
+                )
+                assert type(value) is type(brute) and value == brute
+    # every scan measures its radius; some measure points after the first
+    assert min(scans) == 1 and max(scans) > 2
