@@ -22,10 +22,9 @@ exact LLL reduction of its rows, which may start from a given basis; no
 answer depends on the basis, only the size of the box does. A body keeps
 its rows and their search state (GaugeRows), so its searches clear, reduce
 from each start and invert them once. A body's hyperbolic shifts only scale
-the rows of its gauge, so first_minima_in_basis decides them all, for a
-rational or a float body alike, in the body's own reduced basis from the
-inverse its profile search took, with no reduction or shifted body, walking
-each box of at most 3^d cells; every value it gives is exact.
+its gauge rows, so first_minima_in_basis decides them all exactly, for a
+rational or a float body alike, on each direction's integer ratios in the
+basis and from the inverse of the body's profile search, with no shifted rows.
 """
 from __future__ import annotations
 
@@ -294,9 +293,13 @@ def _inverse(a, b) -> tuple:
     """det n and adj n = det(n) n^-1 for n = a by linalg.eliminate, or None and n^-1 for n = a + b sqrt3.
 
     n = a + b sqrt3 is inverted in its field, by Matrix.inverse, which says why.
+    Only float rows, rounded from an invertible H, can be singular.
     """
     if b is None:
-        return eliminate(a, inverse=True)
+        try:
+            return eliminate(a, inverse=True)
+        except ZeroDivisionError:
+            raise ValueError("the gauge rows h_ij / eta_i lose their rank in the float range") from None
     return None, Matrix([[Quad3(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]).inverse().rows
 
 
@@ -582,43 +585,49 @@ def first_minimum(piped: Parallelepiped, lattice: Lattice | None = None, *, star
 def first_minima_in_basis(piped: Parallelepiped, directions, start) -> list:
     """The exact first minimum against Z^d of the body shifted by each direction, or None.
 
-    A shift by tau scales the bounds to tau * eta, so row i of the body's
-    gauge rows (gauge_rows, the rows its profile search reads) by 1 / tau_i,
-    exactly; `start`, the reduced basis of that search
-    (MinimaProfile.basis), keeps each shift's box small with no reduction.
-    The reduced rows clear to integers a over one denominator den (a float
-    is the dyadic rational it stores) and are inverted once: with
-    tau_i = p_i / q_i and L = lcm(p), a shift's rows are s_i a_i over den L,
-    s_i = q_i L / p_i, so the one adjugate gives every shift's box in ints,
-    b_j = floor(m0 sum_i |adj_ji| / (s_i |det a|)), where the smallest
-    column maximum m0 is the radius. A box of at most 3^d cells is decided
-    whole: the smallest integer key m = max_i |s_i a_i . k| over its
-    canonical cells (_walk) passes the keep rule m <= floor(mu den)
-    = m0 of lattice_points_in_dilate, as the radius's basis vector lies in
-    the box, and gives the value Fraction(m, den L) for every kind. No
-    shifted body, snapshot, grid, sort or span is built. Q(sqrt3) rows and
-    larger boxes give None, for first_minimum to search.
+    A shift by tau scales row i of the body's gauge rows by 1 / tau_i, and
+    `start`, the basis of the body's profile search (MinimaProfile.basis),
+    keeps its box small. The rows there clear to integers a over den and are
+    inverted once; a shift is decided on its ratios tau_i = p_i / q_i, with
+    no shifted rows: the gauge of k is max_i |a_i . k| q_i / (p_i den),
+    compared by cross-multiplying ints, the radius is the least column gauge
+    num / (div den), and with Q = lcm(q), a power of two for floats, the box
+    is b_j = floor(num sum_i |adj_ji| p_i (Q / q_i) / (div Q |det a|)). A box
+    whose one canonical cell is the radius's basis vector has the radius as
+    its value, one of at most 3^d cells its least gauge (_walk), a Fraction
+    for every kind. Q(sqrt3) rows and larger boxes give None.
     """
     a, b, den, (det, adj) = gauge_rows(piped).times(start)
     if b is not None:
         return [None] * len(directions)
+    cols = list(zip(*a))
     values = []
     for raw in directions:
         ratios = [t.as_integer_ratio() for t in raw]
-        lcm = math.lcm(*(p for p, _ in ratios))
-        scales = [q * (lcm // p) for p, q in ratios]
-        shifted = [[s * x for x in row] for s, row in zip(scales, a)]
-        radius = min(max(map(abs, col)) for col in zip(*shifted))
-        common = math.lcm(*scales)
-        weights = [common // s for s in scales]
-        div = common * abs(det)
-        box = [radius * sum(abs(x) * w for x, w in zip(row, weights)) // div for row in adj]
-        if math.prod(2 * bj + 1 for bj in box) > 3 ** len(box):
-            values.append(None)
-        else:
-            key = min(max(map(abs, v)) for v in _walk(list(zip(*shifted)), box))
-            values.append(Fraction(key, den * lcm))
+        num, div = _least_gauge(cols, ratios)
+        lcm = math.lcm(*(q for _, q in ratios))
+        weights = [p * (lcm // q) for p, q in ratios]
+        scale = div * lcm * abs(det)
+        box = [num * sum(abs(x) * w for x, w in zip(row, weights)) // scale for row in adj]
+        cells = math.prod(2 * bj + 1 for bj in box)
+        if 3 < cells <= 3 ** len(box):
+            num, div = _least_gauge(_walk(cols, box), ratios)
+        values.append(None if cells > 3 ** len(box) else Fraction(num, div * den))
     return values
+
+
+def _least_gauge(images, ratios) -> tuple:
+    """The least max_i |v_i| q_i / p_i over the images v, as ints (num, div), by cross-multiplication."""
+    least = None
+    for v in images:
+        num, div = 0, 1
+        for x, (p, q) in zip(v, ratios):
+            x = abs(x) * q
+            if x * div > num * p:
+                num, div = x, p
+        if least is None or num * least[1] < least[0] * div:
+            least = num, div
+    return least
 
 
 def _walk(cols, box) -> list:

@@ -5,13 +5,13 @@ T3, T4, MK2, T5, T6, T7, FAM, FAMSHARP, WM, C12. Each names a module-level
 function in one table, `_EVALUATORS`, and every function reads one `_Trial`:
 the body as given, its pseudo-compound (one per body, whose gauge rows are
 also WM's section-dual rows), both minima profiles, both volumes and the
-family minima are derived there on first use, so a claim filter pays only
-for what its claims read. Every claim is evaluated
-against the integer lattice; a claim whose hypothesis fails is reported as
-skipped, a conclusion failing as a violation. Each hypothesis and
-conclusion is one comparison `_Trial.leq` of exact expressions (irrational
-thresholds through powers or polynomials), exact but for the float slack
-`REL_SLACK`; margins are always reported as floats. C12 is decided by an
+family minima and ratios are derived there on first use, so a claim filter
+pays only for what its claims read. Every claim is evaluated against the
+integer lattice; a claim whose hypothesis fails is reported as skipped, a
+conclusion failing as a violation. Each hypothesis and conclusion is one
+comparison `_Trial.leq` of exact expressions (irrational thresholds through
+powers or polynomials, which T5-T7 try first in ints), exact but for the
+float slack `REL_SLACK`; margins are always reported as floats. C12 is decided by an
 identity rather than per vertex: every vertex of the pseudo-compound has
 the same section-dual gauge, an exact constant of the dimension, for every
 body and every scalar kind.
@@ -28,7 +28,7 @@ from typing import Sequence
 from .bodies import Parallelepiped, pseudo_compound
 from .linalg import Matrix, eliminate, monotone_root
 from .minima import first_minima_in_basis, first_minimum, gauge_rows, successive_minima
-from .scalars import Scalar, exact_nth_root, exact_scalar, float_nth_root, scalar_sign
+from .scalars import Quad3, Scalar, exact_nth_root, exact_scalar, float_nth_root, scalar_sign
 from .sections import first_minimum_section_dual, v_tau_squared
 
 _MODES = ("plain", "sharp")
@@ -39,19 +39,18 @@ _MODES = ("plain", "sharp")
 REL_SLACK = 1e-9
 
 
-def _family_ratio(raw, value, v2, power: int) -> tuple:
-    """Ints num, den > 0 with num / den = value^power v2 prod raw^2 / sum raw^2, exactly.
+def _family_ratio(raw, value, power: int) -> tuple:
+    """Ints num, den > 0 with num / den = value^power prod raw^2 / sum raw^2, exactly.
 
-    value, v2 and the entries of raw are exact or floats, each read as the
+    value and the entries of raw are exact or floats, each read as the
     rational it stores; int / int of the pair is that ratio rounded once.
     """
     ratios = [t.as_integer_ratio() for t in raw]
     lcm = math.lcm(*(q for _, q in ratios))
     vn, vd = value.as_integer_ratio()
-    wn, wd = v2.as_integer_ratio()
-    num = vn**power * wn * (math.prod(p for p, _ in ratios) * lcm) ** 2
+    num = vn**power * (math.prod(p for p, _ in ratios) * lcm) ** 2
     sum_sq = sum((p * (lcm // q)) ** 2 for p, q in ratios)
-    den = vd**power * wd * math.prod(q for _, q in ratios) ** 2 * sum_sq
+    den = vd**power * math.prod(q for _, q in ratios) ** 2 * sum_sq
     return num, den
 
 
@@ -206,16 +205,12 @@ class _Trial:
     def family_minima(self) -> list:
         """The exact mu_1 of the body shifted by each raw direction.
 
-        A shift by tau scales row i of the body's gauge rows by 1 / tau_i,
-        so every shift is searched in the basis that the body's profile
-        search reduced to. One first_minima_in_basis call decides each shift
-        whose box there is small (every shift of a harness body) from one
-        inverse of those rows, for a rational or a float body alike, with no
-        Parallelepiped, reduction, grid or profile. Only the others are
-        searched by first_minimum from that basis, on the exact body whose
-        forms are the gauge rows, read exactly (a float is the dyadic
-        rational it stores), and whose bounds are the direction as
-        Fractions: its gauge rows are the scaled rows themselves.
+        A shift by tau scales row i of the body's gauge rows by 1 / tau_i, so
+        first_minima_in_basis decides each shift whose box is small in the
+        basis of the body's profile search (every shift of a harness body) on
+        the direction's integer ratios. Only the others are searched by
+        first_minimum from that basis, on the exact body whose forms are the
+        gauge rows, read exactly, and whose bounds are the direction.
         """
         start = self.profile.basis
         values = first_minima_in_basis(self.body, self.directions, start)
@@ -224,6 +219,12 @@ class _Trial:
             values = [first_minimum(Parallelepiped(rows, tuple(map(Fraction, raw))), start=start)[0]
                       if value is None else value for raw, value in zip(self.directions, values)]
         return values
+
+    @cached_property
+    def family_ratios(self) -> list:
+        """Per direction, the ints of _family_ratio for its mu_1, which FAM and FAMSHARP share."""
+        power = 2 * (self.d - 1)
+        return [_family_ratio(raw, value, power) for raw, value in zip(self.directions, self.family_minima)]
 
 
 def _finish(cid: str, hypothesis, checks, detail: str = "", witnesses=()) -> ClaimReport:
@@ -268,6 +269,11 @@ def _claim_mk2(t: _Trial) -> ClaimReport:
     return _finish("MK2", True, checks, detail="minima products, body and compound")
 
 
+def _ratio(x) -> tuple:
+    """Ints n, m > 0 with x = n / m for a rational or float x; None, None for a Q(sqrt3) x."""
+    return (None, None) if isinstance(x, Quad3) else x.as_integer_ratio()
+
+
 def _power_claim(t: _Trial, cid: str, factor: int) -> ClaimReport:
     """mu_k^(factor (d - k)) <= d for k < d, under mu*_1 <= 1 <= mu_1."""
     d, mu = t.d, t.profile.values
@@ -275,7 +281,9 @@ def _power_claim(t: _Trial, cid: str, factor: int) -> ClaimReport:
     checks = []
     for k in range(1, d):
         exponent = factor * (d - k)
-        ok = t.leq(exact_scalar(mu[k - 1]) ** exponent, d)
+        n, m = _ratio(mu[k - 1])
+        ok = (n is not None and n**exponent <= d * m**exponent
+              or t.leq(exact_scalar(mu[k - 1]) ** exponent, d))
         checks.append((d ** (1.0 / exponent), float(mu[k - 1]), ok))
     return _finish(cid, hypothesis, checks)
 
@@ -296,8 +304,9 @@ def _claim_t7(t: _Trial) -> ClaimReport:
     mu = t.profile.values
     hypothesis = t.leq(t.profile_star.values[0], 1) and not t.leq(mu[0], 1)
     # mu_2 <= c_d: s^(d-1) - (d-1) s - 1 is negative on (0, c_d^2), positive beyond
-    s = exact_scalar(mu[1]) ** 2
-    ok = t.leq(s ** (d - 1), (d - 1) * s + 1)
+    n, m = _ratio(mu[1])
+    ok = (n is not None and n ** (2 * d - 2) <= ((d - 1) * n * n + m * m) * m ** (2 * d - 4)
+          or t.leq(exact_scalar(mu[1]) ** (2 * d - 2), (d - 1) * exact_scalar(mu[1]) ** 2 + 1))
     return _finish("T7", hypothesis, [(c_d(d), float(mu[1]), ok)],
                    witnesses=(t.profile.witnesses[1],))
 
@@ -307,15 +316,17 @@ def _family(t: _Trial, cid: str, sharp: bool) -> ClaimReport:
 
     The first minimum is homogeneous, so it is mu_1(raw shift) / lam with
     lam^(2(d-1)) = sum raw^2 / (v^2 prod raw^2); the claim is decided as
-    mu_1^(2(d-1)) v^2 prod raw^2 <= sum raw^2 on the dyadic direction.
+    mu_1^(2(d-1)) v^2 prod raw^2 <= sum raw^2 on the ints of the direction's
+    ratio (_Trial.family_ratios), times those of v^2 for FAMSHARP.
     """
     if not t.directions:
         return ClaimReport(cid, "skip", None, None, None, "no direction was given", ())
     power = 2 * (t.d - 1)
     checks = []
     witnesses = []
-    for raw, value in zip(t.directions, t.family_minima):
-        num, den = _family_ratio(raw, value, raw.v_squared if sharp else 1, power)
+    for raw, (num, den) in zip(t.directions, t.family_ratios):
+        wn, wd = raw.v_squared.as_integer_ratio() if sharp else (1, 1)
+        num, den = num * wn, den * wd
         # within the slack, num <= den is the test of num / den <= 1, as
         # max(num, den) = den max(num / den, 1), and skips a gcd of big ints
         ok = t.leq(num, den)

@@ -299,6 +299,17 @@ def test_minima_refuses_float_gauge_rows_beyond_the_float_range(tmp_path, capsys
     assert "Traceback" not in err
 
 
+def test_minima_refuses_float_gauge_rows_singular_as_rounded(tmp_path, capsys):
+    # gauge row 0 rounds to (1e-310, 1e-310), a multiple of row 1
+    body = Parallelepiped(Matrix([[1e-10, 1e-10 * (1 + 2**-52)], [1.0, 1.0]]), (1e300, 1.0))
+    body_file = tmp_path / "body.txt"
+    body_file.write_text(format_parallelepiped(body))
+    assert main(["minima", "--body", str(body_file)]) == 2
+    err = capsys.readouterr().err
+    assert "the gauge rows h_ij / eta_i lose their rank in the float range" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("error", [EnumerationBudgetError("too many nodes"), OverflowError("too big")])
 def test_budget_and_overflow_errors_exit_two(monkeypatch, tmp_path, capsys, error):
     def fail(*args, **kwargs):

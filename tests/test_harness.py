@@ -174,6 +174,8 @@ def test_each_trial_derives_its_values_once(monkeypatch):
     # already has a sup norm at that radius, so its scan ends there; a claim
     # filter makes only the profile searches that its claims read
     ratios = counting(monkeypatch, sections, "_section_ratio")
+    # FAM and FAMSHARP share one integer family ratio per direction
+    family_ratios = counting(monkeypatch, transference, "_family_ratio")
     searches = counting(monkeypatch, transference, "successive_minima")
     # the family claims decide all eight shifts in one batched call, with no
     # fallback search of a shifted body
@@ -223,15 +225,15 @@ def test_each_trial_derives_its_values_once(monkeypatch):
     for module in (linalg, minima):
         monkeypatch.setattr(module, "eliminate", recorded(module.__name__, module.eliminate))
     for mode, dimension in (("float", 5), ("exact", 3)):
-        for claims, ratio_calls, search_calls, batch_calls, row_sets, fixed in (
-            (None, 10, 2, 1, 3, 4), (("FAM",), 8, 1, 1, 2, 2), (("FAMSHARP",), 8, 1, 1, 2, 2),
-            (("C12",), 9, 0, 0, 1, 1),
+        for claims, ratio_calls, search_calls, batch_calls, family_calls, row_sets, fixed in (
+            (None, 10, 2, 1, 8, 3, 4), (("FAM",), 8, 1, 1, 8, 2, 2), (("FAMSHARP",), 8, 1, 1, 8, 2, 2),
+            (("C12",), 9, 0, 0, 0, 1, 1),
         ):
             options = {} if claims is None else {"claims": claims}
             config = TrialConfig(dimension=dimension, trials=3, seed=1, mode=mode, **options)
             for index in range(config.trials):
-                for calls in (ratios, searches, batches, shift_searches, reductions, clearings,
-                              clearings_of_rows, enumerations, eliminations):
+                for calls in (ratios, family_ratios, searches, batches, shift_searches, reductions,
+                              clearings, clearings_of_rows, enumerations, eliminations):
                     calls.clear()
                 outcome = evaluate_trial(config, index)
                 assert outcome.error is None
@@ -239,6 +241,7 @@ def test_each_trial_derives_its_values_once(monkeypatch):
                 # each profile search is made on the body alone, as the benchmark's trace expects
                 assert all(len(args) == 1 for args in searches)
                 assert (len(batches), len(shift_searches)) == (batch_calls, 0)
+                assert len(family_ratios) == family_calls
                 assert all(len(directions) == config.tau_samples for _, directions, _ in batches)
                 assert (len(reductions), len(enumerations)) == (row_sets, fixed)
                 assert (len(clearings), len(clearings_of_rows)) == (3, row_sets)

@@ -293,6 +293,18 @@ def test_float_gauge_rows_beyond_the_float_range_are_refused(h, e):
     assert successive_minima(Parallelepiped(Matrix([[1.0, 0.0], [0.0, h]]), (1.0, h))).values == (1.0, 1.0)
 
 
+def test_float_gauge_rows_singular_as_rounded_are_refused():
+    # H is invertible, but its gauge row 0 rounds into the subnormal range as
+    # (1e-310, 1e-310), a multiple of row 1: the elimination of the reduced
+    # rows finds them singular and refuses the body by name
+    body = Parallelepiped(Matrix([[1e-10, 1e-10 * (1 + 2**-52)], [1.0, 1.0]]), (1e300, 1.0))
+    assert gauge_rows(body)[0] == (1e-310, 1e-310)
+    message = "the gauge rows h_ij / eta_i lose their rank in the float range"
+    for search in (lambda: successive_minima(body), lambda: check_claims(body, directions=[(1.0, 2.0)])):
+        with pytest.raises(ValueError, match=message):
+            search()
+
+
 def test_each_search_clears_its_rows_once(monkeypatch):
     # the reduction clears a float snapshot of exact rows, and the radius and
     # the enumeration share one clearing of the rows themselves: one

@@ -9,6 +9,9 @@ These pins hold the JSON payload (with runtime_ms fixed at zero) of ten
 standard suites of 8 trials each; the two at seed 1 are the slices that the
 benchmark's verify workloads run, d=2 is where T7 is skipped by design, and
 the exact suites cover every dimension from 2 to 5.
+The repr of the 8 TrialOutcomes of each benchmark slice is pinned too: it
+holds every margin, status, witness and slack flag of each trial, which the
+payload reports only as aggregates.
 A change that moves float bits on purpose updates the pins and declares the
 change in CHANGES.md. The pins were taken with numpy 2.4 on x86-64; float
 bits may differ under another BLAS build.
@@ -47,6 +50,20 @@ def payload(dimension, mode, seed) -> str:
 @pytest.mark.parametrize("dimension, mode, seed, digest", PINS, ids=[f"{d}-{m}-{s}" for d, m, s, _ in PINS])
 def test_report_payload_digest(dimension, mode, seed, digest):
     assert hashlib.sha256(payload(dimension, mode, seed).encode()).hexdigest() == digest
+
+
+OUTCOME_PINS = [
+    (5, "float", 1, "721a31c9b7474271dd38537f5bc054302b9577138d7b86fcc18b8000fc706510"),
+    (3, "exact", 1, "319f6b039ffbbc72d83fb9981e250affda7a545ab215529f20105cb276665623"),
+]
+
+
+@pytest.mark.parametrize("dimension, mode, seed, digest", OUTCOME_PINS,
+                         ids=[f"{d}-{m}-{s}" for d, m, s, _ in OUTCOME_PINS])
+def test_trial_outcome_digest(dimension, mode, seed, digest):
+    config = TrialConfig(dimension=dimension, trials=8, seed=seed, mode=mode)
+    outcomes = [evaluate_trial(config, index) for index in range(config.trials)]
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == digest
 
 
 def test_pinned_float_bodies_have_unit_determinant(monkeypatch):

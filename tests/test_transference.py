@@ -11,6 +11,7 @@ from dualpiped.bodies import ExactnessError, Parallelepiped, det_normalized, pse
 from dualpiped.linalg import Matrix
 from dualpiped.minima import (
     EnumerationBudgetError,
+    MinimaProfile,
     first_minima_in_basis,
     first_minimum,
     gauge_rows,
@@ -419,11 +420,16 @@ def test_dual_starts_match_cold_searches_on_generic_bodies(kind):
 
 
 @pytest.mark.parametrize("kind", ["float", "exact"])
-def test_batched_shift_minima_match_cold_searches_on_generic_bodies(kind):
+def test_batched_shift_minima_match_cold_searches_on_generic_bodies(monkeypatch, kind):
     # a shift scales the body's gauge rows, read exactly, by 1 / tau: each
     # value the batched call gives equals a cold exact search of that body,
     # by value and type, and so does each value of a shift that it leaves
-    # to first_minimum (the large boxes)
+    # to first_minimum (the large boxes); every branch occurs: a box whose
+    # one canonical cell is the radius's basis vector, a walked box of more
+    # than one cell and at most 3^d, and a larger box left as None
+    walked = []
+    walk = minima._walk
+    monkeypatch.setattr(minima, "_walk", lambda cols, box: walked.append(box) or walk(cols, box))
     rng = random.Random(f"batched-{kind}")
     branches = set()
     bodies = 0
@@ -444,14 +450,23 @@ def test_batched_shift_minima_match_cold_searches_on_generic_bodies(kind):
             batched = first_minima_in_basis(body, directions, start)
             for raw, value, family in zip(directions, batched, trial.family_minima):
                 cold = first_minimum(scaled_rows_body(body, raw))[0]
-                branches.add(value is None)
+                walked.clear()
+                assert first_minima_in_basis(body, [raw], start) == [value]
+                if value is None:
+                    branches.add("none")
+                elif walked:
+                    [box] = walked
+                    assert 3 < math.prod(2 * b + 1 for b in box) <= 3**d
+                    branches.add("walk")
+                else:
+                    branches.add("one")
                 if value is not None:
                     assert value == cold and type(value) is Fraction
                 assert family == cold and type(family) is Fraction
                 if kind == "exact":
                     assert cold == first_minimum(apply_hyperbolic(body, tuple(map(Fraction, raw))))[0]
     assert bodies >= 12
-    assert branches == {False, True}
+    assert branches == {"one", "walk", "none"}
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -557,6 +572,38 @@ def test_exact_bodies_of_any_determinant_are_judged_exactly():
         assert not any(report.slack_pass for report in exact)
     # the d = 3 body meets the hypotheses of T3 and WM: 7 claims pass, T5-T7 skip
     assert [report.status for report in exact if report.status != "skip"] == ["pass"] * 7
+
+
+@pytest.mark.parametrize("kind", ["float", "exact"])
+def test_power_claims_in_ints_match_the_exact_comparison(monkeypatch, kind):
+    # T5-T7 decide mu^e <= d and s^(d-1) <= (d-1) s + 1 on the ints of a
+    # rational or float mu and take the slack only where that test fails:
+    # around each threshold (sqrt3 and 3 for T5-T6, c_3 for T7) they report
+    # what the comparison of exact powers reports, which Q(sqrt3) values keep
+    def reports(trial, values):
+        trial.__dict__["profile"] = MinimaProfile(values, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        found = []
+        for claim in (transference._claim_t5, transference._claim_t6, transference._claim_t7):
+            trial.slack_used = False
+            report = claim(trial)
+            found.append((report.status, report.margin, trial.slack_used and report.status == "pass"))
+        return found
+
+    trial = transference._Trial(Parallelepiped.cube(3, kind=kind), ())
+    trial.__dict__["profile_star"] = MinimaProfile((Fraction(1, 2),) * 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    outcomes = set()
+    for threshold in (math.sqrt(3), 3.0, c_d(3)):
+        for x in (threshold, math.nextafter(threshold, 0), math.nextafter(threshold, 4),
+                  threshold * (1 + 1e-10), threshold * (1 + 1e-6)):
+            for first in (1.0, 1.25):
+                values = (first, x, x) if kind == "float" else (Fraction(first), Fraction(x), Fraction(x))
+                in_ints = reports(trial, values)
+                with monkeypatch.context() as patch:
+                    patch.setattr(transference, "_ratio", lambda value: (None, None))
+                    assert reports(trial, values) == in_ints
+                outcomes.update((status, slack) for status, _, slack in in_ints)
+    expected = {("pass", False), ("violation", False), ("skip", False)}
+    assert outcomes == (expected | {("pass", True)} if kind == "float" else expected)
 
 
 def test_family_directions_must_be_finite():
