@@ -64,6 +64,8 @@ class GaugeRows(tuple):
     nothing between uses.
     """
 
+    rounded = False  # set on a float body's rows (gauge_rows), which rounding can leave singular
+
     @cached_property
     def cleared(self) -> tuple:
         """Integer rows a, b and a divisor D with rows = (a + b sqrt3) / D, exactly.
@@ -90,7 +92,12 @@ class GaugeRows(tuple):
         if kept is None or kept[0] != basis:
             a, b, den = self.cleared
             a, b = _times(a, basis), None if b is None else _times(b, basis)
-            kept = (basis, a, b, den, _inverse(a, b))
+            try:
+                kept = (basis, a, b, den, _inverse(a, b))
+            except ZeroDivisionError:
+                if not self.rounded:
+                    raise
+                raise ValueError("the gauge rows h_ij / eta_i lose their rank in the float range") from None
             self.__dict__["_times"] = kept
         return kept[1:]
 
@@ -111,6 +118,7 @@ def gauge_rows(piped: Parallelepiped, lattice: Lattice | None = None) -> GaugeRo
     hb = piped.forms if lattice is None else piped.forms.matmul(lattice.basis)
     rows = GaugeRows(tuple(x / e for x in row) for row, e in zip(hb.rows, piped.bounds))
     if piped.kind == "float":
+        rows.rounded = True
         for i, (row, quotients) in enumerate(zip(hb.rows, rows)):
             if not all(math.isfinite(q) and (q or not x) for x, q in zip(row, quotients)):
                 raise ValueError(f"gauge row {i} leaves the float range: an entry over eta_{i}"
@@ -293,13 +301,9 @@ def _inverse(a, b) -> tuple:
     """det n and adj n = det(n) n^-1 for n = a by linalg.eliminate, or None and n^-1 for n = a + b sqrt3.
 
     n = a + b sqrt3 is inverted in its field, by Matrix.inverse, which says why.
-    Only float rows, rounded from an invertible H, can be singular.
     """
     if b is None:
-        try:
-            return eliminate(a, inverse=True)
-        except ZeroDivisionError:
-            raise ValueError("the gauge rows h_ij / eta_i lose their rank in the float range") from None
+        return eliminate(a, inverse=True)
     return None, Matrix([[Quad3(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]).inverse().rows
 
 
@@ -588,14 +592,13 @@ def first_minima_in_basis(piped: Parallelepiped, directions, start) -> list:
     A shift by tau scales row i of the body's gauge rows by 1 / tau_i, and
     `start`, the basis of the body's profile search (MinimaProfile.basis),
     keeps its box small. The rows there clear to integers a over den and are
-    inverted once; a shift is decided on its ratios tau_i = p_i / q_i, with
-    no shifted rows: the gauge of k is max_i |a_i . k| q_i / (p_i den),
-    compared by cross-multiplying ints, the radius is the least column gauge
-    num / (div den), and with Q = lcm(q), a power of two for floats, the box
-    is b_j = floor(num sum_i |adj_ji| p_i (Q / q_i) / (div Q |det a|)). A box
-    whose one canonical cell is the radius's basis vector has the radius as
-    its value, one of at most 3^d cells its least gauge (_walk), a Fraction
-    for every kind. Q(sqrt3) rows and larger boxes give None.
+    inverted once; a shift is decided on its ratios tau_i = p_i / q_i in
+    ints: the gauge max_i |a_i . k| q_i / (p_i den) by cross-multiplication,
+    the radius as the least column gauge num / (div den), and with Q = lcm(q)
+    the box b_j = floor(num sum_i |adj_ji| p_i (Q / q_i) / (div Q |det a|)).
+    A box whose one canonical cell is the radius's basis vector has the
+    radius as its value, one of at most 3^d cells its least gauge (_walk), a
+    Fraction for every kind; Q(sqrt3) rows and larger boxes give None.
     """
     a, b, den, (det, adj) = gauge_rows(piped).times(start)
     if b is not None:

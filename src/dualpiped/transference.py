@@ -10,11 +10,11 @@ pays only for what its claims read. Every claim is evaluated against the
 integer lattice; a claim whose hypothesis fails is reported as skipped, a
 conclusion failing as a violation. Each hypothesis and conclusion is one
 comparison `_Trial.leq` of exact expressions (irrational thresholds through
-powers or polynomials, which T5-T7 try first in ints), exact but for the
-float slack `REL_SLACK`; margins are always reported as floats. C12 is decided by an
-identity rather than per vertex: every vertex of the pseudo-compound has
-the same section-dual gauge, an exact constant of the dimension, for every
-body and every scalar kind.
+powers or polynomials, which T5-T7 scale to ints by a minimum's ratio),
+exact but for the float slack `REL_SLACK`; margins are always reported
+as floats. C12 is decided by an identity rather than per vertex: every
+vertex of the pseudo-compound has the same section-dual gauge, an exact
+constant of the dimension, for every body and every scalar kind.
 """
 from __future__ import annotations
 
@@ -270,8 +270,8 @@ def _claim_mk2(t: _Trial) -> ClaimReport:
 
 
 def _ratio(x) -> tuple:
-    """Ints n, m > 0 with x = n / m for a rational or float x; None, None for a Q(sqrt3) x."""
-    return (None, None) if isinstance(x, Quad3) else x.as_integer_ratio()
+    """n / m = x with an int m >= 1 (1 for Q(sqrt3)): _Trial.leq of powers scaled by m^e answers alike."""
+    return (x, 1) if isinstance(x, Quad3) else x.as_integer_ratio()
 
 
 def _power_claim(t: _Trial, cid: str, factor: int) -> ClaimReport:
@@ -282,8 +282,7 @@ def _power_claim(t: _Trial, cid: str, factor: int) -> ClaimReport:
     for k in range(1, d):
         exponent = factor * (d - k)
         n, m = _ratio(mu[k - 1])
-        ok = (n is not None and n**exponent <= d * m**exponent
-              or t.leq(exact_scalar(mu[k - 1]) ** exponent, d))
+        ok = t.leq(n**exponent, d * m**exponent)
         checks.append((d ** (1.0 / exponent), float(mu[k - 1]), ok))
     return _finish(cid, hypothesis, checks)
 
@@ -305,8 +304,7 @@ def _claim_t7(t: _Trial) -> ClaimReport:
     hypothesis = t.leq(t.profile_star.values[0], 1) and not t.leq(mu[0], 1)
     # mu_2 <= c_d: s^(d-1) - (d-1) s - 1 is negative on (0, c_d^2), positive beyond
     n, m = _ratio(mu[1])
-    ok = (n is not None and n ** (2 * d - 2) <= ((d - 1) * n * n + m * m) * m ** (2 * d - 4)
-          or t.leq(exact_scalar(mu[1]) ** (2 * d - 2), (d - 1) * exact_scalar(mu[1]) ** 2 + 1))
+    ok = t.leq(n ** (2 * d - 2), ((d - 1) * n * n + m * m) * m ** (2 * d - 4))
     return _finish("T7", hypothesis, [(c_d(d), float(mu[1]), ok)],
                    witnesses=(t.profile.witnesses[1],))
 
@@ -316,8 +314,7 @@ def _family(t: _Trial, cid: str, sharp: bool) -> ClaimReport:
 
     The first minimum is homogeneous, so it is mu_1(raw shift) / lam with
     lam^(2(d-1)) = sum raw^2 / (v^2 prod raw^2); the claim is decided as
-    mu_1^(2(d-1)) v^2 prod raw^2 <= sum raw^2 on the ints of the direction's
-    ratio (_Trial.family_ratios), times those of v^2 for FAMSHARP.
+    mu_1^(2(d-1)) v^2 prod raw^2 <= sum raw^2 in ints (_Trial.family_ratios).
     """
     if not t.directions:
         return ClaimReport(cid, "skip", None, None, None, "no direction was given", ())

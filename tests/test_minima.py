@@ -12,6 +12,7 @@ from dualpiped.harness import TrialConfig, evaluate_trial, gen_instance
 from dualpiped.linalg import Matrix
 from dualpiped.minima import (
     EnumerationBudgetError,
+    dilate_box,
     first_minimum,
     gauge_rows,
     lattice_points_in_dilate,
@@ -303,6 +304,11 @@ def test_float_gauge_rows_singular_as_rounded_are_refused():
     for search in (lambda: successive_minima(body), lambda: check_claims(body, directions=[(1.0, 2.0)])):
         with pytest.raises(ValueError, match=message):
             search()
+    # rows given as plain sequences are the caller's: singular ones stay a ZeroDivisionError
+    for rows in ([[1, 2], [2, 4]], [[1.0, 2.0], [2.0, 4.0]]):
+        for search in (lambda: dilate_box(rows, 1), lambda: lattice_points_in_dilate(rows, 1, ((1, 0), (0, 1)))):
+            with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+                search()
 
 
 def test_each_search_clears_its_rows_once(monkeypatch):

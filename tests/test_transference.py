@@ -17,7 +17,7 @@ from dualpiped.minima import (
     gauge_rows,
     successive_minima,
 )
-from dualpiped.scalars import Quad3
+from dualpiped.scalars import Quad3, exact_scalar
 from dualpiped.sections import first_minimum_section_dual, v_tau_squared
 from dualpiped.transference import (
     ALL_CLAIMS,
@@ -575,33 +575,56 @@ def test_exact_bodies_of_any_determinant_are_judged_exactly():
 
 
 @pytest.mark.parametrize("kind", ["float", "exact"])
-def test_power_claims_in_ints_match_the_exact_comparison(monkeypatch, kind):
-    # T5-T7 decide mu^e <= d and s^(d-1) <= (d-1) s + 1 on the ints of a
-    # rational or float mu and take the slack only where that test fails:
-    # around each threshold (sqrt3 and 3 for T5-T6, c_3 for T7) they report
-    # what the comparison of exact powers reports, which Q(sqrt3) values keep
-    def reports(trial, values):
-        trial.__dict__["profile"] = MinimaProfile(values, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        found = []
+def test_power_claims_in_ints_match_the_exact_comparison(kind):
+    # T5-T7 decide mu^e <= d and s^(d-1) <= (d-1) s + 1 on the ratio n / m
+    # of mu, scaled by a power of m: around each threshold (sqrt3 and 3 for
+    # T5-T6, c_3 for T7) they report what _Trial.leq reports on the exact
+    # powers, slack included, for rational, float and Q(sqrt3) values
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def trial(values):
+        t = transference._Trial(Parallelepiped.cube(3, kind=kind), ())
+        t.__dict__["profile"] = MinimaProfile(values, basis)
+        t.__dict__["profile_star"] = MinimaProfile((Fraction(1, 2),) * 3, basis)
+        return t
+
+    def reports(values):
+        t, found = trial(values), []
         for claim in (transference._claim_t5, transference._claim_t6, transference._claim_t7):
-            trial.slack_used = False
-            report = claim(trial)
-            found.append((report.status, report.margin, trial.slack_used and report.status == "pass"))
+            t.slack_used = False
+            report = claim(t)
+            found.append((report.status, t.slack_used and report.status == "pass"))
         return found
 
-    trial = transference._Trial(Parallelepiped.cube(3, kind=kind), ())
-    trial.__dict__["profile_star"] = MinimaProfile((Fraction(1, 2),) * 3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    def reference(values):
+        t, found = trial(values), []
+        first, mu = (exact_scalar(x) for x in values[:2])
+        for factor in (1, 2):
+            t.slack_used = False
+            ok = all([t.leq(first ** (2 * factor), 3), t.leq(mu**factor, 3)])
+            found.append(("pass" if ok else "violation", t.slack_used and ok))
+        # T7's hypothesis asks mu_1 > 1
+        t.slack_used = False
+        s = mu * mu
+        ok = t.leq(s**2, 2 * s + 1)
+        status = "skip" if first == 1 else "pass" if ok else "violation"
+        found.append((status, t.slack_used and status == "pass"))
+        return found
+
+    thresholds = (math.sqrt(3), 3.0, c_d(3))
+    xs = [x for threshold in thresholds
+          for x in (threshold, math.nextafter(threshold, 0), math.nextafter(threshold, 4),
+                    threshold * (1 + 1e-10), threshold * (1 + 1e-6))]
+    if kind == "exact":
+        xs = [Fraction(x) for x in xs] + [Quad3(0, 1), Quad3(Fraction(1, 10**12), 1), Quad3(3),
+                                          Quad3(Fraction(-1, 10**12), 1)]
     outcomes = set()
-    for threshold in (math.sqrt(3), 3.0, c_d(3)):
-        for x in (threshold, math.nextafter(threshold, 0), math.nextafter(threshold, 4),
-                  threshold * (1 + 1e-10), threshold * (1 + 1e-6)):
-            for first in (1.0, 1.25):
-                values = (first, x, x) if kind == "float" else (Fraction(first), Fraction(x), Fraction(x))
-                in_ints = reports(trial, values)
-                with monkeypatch.context() as patch:
-                    patch.setattr(transference, "_ratio", lambda value: (None, None))
-                    assert reports(trial, values) == in_ints
-                outcomes.update((status, slack) for status, _, slack in in_ints)
+    for x in xs:
+        for first in (1.0, 1.25):
+            values = (first, x, x) if kind == "float" else (Fraction(first), x, x)
+            found = reports(values)
+            assert found == reference(values)
+            outcomes.update(found)
     expected = {("pass", False), ("violation", False), ("skip", False)}
     assert outcomes == (expected | {("pass", True)} if kind == "float" else expected)
 
