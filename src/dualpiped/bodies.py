@@ -248,19 +248,19 @@ def parse_body_document(text: str) -> dict:
     if dimension is None or kind is None:
         raise ValueError("document must declare dimension and scalar_kind")
 
-    def to_matrix(rows: list) -> Matrix:
+    def to_matrix(rows: list, field: str) -> Matrix:
         if len(rows) != dimension:
             raise ValueError("matrix block has wrong number of rows")
         return Matrix(
-            [[parse_scalar(cell, kind) for cell in row.split(",")] for row in rows]
+            [[parse_scalar(cell, kind, field) for cell in row.split(",")] for row in rows]
         )
 
     piped = None
     if h_rows is not None:
         if eta is None:
             raise ValueError("H block requires an eta line")
-        piped = Parallelepiped(to_matrix(h_rows), tuple(parse_scalar(e, kind) for e in eta))
-    lattice = Lattice(to_matrix(basis_rows)) if basis_rows is not None else None
+        piped = Parallelepiped(to_matrix(h_rows, "H"), tuple(parse_scalar(e, kind, "eta") for e in eta))
+    lattice = Lattice(to_matrix(basis_rows, "basis")) if basis_rows is not None else None
     return {
         "dimension": dimension,
         "scalar_kind": kind,

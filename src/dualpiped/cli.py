@@ -13,7 +13,7 @@ from fractions import Fraction
 from .bodies import parse_body_document
 from .harness import TrialConfig, VerificationReport, emit_report, run_suite
 from .minima import EnumerationBudgetError, successive_minima
-from .scalars import format_scalar
+from .scalars import format_scalar, parse_scalar
 from .sections import cube_section_volume, v_tau
 from .transference import ALL_CLAIMS, CD_MAX_DIM, c_d
 from .witness import CertificateError, format_sharpness_report, sharpness_report
@@ -51,7 +51,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    report = sharpness_report(Fraction(args.epsilon))
+    report = sharpness_report(parse_scalar(args.epsilon, "rational", "--epsilon"))
     _write_output(format_sharpness_report(report), args.out)
     return 0
 

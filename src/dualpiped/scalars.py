@@ -288,23 +288,27 @@ def _int_nth_root(v: int, n: int) -> int | None:
     return r if r**n == v else None
 
 
-def parse_scalar(text: str, kind: str) -> Scalar:
+def parse_scalar(text: str, kind: str, field: str = "scalar") -> Scalar:
+    """The scalar of the given kind that text spells; a zero denominator is a ValueError naming the field."""
     t = text.strip().replace(" ", "")
-    if kind == "rational":
-        return Fraction(t)
-    if kind == "float":
-        return float(t)
-    if kind == "quad3":
-        if "sqrt3" not in t:
-            return Quad3(Fraction(t))
-        m = _QUAD_RE.fullmatch(t)
-        if m is None:
-            raise ValueError(f"cannot parse Q(sqrt3) scalar: {text!r}")
-        a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
-        b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
-        if m.group("bs") == "-":
-            b = -b
-        return Quad3(a, b)
+    try:
+        if kind == "rational":
+            return Fraction(t)
+        if kind == "float":
+            return float(t)
+        if kind == "quad3":
+            if "sqrt3" not in t:
+                return Quad3(Fraction(t))
+            m = _QUAD_RE.fullmatch(t)
+            if m is None:
+                raise ValueError(f"cannot parse Q(sqrt3) scalar: {text!r}")
+            a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
+            b = Fraction(m.group("b")) if m.group("b") else Fraction(1)
+            if m.group("bs") == "-":
+                b = -b
+            return Quad3(a, b)
+    except ZeroDivisionError:
+        raise ValueError(f"{field} {text.strip()!r} has a zero denominator") from None
     raise ValueError(f"unknown scalar kind: {kind!r}")
 
 

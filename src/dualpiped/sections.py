@@ -220,7 +220,7 @@ def section_dual_gauge(piped: Parallelepiped, z: Sequence[Scalar]) -> Scalar:
 
 
 def first_minimum_section_dual(piped: Parallelepiped, *, start=None) -> Scalar:
-    """Minimum section-dual gauge over nonzero integer points; d <= 6.
+    """Minimum section-dual gauge over nonzero integer points; d >= 2.
 
     The gauge dominates the sup norm of w = A^T z / det A (every central
     section is a graph over the facet hyperplane of its largest coefficient,
@@ -236,8 +236,8 @@ def first_minimum_section_dual(piped: Parallelepiped, *, start=None) -> Scalar:
     are exact (see _pullback_gauge); a float body's minimum is rounded once.
     """
     d = piped.dimension
-    if not 2 <= d <= 6:
-        raise ValueError("section-dual minimum supports dimensions 2 through 6")
+    if d < 2:
+        raise ValueError("section-dual minimum needs dimension at least 2")
     rows = gauge_rows(pseudo_compound(piped))
     basis = reduced_basis(rows, start)
     sup = _column_gauges(*rows.times(basis)[:3])

@@ -344,9 +344,6 @@ def _claim_famsharp(t: _Trial) -> ClaimReport:
 
 def _claim_wm(t: _Trial) -> ClaimReport:
     d = t.d
-    if d > 6:
-        return ClaimReport("WM", "skip", None, None, None,
-                           "section-dual enumeration supports dimensions 2 through 6", ())
     hypothesis = t.leq(first_minimum_section_dual(t.body, start=t.dual_basis), 1)
     product = math.prod(t.profile.values[: d - 1])
     return _finish("WM", hypothesis, [(1.0, float(product), t.leq(product, 1))])

@@ -117,6 +117,22 @@ def test_witness_certifies_epsilons_far_below_the_float_range(capsys):
         assert out.split("exact minima:")[1] == minima_text
 
 
+def test_a_zero_denominator_is_named(tmp_path, capsys):
+    # the message names the field and its text, not the Fraction it failed to build
+    assert main(["witness", "--epsilon", "1/0"]) == 2
+    assert "error: --epsilon '1/0' has a zero denominator" in capsys.readouterr().err
+    body_file = tmp_path / "body.txt"
+    for kind, h, eta, named in (
+        ("rational", "1,0", "1/0,1", "eta '1/0'"),
+        ("quad3", "1,0", "1/0,1", "eta '1/0'"),
+        ("quad3", "1,0", "1/0+sqrt3,1", "eta '1/0+sqrt3'"),
+        ("quad3", "1,2/0*sqrt3", "1,1", "H '2/0*sqrt3'"),
+    ):
+        body_file.write_text(f"dimension: 2\nscalar_kind: {kind}\nH:\n{h}\n0,1\neta: {eta}\n")
+        assert main(["minima", "--body", str(body_file)]) == 2
+        assert f"error: {named} has a zero denominator" in capsys.readouterr().err
+
+
 def test_witness_refuses_an_epsilon_wider_than_its_bound(capsys):
     # the work grows with the square of epsilon's bits and the report prints
     # epsilon in decimal, which Python limits to 4,300 digits; past the

@@ -12,18 +12,24 @@ the exact suites cover every dimension from 2 to 5.
 The repr of the 8 TrialOutcomes of each benchmark slice is pinned too: it
 holds every margin, status, witness and slack flag of each trial, which the
 payload reports only as aggregates.
+The minima of seeded generic Q(sqrt3) bodies are pinned as well: their
+boxes reach 30,625 cells, where the witness's searches meet 3 or 9.
 A change that moves float bits on purpose updates the pins and declares the
 change in CHANGES.md. The pins were taken with numpy 2.4 on x86-64; float
 bits may differ under another BLAS build.
 """
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from dualpiped import harness
-from dualpiped.bodies import det_normalized
+from dualpiped.bodies import Parallelepiped, det_normalized
 from dualpiped.harness import TrialConfig, aggregate_outcomes, emit_report, evaluate_trial
+from dualpiped.linalg import Matrix
+from dualpiped.minima import successive_minima
+from dualpiped.scalars import Quad3
 from dualpiped.witness import format_sharpness_report, sharpness_report
 
 PINS = [
@@ -102,3 +108,27 @@ def test_witness_report_digest(epsilon, digest):
     document = format_sharpness_report(sharpness_report(epsilon))
     assert hashlib.sha256(document.encode()).hexdigest() == digest
 
+
+
+def _quad3_body(rng, d):
+    """An invertible body with Q(sqrt3) forms and bounds, both parts small rationals."""
+    def part(top):
+        return Fraction(rng.randint(-top, top), rng.randint(1, 3))
+
+    while True:
+        forms = Matrix([[Quad3(part(3), part(2)) for _ in range(d)] for _ in range(d)])
+        if forms.det() != 0:
+            break
+    eta = tuple(Quad3(rng.randint(1, 4), Fraction(rng.randint(0, 2), rng.randint(1, 3))) for _ in range(d))
+    return Parallelepiped(forms, eta)
+
+
+def test_generic_quad3_minima_digest():
+    rng = random.Random(37)
+    found = []
+    for d in range(2, 7):
+        for _ in range(6):
+            profile = successive_minima(_quad3_body(rng, d))
+            found.append((profile.values, profile.witnesses))
+    digest = "2bd206dd696ce50b8f7123b705f8a8de0bbe416a1d9adef1c857c47d180bd16d"
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == digest

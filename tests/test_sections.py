@@ -342,8 +342,9 @@ def test_first_minimum_section_dual_frozen():
     b3 = Parallelepiped.cube(3)
     assert first_minimum_section_dual(b3) == 1
     assert first_minimum_section_dual(b3.scale(Fraction(2))) == Fraction(1, 4)
+    assert first_minimum_section_dual(Parallelepiped.cube(7)) == 1
     with pytest.raises(ValueError):
-        first_minimum_section_dual(Parallelepiped.cube(7))
+        first_minimum_section_dual(Parallelepiped.cube(1))
 
 
 @pytest.mark.slow
@@ -382,15 +383,33 @@ def test_first_minimum_section_dual_matches_brute_force(monkeypatch):
                 measured.clear()
                 value = first_minimum_section_dual(body)
                 scans.append(len(measured))
-                rows = gauge_rows(pseudo_compound(body))
-                basis = reduced_basis(rows)
-                reduced = [[sum(map(operator.mul, row, v)) for v in basis] for row in rows]
-                box = [max(b, 2) for b in dilate_box(reduced, value)]
-                brute = min(
-                    section_dual_gauge(body, [sum(c * v[i] for c, v in zip(k, basis)) for i in range(d)])
-                    for k in itertools.product(*(range(-b, b + 1) for b in box))
-                    if any(k)
-                )
+                brute = _section_dual_brute_force(body, value, 2)
                 assert type(value) is type(brute) and value == brute
     # every scan measures its radius; some measure points after the first
     assert min(scans) == 1 and max(scans) > 2
+
+
+@pytest.mark.slow
+def test_first_minimum_section_dual_matches_brute_force_at_d7():
+    # the search runs at every dimension the claim engine takes, up to d=8
+    rng = random.Random("section-dual-d7")
+    for kind in ("rational", "float"):
+        for _ in range(2):
+            body = generic_body(rng, 7, kind)
+            value = first_minimum_section_dual(body)
+            brute = _section_dual_brute_force(body, value, 1)
+            assert type(value) is type(brute) and value == brute
+
+
+def _section_dual_brute_force(body, value, reach):
+    """The least section-dual gauge over the box of the reduced coordinates
+    that holds the sup-norm dilate of value, widened to at least reach a side."""
+    rows = gauge_rows(pseudo_compound(body))
+    basis = reduced_basis(rows)
+    reduced = [[sum(map(operator.mul, row, v)) for v in basis] for row in rows]
+    box = [max(b, reach) for b in dilate_box(reduced, value)]
+    return min(
+        section_dual_gauge(body, [sum(c * v[i] for c, v in zip(k, basis)) for i in range(len(basis))])
+        for k in itertools.product(*(range(-b, b + 1) for b in box))
+        if any(k)
+    )
